@@ -14,6 +14,7 @@ from .params import (
     EpidemicParams,
     KineticParams,
     Strategy,
+    closure_moment,
     collision_kernel,
     growth_rate,
     growth_rate_times_x,
@@ -33,9 +34,7 @@ from .equilibria import (
     EquilibriumKind,
     TailClassification,
     TailKind,
-    closure_moment,
     controlled_steady_state,
-    eval_equilibrium,
     tail_classify,
 )
 from .dsmc import (
@@ -72,7 +71,6 @@ __all__ = [
     "TailKind",
     "closure_moment",
     "controlled_steady_state",
-    "eval_equilibrium",
     "tail_classify",
     "Histogram",
     "ParticleEnsemble",

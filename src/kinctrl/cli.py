@@ -43,19 +43,17 @@ from .io import (
 )
 from .kinetic import gamma_profile_state, run_scenario
 from .macro import MacroModel, MacroState, MacroVariant, rk4_integrate
-from .params import ClosureKind, ControlSpec, EpidemicParams, KineticParams, Strategy
-
-SCHEMA_VERSION = 1
-
-SCENARIO_KINDS = (
-    "dsmc_equilibrium",
-    "fp_equilibrium",
-    "tail_sweep",
-    "macro_compare",
-    "kinetic_macro_consistency",
-    "controlled_epidemic",
+from .params import (
+    ClosureKind,
+    ControlSpec,
+    EpidemicParams,
+    KineticParams,
+    Strategy,
+    moment_ratio,
+    step_count,
 )
 
+SCHEMA_VERSION = 1
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -79,6 +77,18 @@ def _get(cfg: dict, path: str, expected, required=True, default=None):
     if not isinstance(node, expected) or (isinstance(node, bool) and expected is not bool):
         raise ConfigError(f"field '{path}': expected {expected.__name__}, got {node!r}")
     return node
+
+
+def _choice(cfg: dict, path: str, enum_cls, what: str):
+    """Enum member named by the string at path."""
+    name = _get(cfg, path, str)
+    try:
+        return enum_cls(name)
+    except ValueError:
+        raise ConfigError(
+            f"field '{path}': unknown {what} {name!r}; "
+            f"choose from {[e.value for e in enum_cls]}"
+        ) from None
 
 
 def _kinetic_params(cfg: dict) -> KineticParams:
@@ -109,14 +119,7 @@ def _control_spec(cfg: dict) -> ControlSpec:
     block = cfg.get("control")
     if block is None:
         return ControlSpec.uncontrolled()
-    name = _get(cfg, "control.strategy", str)
-    try:
-        strategy = Strategy(name)
-    except ValueError:
-        raise ConfigError(
-            f"field 'control.strategy': unknown strategy {name!r}; "
-            f"choose from {[s.value for s in Strategy]}"
-        ) from None
+    strategy = _choice(cfg, "control.strategy", Strategy, "strategy")
     if strategy is Strategy.UNCONTROLLED:
         return ControlSpec.uncontrolled()
     try:
@@ -136,15 +139,17 @@ def _grid(cfg: dict) -> Grid:
         raise ConfigError(f"field 'grid': {exc}") from exc
 
 
-def _closure(cfg: dict, path: str = "macro.closure") -> ClosureKind:
-    name = _get(cfg, path, str)
+def _time(cfg: dict) -> tuple[float, float]:
+    """(dt, t_final); t_final must be a whole number of steps."""
+    dt = _get(cfg, "time.dt", float)
+    t_final = _get(cfg, "time.t_final", float)
+    if not dt > 0:
+        raise ConfigError(f"field 'time.dt': must be > 0, got {dt}")
     try:
-        return ClosureKind(name)
-    except ValueError:
-        raise ConfigError(
-            f"field '{path}': unknown closure {name!r}; "
-            f"choose from {[c.value for c in ClosureKind]}"
-        ) from None
+        step_count(t_final, dt)
+    except ValueError as exc:
+        raise ConfigError(f"field 'time.t_final': {exc}") from exc
+    return dt, t_final
 
 
 def load_config(path: Path) -> dict:
@@ -166,8 +171,8 @@ def load_config(path: Path) -> dict:
             f"field 'schema_version': expected {SCHEMA_VERSION}, got {version}"
         )
     kind = _get(cfg, "kind", str)
-    if kind not in SCENARIO_KINDS:
-        raise ConfigError(f"field 'kind': unknown scenario {kind!r}; choose from {SCENARIO_KINDS}")
+    if kind not in RUNNERS:
+        raise ConfigError(f"field 'kind': unknown scenario {kind!r}; choose from {tuple(RUNNERS)}")
     return cfg
 
 
@@ -176,27 +181,14 @@ def load_config(path: Path) -> dict:
 
 
 def _reference_density(
-    kind_name: str, p: KineticParams, c: ControlSpec, m_ref: float, edges: np.ndarray
+    kind: EquilibriumKind, p: KineticParams, c: ControlSpec, m_ref: float, edges: np.ndarray
 ) -> np.ndarray:
     """Bin-averaged equilibrium density on histogram bins (16 panels per bin)."""
     refine = 16
     n_bins = len(edges) - 1
     fine = Grid(float(edges[-1]), n_bins * refine)
-    kind = EquilibriumKind(kind_name)
-    eq = EquilibriumDensity(kind, p, m_ref, fine, control=c if c.active else None)
+    eq = EquilibriumDensity(kind, p, m_ref, fine, control=c)
     return eq.values.reshape(n_bins, refine).mean(axis=1)
-
-
-def _equilibrium_kind_for(p: KineticParams, c: ControlSpec) -> str | None:
-    if c.strategy is Strategy.ADDITIVE_A:
-        return "controlled_a"
-    if c.strategy is Strategy.INTERACTION_B:
-        return "controlled_b"
-    if p.delta == 1.0:
-        return "gamma"
-    if p.delta == -1.0:
-        return "inverse_gamma"
-    return None
 
 
 def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
@@ -205,8 +197,7 @@ def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
     n = _get(cfg, "dsmc.n_particles", int)
     n_bins = _get(cfg, "dsmc.n_bins", int, required=False, default=400)
     x_max = _get(cfg, "grid.x_max", float)
-    dt = _get(cfg, "time.dt", float)
-    t_final = _get(cfg, "time.t_final", float)
+    dt, t_final = _time(cfg)
     m_ref = _get(cfg, "dsmc.mean_reference", float, required=False)
     low = _get(cfg, "initial.low", float)
     high = _get(cfg, "initial.high", float)
@@ -228,11 +219,11 @@ def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
         "ensemble_mean": ens.mean(),
         "ensemble_second_moment": ens.second_moment(),
     }
-    eq_kind = _equilibrium_kind_for(p, c)
+    eq_kind = EquilibriumKind.for_model(p, c)
     if eq_kind is not None and m_ref is not None:
         ref = _reference_density(eq_kind, p, c, m_ref, hist.bin_edges)
         metrics["l1_to_equilibrium"] = hist.l1_distance(ref)
-        metrics["equilibrium_kind"] = eq_kind
+        metrics["equilibrium_kind"] = eq_kind.value
     return metrics
 
 
@@ -240,21 +231,20 @@ def run_fp_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
     p = _kinetic_params(cfg)
     c = _control_spec(cfg)
     grid = _grid(cfg)
-    dt = _get(cfg, "time.dt", float)
-    t_final = _get(cfg, "time.t_final", float)
+    dt, t_final = _time(cfg)
     m_ref = _get(cfg, "fp.mean_reference", float, required=False)
     low = _get(cfg, "initial.low", float)
     high = _get(cfg, "initial.high", float)
 
     f = uniform_density(grid, low, high)
-    n_steps = int(round(t_final / dt))
+    n_steps = step_count(t_final, dt)
     if m_ref is not None:
-        stepper = SpStepper(grid, build_operator(p, c, m_ref), dt, p.tau)
+        op = build_operator(p, c, m_ref)
+        stepper = SpStepper(grid, op, dt, p.tau)
         vals = f.values
         for _ in range(n_steps):
             vals = stepper.step(vals)
         f = ContactDensity(grid, vals)
-        op = build_operator(p, c, m_ref)
     else:
         for _ in range(n_steps):
             op = build_operator(p, c, f.mean())
@@ -271,13 +261,11 @@ def run_fp_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
         "final_mean": f.mean(),
         "l1_to_steady_state": float(np.abs(f.values - steady.values).sum() * grid.dx),
     }
-    eq_kind = _equilibrium_kind_for(p, c)
+    eq_kind = EquilibriumKind.for_model(p, c)
     if eq_kind is not None and m_ref is not None:
-        eq = EquilibriumDensity(
-            EquilibriumKind(eq_kind), p, m_ref, grid, control=c if c.active else None
-        )
+        eq = EquilibriumDensity(eq_kind, p, m_ref, grid, control=c)
         metrics["l1_to_equilibrium"] = float(np.abs(f.values - eq.values).sum() * grid.dx)
-        metrics["equilibrium_kind"] = eq_kind
+        metrics["equilibrium_kind"] = eq_kind.value
     return metrics
 
 
@@ -292,18 +280,17 @@ def run_tail_sweep(cfg: dict, out: Path, seed: int) -> dict:
     if p.delta != -1.0:
         raise ConfigError("field 'kinetic.delta': tail_sweep requires delta = -1")
 
-    uncontrolled = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, p, m_ref, grid)
-    rows = [("uncontrolled", 0.0, uncontrolled.grid_moment(1), uncontrolled.grid_moment(2))]
+    u = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, p, m_ref, grid).as_contact_density()
+    rows = [("uncontrolled", 0.0, u.raw_moment(1), u.raw_moment(2))]
     tails: dict[str, dict] = {"additive_a": {}, "interaction_b": {}}
     for nu in nus:
-        for strategy, make in (
-            ("additive_a", ControlSpec.additive),
-            ("interaction_b", ControlSpec.interaction),
+        for strategy, make, window in (
+            ("additive_a", ControlSpec.additive, win_power),
+            ("interaction_b", ControlSpec.interaction, win_slim),
         ):
             c = make(float(nu), x_target)
             f = controlled_steady_state(p, c, m_ref, grid)
             rows.append((strategy, float(nu), f.raw_moment(1), f.raw_moment(2)))
-            window = win_power if strategy == "additive_a" else win_slim
             try:
                 tc = tail_classify(f, window)
                 tails[strategy][str(nu)] = {
@@ -326,15 +313,8 @@ def run_tail_sweep(cfg: dict, out: Path, seed: int) -> dict:
 
 def _macro_model(cfg: dict) -> MacroModel:
     p = _kinetic_params(cfg)
-    variant_name = _get(cfg, "macro.variant", str)
-    try:
-        variant = MacroVariant(variant_name)
-    except ValueError:
-        raise ConfigError(
-            f"field 'macro.variant': unknown variant {variant_name!r}; "
-            f"choose from {[v.value for v in MacroVariant]}"
-        ) from None
-    closure = _closure(cfg)
+    variant = _choice(cfg, "macro.variant", MacroVariant, "variant")
+    closure = _choice(cfg, "macro.closure", ClosureKind, "closure")
     beta = _get(cfg, "macro.beta", float, required=False)
     try:
         return MacroModel(variant, closure, p, _epidemic_params(cfg), beta=beta)
@@ -350,26 +330,21 @@ def _macro_initial(cfg: dict) -> MacroState:
     return MacroState(float(rho[0]), float(rho[1]), float(rho[2]), mean, mean, mean)
 
 
+_MACRO_COLUMNS = ("rho_S", "rho_I", "rho_R", "m_S", "m_I", "m_R")
+
+
 def _write_macro_trajectory(path: Path, times, states) -> None:
     write_trajectory(
         path,
         np.asarray(times),
-        {
-            "rho_S": np.array([s.rho_s for s in states]),
-            "rho_I": np.array([s.rho_i for s in states]),
-            "rho_R": np.array([s.rho_r for s in states]),
-            "m_S": np.array([s.m_s for s in states]),
-            "m_I": np.array([s.m_i for s in states]),
-            "m_R": np.array([s.m_r for s in states]),
-        },
+        {name: np.array([getattr(s, name.lower()) for s in states]) for name in _MACRO_COLUMNS},
     )
 
 
 def run_macro_compare(cfg: dict, out: Path, seed: int) -> dict:
     model = _macro_model(cfg)
     s0 = _macro_initial(cfg)
-    dt = _get(cfg, "time.dt", float)
-    t_final = _get(cfg, "time.t_final", float)
+    dt, t_final = _time(cfg)
     every = _get(cfg, "time.output_every", int, required=False, default=1)
     times, states = rk4_integrate(model, s0, dt, t_final)
     times, states = times[::every], states[::every]
@@ -395,29 +370,15 @@ def _kinetic_pieces(cfg: dict):
 
 
 def _write_kinetic_trajectory(path: Path, result) -> None:
-    write_trajectory(
-        path,
-        result.times,
-        {
-            "rho_S": result.column("rho_s"),
-            "rho_I": result.column("rho_i"),
-            "rho_R": result.column("rho_r"),
-            "m_S": result.column("m_s"),
-            "m_I": result.column("m_i"),
-            "m_R": result.column("m_r"),
-            "m2_S": result.column("m2_s"),
-            "m2_I": result.column("m2_i"),
-            "m2_R": result.column("m2_r"),
-        },
-    )
+    names = _MACRO_COLUMNS + ("m2_S", "m2_I", "m2_R")
+    write_trajectory(path, result.times, {name: result.column(name.lower()) for name in names})
 
 
 def run_kinetic_macro_consistency(cfg: dict, out: Path, seed: int) -> dict:
     p, e, c, grid, ic = _kinetic_pieces(cfg)
     if c.active:
         raise ConfigError("field 'control': consistency scenario is uncontrolled")
-    dt = _get(cfg, "time.dt", float)
-    t_final = _get(cfg, "time.t_final", float)
+    dt, t_final = _time(cfg)
     every = _get(cfg, "time.output_every", int, required=False, default=1)
 
     result = run_scenario(ic, p, c, e, t_final, dt, output_every=every)
@@ -428,7 +389,7 @@ def run_kinetic_macro_consistency(cfg: dict, out: Path, seed: int) -> dict:
     model = MacroModel(variant, closure, p, e)
     s0 = ic.macro_state()
     times, states = rk4_integrate(model, s0, dt, t_final)
-    idx = [int(round(t / dt)) for t in result.times]
+    idx = [step_count(t, dt) for t in result.times]
     times = [times[i] for i in idx]
     states = [states[i] for i in idx]
     _write_macro_trajectory(out / "trajectory_macro.csv", times, states)
@@ -444,11 +405,10 @@ def run_kinetic_macro_consistency(cfg: dict, out: Path, seed: int) -> dict:
 
 def run_controlled_epidemic(cfg: dict, out: Path, seed: int) -> dict:
     p, e, c, grid, ic = _kinetic_pieces(cfg)
-    dt = _get(cfg, "time.dt", float)
-    t_final = _get(cfg, "time.t_final", float)
+    dt, t_final = _time(cfg)
     every = _get(cfg, "time.output_every", int, required=False, default=1)
 
-    result = run_scenario(ic, p, c, e, t_final, dt, output_every=every, snapshot_times=(t_final,))
+    result = run_scenario(ic, p, c, e, t_final, dt, output_every=every)
     _write_kinetic_trajectory(out / TRAJECTORY_FILE, result)
 
     final = result.final_state
@@ -500,8 +460,10 @@ def execute(config_path: Path, out_dir: Path | None = None, seed: int | None = N
     derived = {}
     if p is not None:
         derived["lam"] = p.lam
-        if p.delta in (-1.0, 1.0) and (p.delta == 1.0 or p.lam > 1.0):
-            derived["moment_ratio"] = ((p.lam + p.delta) / p.lam) ** p.delta
+        try:
+            derived["moment_ratio"] = moment_ratio(p.lam, p.delta)
+        except ValueError:
+            pass  # delta is not +/-1, or the inverse-gamma profile has no second moment
     write_manifest(
         out / MANIFEST_FILE,
         {
@@ -579,10 +541,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("config", type=Path)
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out", type=Path, default=None, help="output directory")
-    p_run.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads available to the solvers (current solvers are single-threaded)",
-    )
 
     p_cmp = sub.add_parser("compare", help="compare two run directories")
     p_cmp.add_argument("dir_a", type=Path)
@@ -600,9 +558,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "run":
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 2
         try:
             out = execute(args.config, args.out, args.seed)
         except ConfigError as exc:

@@ -19,7 +19,14 @@ from typing import Optional
 
 import numpy as np
 
-from .params import ControlSpec, KineticParams, Strategy, growth_rate_times_x
+from .params import (
+    STRATEGY_RULES,
+    ControlSpec,
+    KineticParams,
+    collision_kernel,
+    growth_rate_times_x,
+    step_count,
+)
 
 
 @dataclass
@@ -108,18 +115,7 @@ def _proposed(x: np.ndarray, m: float, p: KineticParams, c: ControlSpec, eta) ->
     """Post-transition contacts before the admissibility clamp."""
     x = np.asarray(x, dtype=float)
     drift_x = growth_rate_times_x(x, m, p)  # psi(x/m) * x
-    eps = p.epsilon
-    if c.strategy is Strategy.UNCONTROLLED:
-        det = -eps * drift_x
-    elif c.strategy is Strategy.ADDITIVE_A:
-        denom = c.nu + eps**2
-        det = -(c.nu * eps / denom) * drift_x + (eps**2 / denom) * (c.x_target - x)
-    elif c.strategy is Strategy.INTERACTION_B:
-        q = (eps * drift_x) ** 2
-        det = -q / (c.nu + q) * (x - c.x_target)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown strategy {c.strategy}")
-    return x + det + x * eta
+    return x + STRATEGY_RULES[c.strategy].shift(x, drift_x, p.epsilon, c) + x * eta
 
 
 def transition(
@@ -149,11 +145,7 @@ def transition(
 
 def kernel_cap(p: KineticParams, x_floor: float) -> float:
     """Default kernel bound: the kernel value at x_floor (1 for delta = -1)."""
-    if p.delta == -1.0:
-        return 1.0
-    if not x_floor > 0:
-        raise ValueError(f"x_floor must be > 0, got {x_floor}")
-    return float(x_floor ** (-(1.0 + p.delta) / 2.0))
+    return collision_kernel(x_floor, p)
 
 
 def dsmc_step(
@@ -215,8 +207,7 @@ def run_to_equilibrium(
     """
     if not t_final > 0:
         raise ValueError(f"t_final must be > 0, got {t_final}")
-    n_steps = int(round(t_final / dt))
-    for _ in range(n_steps):
+    for _ in range(step_count(t_final, dt)):
         m = ens.mean() if m_ref is None else m_ref
         dsmc_step(ens, m, p, c, dt, sigma_bound)
     return Histogram.from_samples(ens.samples, n_bins, x_max)

@@ -1,11 +1,10 @@
-"""Equilibrium contact distributions: closed forms, controlled steady states, moments.
+"""Closed-form equilibrium contact distributions and the tail classifier.
 
 Every density here is normalized by composite-midpoint quadrature on its
 construction grid (one code path for all kinds); the textbook normalization
 constants of the gamma / inverse-gamma families appear only in tests, as
-oracles.  The steady state of the interaction-driven control is defined by
-numerically accumulating the log-derivative of its zero-flux equation; its
-closed form is kept as a cross-check helper.
+oracles.  Which kind belongs to which transition rule is read from the
+strategy table in params (EquilibriumKind.for_model).
 """
 
 from __future__ import annotations
@@ -18,34 +17,24 @@ import numpy as np
 
 from .errors import NumericsError, TailInconclusiveError
 from .fp import ContactDensity, Grid
-from .params import ClosureKind, ControlSpec, KineticParams, Strategy
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+from .params import ControlSpec, EquilibriumKind, KineticParams
 
 # Boundary guard: if the extrapolated mass beyond x_max exceeds this fraction,
 # the construction grid is too small for the requested density.
 _TAIL_MASS_LIMIT = 1e-3
 
 
-class EquilibriumKind(Enum):
-    GENERAL_DELTA = "general_delta"
-    GAMMA = "gamma"
-    INVERSE_GAMMA = "inverse_gamma"
-    CONTROLLED_A = "controlled_a"
-    CONTROLLED_B = "controlled_b"
-
-
-def _log_shape_gamma(x: np.ndarray, lam: float, m: float) -> np.ndarray:
+def _log_shape_gamma(x: np.ndarray, p: KineticParams, c, m: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        return (lam - 1.0) * np.log(x) - lam * x / m
+        return (p.lam - 1.0) * np.log(x) - p.lam * x / m
 
 
-def _log_shape_inverse_gamma(x: np.ndarray, lam: float, m: float) -> np.ndarray:
+def _log_shape_inverse_gamma(x: np.ndarray, p: KineticParams, c, m: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
-        return -(lam + 2.0) * np.log(x) - lam * m / x
+        return -(p.lam + 2.0) * np.log(x) - p.lam * m / x
 
 
-def _log_shape_general(x: np.ndarray, p: KineticParams, m: float) -> np.ndarray:
+def _log_shape_general(x: np.ndarray, p: KineticParams, c, m: float) -> np.ndarray:
     lam, d = p.lam, p.delta
     if d == 0.0:
         raise ValueError("general-delta shape is undefined at delta = 0")
@@ -63,59 +52,36 @@ def _log_shape_controlled_a(
         return -(lam + 2.0 + ctrl) * np.log(x) - (lam * m + ctrl * c.x_target) / x
 
 
-def log_shape_controlled_b_closed_form(
+def _log_shape_controlled_b(
     x: np.ndarray, p: KineticParams, c: ControlSpec, m: float
 ) -> np.ndarray:
-    """Closed-form log-density (up to a constant) of the interaction-control steady state.
-
-    Obtained by integrating the zero-flux equation exactly:
+    """Zero-flux solution of the interaction-control operator, in closed form:
 
         log f = -(2 + l) ln x - k (x^2/2 - (2m + x_T) x + m^2 x_T / x),
         k = alpha^2 / (2 sigma^2 nu),  l = k (m^2 + 2 x_T m).
-
-    Cross-check only; the grid construction integrates the drift/diffusion
-    ratio numerically.
     """
     k = p.alpha**2 / (2.0 * p.sigma2 * c.nu)
     ell = k * (m**2 + 2.0 * c.x_target * m)
-    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):
         return -(2.0 + ell) * np.log(x) - k * (
             0.5 * x**2 - (2.0 * m + c.x_target) * x + m**2 * c.x_target / x
         )
 
 
-def log_values_controlled_b(
-    grid: Grid, p: KineticParams, c: ControlSpec, m: float
-) -> np.ndarray:
-    """Log-density (up to a constant) of the interaction-control steady state on a grid.
-
-    Accumulates d/dx log(x^2 f) = -(2/sigma^2) C_B(x)/x^2 between cell
-    centers with Gauss-Legendre panels, anchored at the center closest to the
-    reference mean m.
-    """
-    x = grid.centers()
-    k = p.alpha**2 / (2.0 * p.sigma2 * c.nu)
-    x_t = c.x_target
-
-    def log_slope(s: np.ndarray) -> np.ndarray:
-        return k * (m - s) ** 2 * (s - x_t) / s**2
-
-    lo, hi = x[:-1], x[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[None, :] + half[None, :] * _GL_NODES[:, None]
-    panel = half * np.einsum("q,qi->i", _GL_WEIGHTS, log_slope(nodes))
-    cum = np.concatenate([[0.0], np.cumsum(panel)])
-    i_ref = int(np.clip(np.searchsorted(x, m), 0, grid.n_cells - 1))
-    return -2.0 * np.log(x) - (cum - cum[i_ref])
+_LOG_SHAPES = {
+    EquilibriumKind.GENERAL_DELTA: _log_shape_general,
+    EquilibriumKind.GAMMA: _log_shape_gamma,
+    EquilibriumKind.INVERSE_GAMMA: _log_shape_inverse_gamma,
+    EquilibriumKind.CONTROLLED_A: _log_shape_controlled_a,
+    EquilibriumKind.CONTROLLED_B: _log_shape_controlled_b,
+}
 
 
 class EquilibriumDensity:
     """A unit-mass equilibrium profile on a grid, evaluable pointwise.
 
-    norm_const is the positive constant that scales the raw shape to unit
-    mass under midpoint quadrature on the construction grid.
+    The raw shape is scaled to unit mass under midpoint quadrature on the
+    construction grid.
     """
 
     def __init__(
@@ -128,15 +94,13 @@ class EquilibriumDensity:
     ):
         if not mean_ref > 0:
             raise ValueError(f"mean_ref must be > 0, got {mean_ref}")
-        if kind in (EquilibriumKind.CONTROLLED_A, EquilibriumKind.CONTROLLED_B):
-            if control is None or not control.active:
-                raise ValueError(f"{kind} requires an active control spec")
-            if params.delta != -1.0:
-                raise ValueError("controlled equilibria are defined at delta = -1 only")
-        if kind is EquilibriumKind.GAMMA and params.delta != 1.0:
-            raise ValueError("gamma equilibrium corresponds to delta = +1")
-        if kind is EquilibriumKind.INVERSE_GAMMA and params.delta != -1.0:
-            raise ValueError("inverse-gamma equilibrium corresponds to delta = -1")
+        rule = control or ControlSpec.uncontrolled()
+        expected = EquilibriumKind.for_model(params, rule)
+        if kind is not EquilibriumKind.GENERAL_DELTA and kind is not expected:
+            raise ValueError(
+                f"{kind.value} is not the steady state of {rule.strategy.value} "
+                f"at delta = {params.delta}"
+            )
         self.kind = kind
         self.params = params
         self.mean_ref = float(mean_ref)
@@ -145,33 +109,18 @@ class EquilibriumDensity:
 
         x = grid.centers()
         log_vals = self._log_shape(x)
-        self._log_peak = float(log_vals.max())
-        shifted = np.exp(log_vals - self._log_peak)
+        log_peak = float(log_vals.max())
+        shifted = np.exp(log_vals - log_peak)
         total = shifted.sum() * grid.dx
         if not np.isfinite(total) or total <= 0:
             raise NumericsError(f"normalization failed for {kind} on this grid")
-        # density = exp(log_shape + log_norm) with unit grid mass; norm_const
+        # density = exp(log_shape + log_norm) with unit grid mass; the constant
         # itself may overflow for extreme shapes, so evaluation stays in logs
-        self._log_norm = -self._log_peak - float(np.log(total))
-        with np.errstate(over="ignore"):
-            self.norm_const = float(np.exp(self._log_norm))
+        self._log_norm = -log_peak - float(np.log(total))
         self.values = shifted / total
-        self._grid_log_values = log_vals + self._log_norm
 
     def _log_shape(self, x: np.ndarray) -> np.ndarray:
-        p, m = self.params, self.mean_ref
-        if self.kind is EquilibriumKind.GAMMA:
-            return _log_shape_gamma(x, p.lam, m)
-        if self.kind is EquilibriumKind.INVERSE_GAMMA:
-            return _log_shape_inverse_gamma(x, p.lam, m)
-        if self.kind is EquilibriumKind.GENERAL_DELTA:
-            return _log_shape_general(x, p, m)
-        if self.kind is EquilibriumKind.CONTROLLED_A:
-            return _log_shape_controlled_a(x, p, self.control, m)
-        if self.kind is EquilibriumKind.CONTROLLED_B:
-            # grid-anchored accumulation; off-grid evaluation interpolates
-            return log_values_controlled_b(self.grid, p, self.control, m)
-        raise ValueError(f"unknown kind {self.kind}")  # pragma: no cover
+        return _LOG_SHAPES[self.kind](x, self.params, self.control, self.mean_ref)
 
     def __call__(self, x) -> np.ndarray | float:
         """Pointwise density value; 0 at x = 0 for kinds with an exp(-c/x) factor."""
@@ -179,59 +128,14 @@ class EquilibriumDensity:
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(x_arr < 0):
             raise ValueError("density is supported on x >= 0")
-        if self.kind is EquilibriumKind.CONTROLLED_B:
-            centers = self.grid.centers()
-            out = np.exp(
-                np.interp(x_arr, centers, self._grid_log_values, left=-np.inf, right=-np.inf)
-            )
-            out[x_arr == 0.0] = 0.0
-        else:
-            with np.errstate(invalid="ignore", over="ignore"):
-                log_vals = self._log_shape(x_arr)
-            out = np.exp(log_vals + self._log_norm)
-            out = np.where(np.isnan(out), 0.0, out)
+        with np.errstate(invalid="ignore", over="ignore"):
+            log_vals = self._log_shape(x_arr)
+        out = np.exp(log_vals + self._log_norm)
+        out = np.where(np.isnan(out), 0.0, out)
         return float(out[0]) if scalar else out
 
     def as_contact_density(self) -> ContactDensity:
         return ContactDensity(self.grid, self.values.copy())
-
-    def grid_moment(self, r: int) -> float:
-        x = self.grid.centers()
-        return float((x**r * self.values).sum() * self.grid.dx)
-
-
-def eval_equilibrium(density: EquilibriumDensity, x) -> float | np.ndarray:
-    """Pointwise evaluation of a constructed equilibrium density."""
-    return density(x)
-
-
-def closure_moment(kind: ClosureKind, r: int, m: float, lam: float | None = None) -> float:
-    """Rth raw moment (r in {1,2,3}) of the unit-mass closure profile with mean m."""
-    if r not in (1, 2, 3):
-        raise ValueError(f"moment order must be 1, 2 or 3, got {r}")
-    if not m > 0:
-        raise ValueError(f"mean must be > 0, got {m}")
-    if kind is ClosureKind.DIRAC:
-        return m**r
-    if lam is None or not lam > 0:
-        raise ValueError(f"lam must be > 0 for {kind}, got {lam}")
-    if kind is ClosureKind.GAMMA:
-        if r == 1:
-            return m
-        if r == 2:
-            return (lam + 1.0) / lam * m**2
-        return (lam + 1.0) * (lam + 2.0) / lam**2 * m**3
-    if kind is ClosureKind.INVERSE_GAMMA:
-        if lam <= r:
-            raise ValueError(
-                f"inverse-gamma moment of order {r} requires lam > {r}, got {lam}"
-            )
-        if r == 1:
-            return m
-        if r == 2:
-            return lam / (lam - 1.0) * m**2
-        return lam**2 / ((lam - 1.0) * (lam - 2.0)) * m**3
-    raise ValueError(f"unknown closure kind {kind}")  # pragma: no cover
 
 
 def _check_tail_resolved(values: np.ndarray, grid: Grid) -> None:
@@ -255,20 +159,16 @@ def _check_tail_resolved(values: np.ndarray, grid: Grid) -> None:
 def controlled_steady_state(
     p: KineticParams, c: ControlSpec, m: float, grid: Grid
 ) -> ContactDensity:
-    """Steady state of the controlled contact operator, unit mass on the grid.
+    """Closed-form steady state of the controlled contact operator, unit mass on the grid.
 
-    Requires delta = -1.  The additive strategy evaluates its closed form;
-    the interaction strategy integrates the zero-flux equation numerically.
+    Requires delta = -1, the only delta at which the controlled rules have one.
     """
-    if p.delta != -1.0:
-        raise ValueError(f"controlled steady states require delta = -1, got {p.delta}")
-    if not c.active:
-        raise ValueError("controlled_steady_state needs an active control strategy")
-    kind = (
-        EquilibriumKind.CONTROLLED_A
-        if c.strategy is Strategy.ADDITIVE_A
-        else EquilibriumKind.CONTROLLED_B
-    )
+    kind = EquilibriumKind.for_model(p, c)
+    if not c.active or kind is None:
+        raise ValueError(
+            f"controlled steady states need an active control at delta = -1, "
+            f"got {c.strategy.value} at delta = {p.delta}"
+        )
     density = EquilibriumDensity(kind, p, m, grid, control=c)
     _check_tail_resolved(density.values, grid)
     return density.as_contact_density()
@@ -283,10 +183,6 @@ class TailKind(Enum):
 class TailClassification:
     kind: TailKind
     exponent: Optional[float] = None
-
-    @property
-    def is_power_law(self) -> bool:
-        return self.kind is TailKind.POWER_LAW
 
 
 def tail_classify(

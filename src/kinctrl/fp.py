@@ -19,14 +19,14 @@ conserved and no cell can go negative for any step size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import NumericsError
-from .params import ControlSpec, KineticParams, Strategy, growth_rate_times_x
+from .params import STRATEGY_RULES, ControlSpec, KineticParams
 
 # Gauss-Legendre nodes/weights on [-1, 1] used for the per-interface
 # quadrature of C/D; 5 points keep the discrete equilibrium within roundoff
@@ -121,16 +121,14 @@ class DriftDiffusion:
 
     drift: Callable[[np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray], np.ndarray]
-    params: KineticParams
-    control: ControlSpec = field(default_factory=ControlSpec.uncontrolled)
-    mean_ref: float = 1.0
 
 
 def build_operator(p: KineticParams, c: ControlSpec, m: float) -> DriftDiffusion:
     """Drift/diffusion pair for the selected transition rule at reference mean m.
 
-    Controlled operators are derived at delta = -1 only; requesting one at any
-    other delta is a domain error.
+    The drift is the rule's row of the strategy table.  Controlled operators
+    are derived at delta = -1 only; requesting one at any other delta is a
+    domain error.
     """
     if not m > 0:
         raise ValueError(f"reference mean must be > 0, got {m}")
@@ -141,36 +139,15 @@ def build_operator(p: KineticParams, c: ControlSpec, m: float) -> DriftDiffusion
 
     diff_exp = 2.0 - (1.0 + p.delta) / 2.0
     sig_half = 0.5 * p.sigma2
+    rule_drift = STRATEGY_RULES[c.strategy].drift
 
     def diffusion(x: np.ndarray) -> np.ndarray:
         return sig_half * np.asarray(x, dtype=float) ** diff_exp
 
-    if c.strategy is Strategy.UNCONTROLLED:
+    def drift(x: np.ndarray) -> np.ndarray:
+        return rule_drift(np.asarray(x, dtype=float), m, p, c)
 
-        def drift(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            # kernel-weighted growth term: B(x) * psi(x/m) * x
-            return growth_rate_times_x(x, m, p) * x ** (-(1.0 + p.delta) / 2.0)
-
-    elif c.strategy is Strategy.ADDITIVE_A:
-        nu, x_t = c.nu, c.x_target
-
-        def drift(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            return 0.5 * p.alpha * (x - m) + (x - x_t) / nu
-
-    elif c.strategy is Strategy.INTERACTION_B:
-        nu, x_t = c.nu, c.x_target
-        coef = p.alpha**2 / (4.0 * nu)
-
-        def drift(x: np.ndarray) -> np.ndarray:
-            x = np.asarray(x, dtype=float)
-            return coef * (m - x) ** 2 * (x - x_t)
-
-    else:  # pragma: no cover
-        raise ValueError(f"unknown strategy {c.strategy}")
-
-    return DriftDiffusion(drift, diffusion, p, c, m)
+    return DriftDiffusion(drift, diffusion)
 
 
 def _bernoulli(w: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from scipy.special import gammaln
 from .errors import InvariantViolationError
 from .fp import ContactDensity, Grid, SpStepper, build_operator
 from .macro import MacroState
-from .params import ControlSpec, EpidemicParams, KineticParams
+from .params import ControlSpec, EpidemicParams, KineticParams, step_count
 
 # Compartments with less mass than this skip their contact substep (their
 # mean is not defined) and report mean 0 in trajectories.
@@ -97,28 +97,15 @@ def gamma_profile_state(
     return KineticSIRState(*fs)
 
 
-def incidence(f_s: ContactDensity, f_i: ContactDensity, e: EpidemicParams) -> np.ndarray:
-    """Local infection rate K(x) >= 0 from susceptible/infected contact structure.
-
-    K(x) = f_S(x) * [beta0 rho_I + sum_l beta_l x^l (rho_I m_{l,I})], where
-    rho_I m_{l,I} is the l-th raw moment of f_I.
-    """
-    if f_s.grid != f_i.grid:
-        raise ValueError("densities must share a grid")
-    x = f_s.grid.centers()
-    rate = np.zeros_like(x)
-    if e.beta0 > 0:
-        rate += e.beta0 * f_i.mass()
-    for ell, beta in enumerate(e.betas, start=1):
-        if beta > 0:
-            rate += beta * x**ell * f_i.raw_moment(ell)
-    return f_s.values * rate
-
-
-def _exchange_rate(
+def exchange_rate(
     vs: np.ndarray, vi: np.ndarray, x: np.ndarray, dx: float, e: EpidemicParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pointwise (df_S, df_I, df_R)/dt; infected moments taken from vi itself."""
+    """Pointwise (df_S, df_I, df_R)/dt = (-K, K - gamma f_I, gamma f_I).
+
+    K(x) = f_S(x) [beta0 rho_I + sum_l beta_l x^l (rho_I m_{l,I})] >= 0 is the
+    local infection rate; the infected moments rho_I m_{l,I} are taken from
+    vi itself by midpoint quadrature with cell width dx.
+    """
     rate = np.zeros_like(x)
     if e.beta0 > 0:
         rate += e.beta0 * vi.sum() * dx
@@ -146,7 +133,7 @@ def epidemic_substep(state: KineticSIRState, e: EpidemicParams, dt: float) -> Ki
     vs, vi, vr = (f.values for f in state.densities())
 
     def deriv(ys, yi, yr):
-        return _exchange_rate(ys, yi, x, dx, e)
+        return exchange_rate(ys, yi, x, dx, e)
 
     k1 = deriv(vs, vi, vr)
     k2 = deriv(*(v + 0.5 * dt * k for v, k in zip((vs, vi, vr), k1)))
@@ -184,11 +171,10 @@ def _contact_substep(
     p: KineticParams,
     c: ControlSpec,
     dt: float,
-    mass_fix: bool,
 ) -> KineticSIRState:
     """Implicit contact relaxation for each compartment at its own current mean.
 
-    mass_fix rescales each compartment back to its pre-step mass: the scheme
+    Each compartment is rescaled back to its pre-step mass: the scheme
     conserves mass exactly in exact arithmetic, but at stiff dt/tau the
     tridiagonal solve leaves roundoff at the 1e-9 level that would otherwise
     accumulate over thousands of steps.
@@ -204,10 +190,9 @@ def _contact_substep(
         op = build_operator(p, c, m)
         stepper = SpStepper(grid, op, dt, p.tau)
         vals = stepper.step(f.values)
-        if mass_fix:
-            new_mass = vals.sum() * grid.dx
-            if new_mass > 0:
-                vals = vals * (mass / new_mass)
+        new_mass = vals.sum() * grid.dx
+        if new_mass > 0:
+            vals = vals * (mass / new_mass)
         out.append(ContactDensity(grid, vals, f.compartment))
     return KineticSIRState(*out, clipped_mass=state.clipped_mass)
 
@@ -218,7 +203,6 @@ def split_step(
     c: ControlSpec,
     e: EpidemicParams,
     dt: float,
-    mass_fix: bool = True,
     epidemic_first: bool = False,
 ) -> KineticSIRState:
     """One splitting step: contact relaxation, then epidemic exchange.
@@ -227,8 +211,8 @@ def split_step(
     splitting error); the default order applies the contact dynamics first.
     """
     if epidemic_first:
-        return _contact_substep(epidemic_substep(state, e, dt), p, c, dt, mass_fix)
-    return epidemic_substep(_contact_substep(state, p, c, dt, mass_fix), e, dt)
+        return _contact_substep(epidemic_substep(state, e, dt), p, c, dt)
+    return epidemic_substep(_contact_substep(state, p, c, dt), e, dt)
 
 
 @dataclass
@@ -262,12 +246,11 @@ def run_scenario(
     """Integrate the coupled system, recording observables every output_every steps.
 
     Total mass over the three compartments must stay within mass_tol of its
-    initial value for the whole run.
+    initial value for the whole run.  t_final and every snapshot time must
+    be whole numbers of steps.
     """
-    if not t_final >= 0:
-        raise ValueError(f"t_final must be >= 0, got {t_final}")
-    n_steps = int(round(t_final / dt)) if t_final > 0 else 0
-    snap_steps = {int(round(t / dt)): t for t in snapshot_times}
+    n_steps = step_count(t_final, dt)
+    snap_steps = {step_count(t, dt): t for t in snapshot_times}
 
     state = initial.copy()
     mass0 = state.total_mass()

@@ -14,12 +14,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional
 
 from .equilibria import controlled_steady_state
 from .errors import InvariantViolationError
 from .fp import Grid
-from .params import ClosureKind, ControlSpec, EpidemicParams, KineticParams
+from .params import (
+    ClosureKind,
+    ControlSpec,
+    EpidemicParams,
+    KineticParams,
+    closure_moment,
+    step_count,
+)
 
 # Below this mass the removed compartment has no defined mean and its
 # relaxation is switched off.
@@ -76,39 +84,23 @@ class MacroModel:
             if self.beta is None or self.beta < 0:
                 raise ValueError("classical SIR needs a transmission rate beta >= 0")
             return
-        lam = self.kinetic.lam
         n_betas = self.epidemic.order
         if self.variant is MacroVariant.L1 and n_betas < 1:
             raise ValueError("L1 model needs beta_1")
         if self.variant is MacroVariant.L2 and n_betas < 2:
             raise ValueError("L2 model needs beta_1 and beta_2")
-        if self.closure is ClosureKind.INVERSE_GAMMA:
-            needed = 1 if self.variant is MacroVariant.L1 else 2
-            if lam <= needed:
-                raise ValueError(
-                    f"inverse-gamma closure at order {self.variant.value} requires "
-                    f"lam > {needed}, got {lam}"
-                )
+        self.closure_ratios()  # raises when the profile lacks a moment this order needs
 
     def closure_ratios(self) -> tuple[float, float]:
-        """(c2, c3) = (m2/m^2, m3/m^3) of the closure profile.
+        """(c2, c3) = (m2/m^2, m3/m^3) of the closure profile; c3 = 1 (unused) at L1."""
+        return self._ratios
 
-        Computed from the closure family directly: the second (third) moment
-        of the power-law-tailed profile exists for lam > 1 (lam > 2), which
-        is exactly what the model validation enforces.
-        """
-        lam = self.kinetic.lam
-        if self.closure is ClosureKind.DIRAC:
-            return 1.0, 1.0
-        if self.closure is ClosureKind.GAMMA:
-            c2 = (lam + 1.0) / lam
-            c3 = (lam + 1.0) * (lam + 2.0) / lam**2
-        else:  # inverse gamma; lam ranges guaranteed by __post_init__
-            c2 = lam / (lam - 1.0)
-            c3 = lam**2 / ((lam - 1.0) * (lam - 2.0)) if lam > 2.0 else 1.0
+    @cached_property
+    def _ratios(self) -> tuple[float, float]:
+        c2 = closure_moment(self.closure, 2, 1.0, self.kinetic.lam)
         if self.variant is not MacroVariant.L2:
-            c3 = 1.0  # unused at first order
-        return c2, c3
+            return c2, 1.0
+        return c2, closure_moment(self.closure, 3, 1.0, self.kinetic.lam)
 
 
 def rhs(model: MacroModel, s: MacroState) -> MacroState:
@@ -160,21 +152,10 @@ def peak_contacts(
     system with beta_1 = 0 it is (c3/c2) * m_S(0).
     """
     if order is MacroVariant.L1:
-        if closure is ClosureKind.GAMMA:
-            return (lam + 1.0) / lam * m_s0
-        if closure is ClosureKind.INVERSE_GAMMA:
-            if lam <= 1:
-                raise ValueError(f"lam must exceed 1 at first order, got {lam}")
-            return lam / (lam - 1.0) * m_s0
-        return m_s0  # dirac
+        return closure_moment(closure, 2, 1.0, lam) * m_s0
     if order is MacroVariant.L2:
-        if closure is ClosureKind.GAMMA:
-            return (lam + 2.0) / lam * m_s0
-        if closure is ClosureKind.INVERSE_GAMMA:
-            if lam <= 2:
-                raise ValueError(f"lam must exceed 2 at second order, got {lam}")
-            return lam / (lam - 2.0) * m_s0
-        return m_s0
+        c3 = closure_moment(closure, 3, 1.0, lam)
+        return c3 / closure_moment(closure, 2, 1.0, lam) * m_s0
     raise ValueError(f"peak bound defined for L1/L2 only, got {order}")
 
 
@@ -271,15 +252,13 @@ def rk4_integrate(
     1e-10 at every step; a violation aborts with the last valid state
     attached to the raised error.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    n_steps = step_count(t_final, dt)
     if rhs_fn is None:
         rhs_fn = controlled_rhs if isinstance(model, ControlledMacroModel) else rhs
 
     def f(y: tuple[float, ...]) -> tuple[float, ...]:
         return rhs_fn(model, MacroState.from_tuple(y)).as_tuple()
 
-    n_steps = int(round(t_final / dt))
     target_sum = s0.mass_sum()
     times = [0.0]
     states = [s0]

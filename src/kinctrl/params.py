@@ -1,14 +1,17 @@
-"""Model constants, validation, and the shared scalar functions used by every solver.
+"""Model constants, validation, the strategy table and the shared scalar functions.
 
 All parameter containers are frozen dataclasses: they validate at construction
 and are safe to share across workers.  Solver entry points assume validated
 parameters and do not re-check.
+
+STRATEGY_RULES is the one place where the three transition rules differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -36,6 +39,21 @@ class ClosureKind(Enum):
     GAMMA = "gamma"
     INVERSE_GAMMA = "inverse_gamma"
     DIRAC = "dirac"
+
+
+class EquilibriumKind(Enum):
+    """Closed-form steady state of a contact operator."""
+
+    GENERAL_DELTA = "general_delta"
+    GAMMA = "gamma"
+    INVERSE_GAMMA = "inverse_gamma"
+    CONTROLLED_A = "controlled_a"
+    CONTROLLED_B = "controlled_b"
+
+    @classmethod
+    def for_model(cls, p: "KineticParams", c: "ControlSpec") -> Optional["EquilibriumKind"]:
+        """Closed-form steady state of the rule c at p.delta; None if it has none there."""
+        return STRATEGY_RULES[c.strategy].steady_states.get(p.delta)
 
 
 @dataclass(frozen=True)
@@ -216,16 +234,123 @@ def collision_kernel(x, p: KineticParams):
     return out
 
 
-def moment_ratio(lam: float, delta: float) -> float:
-    """Second-to-first-moment ratio ((lam+delta)/lam)^delta of the closure profile.
+def _drift_uncontrolled(x, m, p, c):
+    # kernel-weighted growth term: B(x) * psi(x/m) * x
+    return growth_rate_times_x(x, m, p) * x ** (-(1.0 + p.delta) / 2.0)
 
-    Exceeds 1 for every valid input; delta must be +1 or -1, and lam > 1 is
-    required at delta = -1 for the second moment to exist.
+
+def _drift_additive(x, m, p, c):
+    return 0.5 * p.alpha * (x - m) + (x - c.x_target) / c.nu
+
+
+def _drift_interaction(x, m, p, c):
+    return p.alpha**2 / (4.0 * c.nu) * (m - x) ** 2 * (x - c.x_target)
+
+
+def _shift_uncontrolled(x, g, eps, c):
+    return -eps * g
+
+
+def _shift_additive(x, g, eps, c):
+    denom = c.nu + eps**2
+    return -(c.nu * eps / denom) * g + (eps**2 / denom) * (c.x_target - x)
+
+
+def _shift_interaction(x, g, eps, c):
+    q = (eps * g) ** 2
+    return -q / (c.nu + q) * (x - c.x_target)
+
+
+@dataclass(frozen=True)
+class StrategyRule:
+    """One transition rule at the mean-field, particle and steady-state levels.
+
+    drift(x, m, p, c)   : drift C(x) of the drift-diffusion operator at mean m
+    shift(x, g, eps, c) : deterministic part of one particle transition,
+                          x' - x - x eta, given g = growth_rate_times_x(x, m, p)
+    steady_states       : closed-form steady-state kind, keyed by delta
+
+    With c.micro_scaled(eps), shift / eps tends to -drift as eps -> 0 at
+    delta = -1 (where the interaction kernel is 1).
+    """
+
+    drift: Callable
+    shift: Callable
+    steady_states: Mapping[float, EquilibriumKind]
+
+
+STRATEGY_RULES: dict[Strategy, StrategyRule] = {
+    Strategy.UNCONTROLLED: StrategyRule(
+        _drift_uncontrolled,
+        _shift_uncontrolled,
+        {1.0: EquilibriumKind.GAMMA, -1.0: EquilibriumKind.INVERSE_GAMMA},
+    ),
+    Strategy.ADDITIVE_A: StrategyRule(
+        _drift_additive, _shift_additive, {-1.0: EquilibriumKind.CONTROLLED_A}
+    ),
+    Strategy.INTERACTION_B: StrategyRule(
+        _drift_interaction, _shift_interaction, {-1.0: EquilibriumKind.CONTROLLED_B}
+    ),
+}
+
+
+def closure_moment(kind: ClosureKind, r: int, m: float, lam: float | None = None) -> float:
+    """Rth raw moment (r in {1,2,3}) of the unit-mass closure profile with mean m.
+
+    The inverse-gamma profile ~ x^-(lam+2) e^(-lam m/x) has moments of order
+    r only for lam > r - 1.
+    """
+    if r not in (1, 2, 3):
+        raise ValueError(f"moment order must be 1, 2 or 3, got {r}")
+    if not m > 0:
+        raise ValueError(f"mean must be > 0, got {m}")
+    if kind is ClosureKind.DIRAC:
+        return m**r
+    if lam is None or not lam > 0:
+        raise ValueError(f"lam must be > 0 for {kind}, got {lam}")
+    if kind is ClosureKind.GAMMA:
+        if r == 1:
+            return m
+        if r == 2:
+            return (lam + 1.0) / lam * m**2
+        return (lam + 1.0) * (lam + 2.0) / lam**2 * m**3
+    if kind is ClosureKind.INVERSE_GAMMA:
+        if lam <= r - 1:
+            raise ValueError(
+                f"inverse-gamma moment of order {r} requires lam > {r - 1}, got {lam}"
+            )
+        if r == 1:
+            return m
+        if r == 2:
+            return lam / (lam - 1.0) * m**2
+        return lam**2 / ((lam - 1.0) * (lam - 2.0)) * m**3
+    raise ValueError(f"unknown closure kind {kind}")  # pragma: no cover
+
+
+def moment_ratio(lam: float, delta: float) -> float:
+    """Ratio m2 / m^2 of the closure profile: gamma at delta = +1, inverse gamma at -1.
+
+    Exceeds 1 for every valid input; lam > 1 is required at delta = -1 for
+    the second moment to exist.
     """
     if delta not in (-1.0, 1.0):
         raise ValueError(f"moment_ratio is defined for delta = +/-1, got {delta}")
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    if delta == -1.0 and lam <= 1.0:
-        raise ValueError(f"lam must exceed 1 for delta = -1, got {lam}")
-    return ((lam + delta) / lam) ** delta
+    kind = ClosureKind.GAMMA if delta == 1.0 else ClosureKind.INVERSE_GAMMA
+    return closure_moment(kind, 2, 1.0, lam)
+
+
+def step_count(t_final: float, dt: float) -> int:
+    """Number of fixed steps of length dt that end exactly at t_final.
+
+    Raises ValueError unless t_final >= 0 is a whole number of steps (to a
+    relative 1e-9), so that no integrator stops short of t_final.
+    """
+    if not (dt > 0 and np.isfinite(dt)):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if not (t_final >= 0 and np.isfinite(t_final)):
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
+    ratio = t_final / dt
+    n = round(ratio)
+    if abs(ratio - n) > 1e-9 * max(n, 1):
+        raise ValueError(f"t_final = {t_final} is not a whole number of steps dt = {dt}")
+    return int(n)

@@ -70,6 +70,14 @@ class TestConfigValidation:
         path = small_dsmc_config(tmp_path, sigma2=-0.2)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
 
+    def test_partial_final_step_is_config_error(self, tmp_path, capsys):
+        cfg = json.loads(small_dsmc_config(tmp_path).read_text())
+        cfg["time"] = {"dt": 0.003, "t_final": 1.0}
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "time.t_final" in capsys.readouterr().err
+
     def test_missing_field_is_named(self, tmp_path):
         cfg = json.loads(small_dsmc_config(tmp_path).read_text())
         del cfg["dsmc"]["n_particles"]

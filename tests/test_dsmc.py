@@ -176,6 +176,11 @@ class TestHistogram:
         mass_near_mean = h.density[np.abs(centers - 5.0) < 0.5].sum() * h.bin_width
         assert mass_near_mean == pytest.approx(1.0, abs=1e-12)
 
+    def test_rejects_partial_final_step(self):
+        ens = ParticleEnsemble.from_uniform(100, 4.0, 6.0, seed=0)
+        with pytest.raises(ValueError, match="whole number"):
+            run_to_equilibrium(ens, kp(), UN, t_final=1.0, dt=0.003, sigma_bound=1.0)
+
     def test_short_relaxation_toward_equilibrium(self):
         # coarse, fast version of the long-run check: headed the right way
         p = kp()

@@ -13,12 +13,7 @@ from kinctrl import (
     TailKind,
     closure_moment,
     controlled_steady_state,
-    eval_equilibrium,
     tail_classify,
-)
-from kinctrl.equilibria import (
-    log_shape_controlled_b_closed_form,
-    log_values_controlled_b,
 )
 from kinctrl.errors import NumericsError
 
@@ -45,12 +40,14 @@ class TestClosureMoments:
         assert closure_moment(ClosureKind.GAMMA, 2, 10.0, 5.0) == pytest.approx(120.0)
         assert closure_moment(ClosureKind.INVERSE_GAMMA, 2, 10.0, 5.0) == pytest.approx(125.0)
         assert closure_moment(ClosureKind.DIRAC, 3, 10.0) == pytest.approx(1000.0)
+        # order r exists for lam > r - 1: lam = r is admissible
+        assert closure_moment(ClosureKind.INVERSE_GAMMA, 2, 10.0, 2.0) == pytest.approx(200.0)
 
     def test_inverse_gamma_needs_heavy_lam(self):
         with pytest.raises(ValueError):
-            closure_moment(ClosureKind.INVERSE_GAMMA, 3, 10.0, 3.0)
+            closure_moment(ClosureKind.INVERSE_GAMMA, 3, 10.0, 2.0)
         with pytest.raises(ValueError):
-            closure_moment(ClosureKind.INVERSE_GAMMA, 2, 10.0, 2.0)
+            closure_moment(ClosureKind.INVERSE_GAMMA, 2, 10.0, 1.0)
 
     @pytest.mark.parametrize("lam", [3.0, 5.0, 10.0])
     @pytest.mark.parametrize("m", [1.0, 10.0])
@@ -59,7 +56,7 @@ class TestClosureMoments:
         # independent oracle: adaptive quadrature of the closed-form pdfs
         val = quad(lambda x: x**r * gamma_pdf(x, lam, m), 0, np.inf)[0]
         assert closure_moment(ClosureKind.GAMMA, r, m, lam) == pytest.approx(val, rel=1e-6)
-        if lam > r:
+        if lam > r - 1:
             val = quad(
                 lambda x: x**r * inv_gamma_pdf(x, lam, m), 0, np.inf, limit=200
             )[0]
@@ -85,7 +82,7 @@ class TestEquilibriumDensity:
         for kind, p, m, grid in cases:
             eq = EquilibriumDensity(kind, p, m, grid)
             assert eq.values.sum() * grid.dx == pytest.approx(1.0, abs=1e-8)
-            assert eq.grid_moment(1) == pytest.approx(m, rel=1e-6)
+            assert eq.as_contact_density().raw_moment(1) == pytest.approx(m, rel=1e-6)
 
     def test_gamma_mode(self):
         # argmax of x^(lam-1) e^(-lam x/m) sits at m (lam-1)/lam
@@ -96,7 +93,7 @@ class TestEquilibriumDensity:
 
     def test_inverse_gamma_zero_at_origin(self):
         eq = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, kp(-1.0), 10.0, Grid(100.0, 1000))
-        assert eval_equilibrium(eq, 0.0) == 0.0
+        assert eq(0.0) == 0.0
 
     def test_general_delta_specializes_to_gamma(self):
         grid = Grid(100.0, 5000)
@@ -111,6 +108,18 @@ class TestEquilibriumDensity:
         eq = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, kp(-1.0), 5.0, grid)
         x = np.array([2.0, 5.0, 20.0, 80.0])
         assert eq(x) == pytest.approx(inv_gamma_pdf(x, 5.0, 5.0), rel=1e-6)
+
+    def test_kind_for_model(self):
+        cases = [
+            (kp(1.0), ControlSpec.uncontrolled(), EquilibriumKind.GAMMA),
+            (kp(-1.0), ControlSpec.uncontrolled(), EquilibriumKind.INVERSE_GAMMA),
+            (kp(0.5), ControlSpec.uncontrolled(), None),
+            (kp(-1.0), ControlSpec.additive(1.0, 3.0), EquilibriumKind.CONTROLLED_A),
+            (kp(-1.0), ControlSpec.interaction(1.0, 3.0), EquilibriumKind.CONTROLLED_B),
+            (kp(1.0), ControlSpec.interaction(1.0, 3.0), None),
+        ]
+        for p, c, kind in cases:
+            assert EquilibriumKind.for_model(p, c) is kind
 
     def test_kind_delta_consistency_checked(self):
         with pytest.raises(ValueError):
@@ -127,19 +136,6 @@ class TestControlledSteadyStates:
         f = EquilibriumDensity(EquilibriumKind.CONTROLLED_A, p, 10.0, grid, control=c)
         ig = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, p, 10.0, grid)
         assert np.max(np.abs(f.values - ig.values)) < 1e-6
-
-    def test_interaction_ode_vs_closed_form(self):
-        # the log of the integrated steady state differs from the closed form
-        # by a constant on [5, 50]
-        grid = Grid(100.0, 5000)
-        p = kp(-1.0)
-        c = ControlSpec.interaction(1.0, 3.0)
-        x = grid.centers()
-        ode = log_values_controlled_b(grid, p, c, 10.0)
-        closed = log_shape_controlled_b_closed_form(x, p, c, 10.0)
-        win = (x >= 5.0) & (x <= 50.0)
-        diff = ode[win] - closed[win]
-        assert np.ptp(diff) < 1e-4
 
     def test_additive_power_law_exponent(self):
         # analytic log-log slope is -(2 + lam + 2/(sigma2 nu)) + (lam m + c x_T)/x;

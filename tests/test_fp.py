@@ -134,7 +134,6 @@ class TestSpStep:
         zero_op = DriftDiffusion(
             drift=lambda x: np.zeros_like(x),
             diffusion=lambda x: np.zeros_like(x),
-            params=kp(-1.0),
         )
         f = uniform_density(grid, 2.0, 8.0)
         out = sp_step(f, zero_op, dt=0.5, tau=1.0)

@@ -14,8 +14,8 @@ from kinctrl import (
 from kinctrl.kinetic import (
     KineticSIRState,
     epidemic_substep,
+    exchange_rate,
     gamma_profile_state,
-    incidence,
     run_scenario,
     split_step,
 )
@@ -52,6 +52,12 @@ class TestState:
         assert st.f_s.mass() == pytest.approx(1 - 2e-5, abs=1e-8)
         assert st.f_i.mass() == pytest.approx(1e-5, abs=1e-8)
         assert st.macro_state().m_s == pytest.approx(10.0, rel=1e-6)
+
+
+def incidence(f_s, f_i, e):
+    """Local infection rate K(x): minus the susceptible rate of the exchange."""
+    x = f_s.grid.centers()
+    return -exchange_rate(f_s.values, f_i.values, x, f_s.grid.dx, e)[0]
 
 
 class TestIncidence:
@@ -143,6 +149,11 @@ class TestRunScenario:
                            EpidemicParams((0.01,), GAMMA_I), t_final=0.0, dt=0.01)
         assert len(res.times) == 1
         assert res.macro[0].rho_s == pytest.approx(0.7, abs=1e-8)
+
+    def test_rejects_partial_final_step(self, mixed_state):
+        with pytest.raises(ValueError, match="whole number"):
+            run_scenario(mixed_state, kin(), ControlSpec.uncontrolled(),
+                         EpidemicParams((0.01,), GAMMA_I), t_final=1.0, dt=0.3)
 
     def test_mass_conserved_and_non_negative(self, grid):
         st = gamma_profile_state(grid, 5.0, 10.0, (0.9, 0.05, 0.05))

@@ -89,6 +89,12 @@ class TestIntegration:
         err = max(abs(s.rho_i - e) for s, e in zip(states, exact))
         assert err < 1e-8
 
+    def test_rejects_partial_final_step(self):
+        model = MacroModel(MacroVariant.L1, ClosureKind.GAMMA,
+                           kin(1.0), EpidemicParams((0.0,), GAMMA_I))
+        with pytest.raises(ValueError, match="whole number"):
+            rk4_integrate(model, state(), 0.3, 1.0)
+
     def test_invariants_along_trajectory(self):
         model = MacroModel(MacroVariant.L2, ClosureKind.INVERSE_GAMMA,
                            kin(-1.0), EpidemicParams((2e-2, 2e-6), GAMMA_I))

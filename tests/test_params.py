@@ -7,12 +7,15 @@ from kinctrl import (
     EpidemicParams,
     KineticParams,
     Strategy,
+    build_operator,
     closure_moment,
     collision_kernel,
     growth_rate,
     growth_rate_times_x,
     moment_ratio,
+    transition,
 )
+from kinctrl.params import step_count
 
 
 def kp(alpha=1.0, sigma2=0.2, delta=-1.0, **kw):
@@ -151,3 +154,38 @@ class TestMomentRatio:
         for lam in (1.5, 3.0, 40.0):
             assert moment_ratio(lam, 1.0) > 1.0
             assert moment_ratio(lam, -1.0) > 1.0
+
+
+class TestStepCount:
+    def test_whole_step_counts(self):
+        assert step_count(50.0, 0.01) == 5000
+        assert step_count(20.0, 0.001) == 20000
+        assert step_count(0.0, 0.1) == 0
+
+    @pytest.mark.parametrize(
+        "t_final, dt", [(1.0, 0.3), (-1.0, 0.1), (1.0, 0.0), (1.0, float("inf"))]
+    )
+    def test_rejects_partial_or_invalid(self, t_final, dt):
+        with pytest.raises(ValueError):
+            step_count(t_final, dt)
+
+
+class TestStrategyTable:
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_particle_shift_tends_to_mean_field_drift(self, strategy):
+        # at delta = -1 one micro-scaled particle transition, divided by eps,
+        # approaches minus the operator drift with an O(eps) gap
+        x = np.linspace(0.5, 40.0, 400)
+        m = 5.0
+        c = ControlSpec(strategy, nu=1.0, x_target=3.0)
+        drift = build_operator(kp(), c, m).drift(x)
+
+        def gap(eps):
+            p = kp(epsilon=eps)
+            shift = transition(x, m, p, c.micro_scaled(eps), eta=0.0) - x
+            return np.max(np.abs(shift / eps + drift)) / np.max(np.abs(drift))
+
+        coarse, fine = gap(1e-4), gap(1e-6)
+        assert fine < 5e-4
+        if strategy is not Strategy.UNCONTROLLED:
+            assert fine < coarse / 50.0
