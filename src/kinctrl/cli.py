@@ -7,6 +7,7 @@ Subcommands:
 
 Exit codes: 2 for configuration errors (message names the offending field),
 3 for numerical failures, 1 for a compare metric above the given threshold.
+Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import importlib.resources
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -22,15 +24,25 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dsmc import ParticleEnsemble, kernel_cap, run_to_equilibrium
+from .dsmc import ParticleEnsemble, check_step_size, kernel_cap, run_to_equilibrium
 from .equilibria import (
     EquilibriumDensity,
     EquilibriumKind,
     controlled_steady_state,
     tail_classify,
 )
-from .errors import ConfigError, NumericsError, TailInconclusiveError
-from .fp import ContactDensity, Grid, SpStepper, build_operator, steady_state_solve, uniform_density
+from .errors import ConfigError, InvariantViolationError, NumericsError, TailInconclusiveError
+from .fp import (
+    ContactDensity,
+    Grid,
+    SpStepper,
+    build_operator,
+    check_operator_domain,
+    interface_weights,
+    sp_step_batch,
+    steady_state_solve,
+    uniform_density,
+)
 from .io import (
     MANIFEST_FILE,
     TRAJECTORY_FILE,
@@ -55,6 +67,14 @@ from .params import (
 
 SCHEMA_VERSION = 1
 
+# Exceptions reported as exit 3; any other exception is a bug and propagates.
+NUMERICAL_FAILURES = (
+    NumericsError,
+    InvariantViolationError,
+    np.linalg.LinAlgError,
+    FloatingPointError,
+)
+
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -71,6 +91,8 @@ def _get(cfg: dict, path: str, expected, required=True, default=None):
     if node is None and not required:
         return default
     if expected is float and isinstance(node, (int, float)) and not isinstance(node, bool):
+        if not math.isfinite(node):
+            raise ConfigError(f"field '{path}': expected a finite number, got {node!r}")
         return float(node)
     if expected is int and isinstance(node, int) and not isinstance(node, bool):
         return node
@@ -91,28 +113,88 @@ def _choice(cfg: dict, path: str, enum_cls, what: str):
         ) from None
 
 
-def _kinetic_params(cfg: dict) -> KineticParams:
+def _positive(cfg: dict, path: str, required=True, default=None):
+    value = _get(cfg, path, float, required=required, default=default)
+    if value is not None and not value > 0:
+        raise ConfigError(f"field '{path}': must be > 0, got {value}")
+    return value
+
+
+def _count(cfg: dict, path: str, required=True, default=None):
+    value = _get(cfg, path, int, required=required, default=default)
+    if value is not None and value < 1:
+        raise ConfigError(f"field '{path}': must be >= 1, got {value}")
+    return value
+
+
+def _numbers(cfg: dict, path: str, length=None, required=True, default=None, low=None):
+    """List of finite numbers at path; length and lower bound (inclusive) optional."""
+    node = _get(cfg, path, list, required=required, default=default)
+    if node is None:
+        return None
+    if length is not None and len(node) != length:
+        raise ConfigError(f"field '{path}': expected {length} numbers, got {len(node)}")
+    for i, value in enumerate(node):
+        is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (is_number and math.isfinite(value)):
+            raise ConfigError(f"field '{path}[{i}]': expected a finite number, got {value!r}")
+        if low is not None and value < low:
+            raise ConfigError(f"field '{path}[{i}]': must be >= {low}, got {value}")
+    return [float(v) for v in node]
+
+
+def _window(cfg: dict, path: str, required=True, default=None):
+    """(lo, hi) with 0 < lo < hi."""
+    window = _numbers(cfg, path, length=2, required=required, default=default)
+    if window is None:
+        return None
+    lo, hi = window
+    if not 0 < lo < hi:
+        raise ConfigError(f"field '{path}': need 0 < lo < hi, got {window}")
+    return lo, hi
+
+
+def _interval(cfg: dict) -> tuple[float, float]:
+    """(initial.low, initial.high) with 0 <= low < high."""
+    low = _get(cfg, "initial.low", float)
+    high = _get(cfg, "initial.high", float)
+    if not 0 <= low < high:
+        raise ConfigError(f"field 'initial': need 0 <= low < high, got [{low}, {high}]")
+    return low, high
+
+
+def _build(field: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with its validation errors reported against field.
+
+    The arguments are read from the config before the call, so an error
+    there keeps its own, more precise field name.
+    """
     try:
-        return KineticParams(
-            alpha=_get(cfg, "kinetic.alpha", float),
-            sigma2=_get(cfg, "kinetic.sigma2", float),
-            delta=_get(cfg, "kinetic.delta", float),
-            epsilon=_get(cfg, "kinetic.epsilon", float, required=False, default=0.01),
-            tau=_get(cfg, "kinetic.tau", float, required=False, default=1.0),
-        )
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"field 'kinetic': {exc}") from exc
+        raise ConfigError(f"field '{field}': {exc}") from exc
+
+
+def _kinetic_params(cfg: dict) -> KineticParams:
+    return _build(
+        "kinetic",
+        KineticParams,
+        alpha=_get(cfg, "kinetic.alpha", float),
+        sigma2=_get(cfg, "kinetic.sigma2", float),
+        delta=_get(cfg, "kinetic.delta", float),
+        epsilon=_get(cfg, "kinetic.epsilon", float, required=False, default=0.01),
+        tau=_get(cfg, "kinetic.tau", float, required=False, default=1.0),
+    )
 
 
 def _epidemic_params(cfg: dict) -> EpidemicParams:
-    try:
-        return EpidemicParams(
-            betas=tuple(_get(cfg, "epidemic.betas", list)),
-            gamma_i=_get(cfg, "epidemic.gamma_i", float),
-            beta0=_get(cfg, "epidemic.beta0", float, required=False, default=0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"field 'epidemic': {exc}") from exc
+    return _build(
+        "epidemic",
+        EpidemicParams,
+        betas=tuple(_numbers(cfg, "epidemic.betas")),
+        gamma_i=_get(cfg, "epidemic.gamma_i", float),
+        beta0=_get(cfg, "epidemic.beta0", float, required=False, default=0.0),
+    )
 
 
 def _control_spec(cfg: dict) -> ControlSpec:
@@ -122,21 +204,17 @@ def _control_spec(cfg: dict) -> ControlSpec:
     strategy = _choice(cfg, "control.strategy", Strategy, "strategy")
     if strategy is Strategy.UNCONTROLLED:
         return ControlSpec.uncontrolled()
-    try:
-        return ControlSpec(
-            strategy,
-            nu=_get(cfg, "control.nu", float),
-            x_target=_get(cfg, "control.x_target", float),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"field 'control': {exc}") from exc
+    return _build(
+        "control",
+        ControlSpec,
+        strategy,
+        nu=_get(cfg, "control.nu", float),
+        x_target=_get(cfg, "control.x_target", float),
+    )
 
 
 def _grid(cfg: dict) -> Grid:
-    try:
-        return Grid(_get(cfg, "grid.x_max", float), _get(cfg, "grid.n_cells", int))
-    except ValueError as exc:
-        raise ConfigError(f"field 'grid': {exc}") from exc
+    return _build("grid", Grid, _get(cfg, "grid.x_max", float), _get(cfg, "grid.n_cells", int))
 
 
 def _time(cfg: dict) -> tuple[float, float]:
@@ -145,10 +223,7 @@ def _time(cfg: dict) -> tuple[float, float]:
     t_final = _get(cfg, "time.t_final", float)
     if not dt > 0:
         raise ConfigError(f"field 'time.dt': must be > 0, got {dt}")
-    try:
-        step_count(t_final, dt)
-    except ValueError as exc:
-        raise ConfigError(f"field 'time.t_final': {exc}") from exc
+    _build("time.t_final", step_count, t_final, dt)
     return dt, t_final
 
 
@@ -194,17 +269,19 @@ def _reference_density(
 def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
     p = _kinetic_params(cfg)
     c = _control_spec(cfg)
-    n = _get(cfg, "dsmc.n_particles", int)
-    n_bins = _get(cfg, "dsmc.n_bins", int, required=False, default=400)
-    x_max = _get(cfg, "grid.x_max", float)
+    n = _count(cfg, "dsmc.n_particles")
+    n_bins = _count(cfg, "dsmc.n_bins", required=False, default=400)
+    x_max = _positive(cfg, "grid.x_max")
     dt, t_final = _time(cfg)
-    m_ref = _get(cfg, "dsmc.mean_reference", float, required=False)
-    low = _get(cfg, "initial.low", float)
-    high = _get(cfg, "initial.high", float)
+    if t_final == 0:
+        raise ConfigError("field 'time.t_final': particle runs need t_final > 0")
+    m_ref = _positive(cfg, "dsmc.mean_reference", required=False)
+    low, high = _interval(cfg)
 
-    bound = _get(cfg, "dsmc.kernel_bound", float, required=False)
+    bound = _positive(cfg, "dsmc.kernel_bound", required=False)
     if bound is None:
         bound = kernel_cap(p, x_floor=0.5 * x_max / n_bins)
+    _build("time.dt", check_step_size, dt, p.epsilon, bound)
 
     ens = ParticleEnsemble.from_uniform(n, low, high, seed)
     hist = run_to_equilibrium(
@@ -230,13 +307,11 @@ def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
 def run_fp_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
     p = _kinetic_params(cfg)
     c = _control_spec(cfg)
+    _build("kinetic.delta", check_operator_domain, p, c)
     grid = _grid(cfg)
     dt, t_final = _time(cfg)
-    m_ref = _get(cfg, "fp.mean_reference", float, required=False)
-    low = _get(cfg, "initial.low", float)
-    high = _get(cfg, "initial.high", float)
-
-    f = uniform_density(grid, low, high)
+    m_ref = _positive(cfg, "fp.mean_reference", required=False)
+    f = _build("initial", uniform_density, grid, *_interval(cfg))
     n_steps = step_count(t_final, dt)
     if m_ref is not None:
         op = build_operator(p, c, m_ref)
@@ -246,9 +321,9 @@ def run_fp_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
             vals = stepper.step(vals)
         f = ContactDensity(grid, vals)
     else:
+        weights = interface_weights(grid, p, c)
         for _ in range(n_steps):
-            op = build_operator(p, c, f.mean())
-            f = ContactDensity(grid, SpStepper(grid, op, dt, p.tau).step(f.values))
+            f = ContactDensity(grid, sp_step_batch(weights, [f.values], [f.mean()], dt, p.tau)[0])
         op = build_operator(p, c, f.mean())
 
     steady = steady_state_solve(op, grid)
@@ -272,11 +347,15 @@ def run_fp_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
 def run_tail_sweep(cfg: dict, out: Path, seed: int) -> dict:
     p = _kinetic_params(cfg)
     grid = _grid(cfg)
-    m_ref = _get(cfg, "fp.mean_reference", float)
+    m_ref = _positive(cfg, "fp.mean_reference")
     x_target = _get(cfg, "sweep.x_target", float)
-    nus = _get(cfg, "sweep.nu_values", list)
-    win_power = tuple(_get(cfg, "sweep.window_power_law", list, required=False, default=[50.0, 100.0]))
-    win_slim = tuple(_get(cfg, "sweep.window_slim", list, required=False, default=[20.0, 40.0]))
+    if x_target < 0:
+        raise ConfigError(f"field 'sweep.x_target': must be >= 0, got {x_target}")
+    nus = _numbers(cfg, "sweep.nu_values")
+    if any(nu <= 0 for nu in nus):
+        raise ConfigError(f"field 'sweep.nu_values': every nu must be > 0, got {nus}")
+    win_power = _window(cfg, "sweep.window_power_law", required=False, default=[50.0, 100.0])
+    win_slim = _window(cfg, "sweep.window_slim", required=False, default=[20.0, 40.0])
     if p.delta != -1.0:
         raise ConfigError("field 'kinetic.delta': tail_sweep requires delta = -1")
 
@@ -288,7 +367,7 @@ def run_tail_sweep(cfg: dict, out: Path, seed: int) -> dict:
             ("additive_a", ControlSpec.additive, win_power),
             ("interaction_b", ControlSpec.interaction, win_slim),
         ):
-            c = make(float(nu), x_target)
+            c = make(nu, x_target)
             f = controlled_steady_state(p, c, m_ref, grid)
             rows.append((strategy, float(nu), f.raw_moment(1), f.raw_moment(2)))
             try:
@@ -316,18 +395,13 @@ def _macro_model(cfg: dict) -> MacroModel:
     variant = _choice(cfg, "macro.variant", MacroVariant, "variant")
     closure = _choice(cfg, "macro.closure", ClosureKind, "closure")
     beta = _get(cfg, "macro.beta", float, required=False)
-    try:
-        return MacroModel(variant, closure, p, _epidemic_params(cfg), beta=beta)
-    except ValueError as exc:
-        raise ConfigError(f"field 'macro': {exc}") from exc
+    return _build("macro", MacroModel, variant, closure, p, _epidemic_params(cfg), beta=beta)
 
 
 def _macro_initial(cfg: dict) -> MacroState:
-    rho = _get(cfg, "initial.rho", list)
-    mean = _get(cfg, "initial.mean", float)
-    if len(rho) != 3:
-        raise ConfigError("field 'initial.rho': expected three masses [S, I, R]")
-    return MacroState(float(rho[0]), float(rho[1]), float(rho[2]), mean, mean, mean)
+    rho = _numbers(cfg, "initial.rho", length=3, low=0.0)
+    mean = _positive(cfg, "initial.mean")
+    return MacroState(*rho, mean, mean, mean)
 
 
 _MACRO_COLUMNS = ("rho_S", "rho_I", "rho_R", "m_S", "m_I", "m_R")
@@ -360,12 +434,11 @@ def _kinetic_pieces(cfg: dict):
     e = _epidemic_params(cfg)
     c = _control_spec(cfg)
     grid = _grid(cfg)
-    rho = _get(cfg, "initial.rho", list)
-    if len(rho) != 3:
-        raise ConfigError("field 'initial.rho': expected three masses [S, I, R]")
-    mean0 = _get(cfg, "initial.mean", float)
-    lam = _get(cfg, "initial.lam", float, required=False)
-    ic = gamma_profile_state(grid, lam if lam is not None else p.lam, mean0, tuple(map(float, rho)))
+    _build("kinetic.delta", check_operator_domain, p, c)
+    rho = _numbers(cfg, "initial.rho", length=3, low=0.0)
+    mean0 = _positive(cfg, "initial.mean")
+    lam = _positive(cfg, "initial.lam", required=False)
+    ic = gamma_profile_state(grid, lam if lam is not None else p.lam, mean0, tuple(rho))
     return p, e, c, grid, ic
 
 
@@ -386,7 +459,7 @@ def run_kinetic_macro_consistency(cfg: dict, out: Path, seed: int) -> dict:
 
     closure = ClosureKind.INVERSE_GAMMA if p.delta == -1.0 else ClosureKind.GAMMA
     variant = MacroVariant.L2 if e.order >= 2 else MacroVariant.L1
-    model = MacroModel(variant, closure, p, e)
+    model = _build("kinetic/epidemic", MacroModel, variant, closure, p, e)
     s0 = ic.macro_state()
     times, states = rk4_integrate(model, s0, dt, t_final)
     idx = [step_count(t, dt) for t in result.times]
@@ -422,10 +495,10 @@ def run_controlled_epidemic(cfg: dict, out: Path, seed: int) -> dict:
         "final_m_s": float(result.column("m_s")[-1]),
         "clipped_mass": final.clipped_mass,
     }
-    window = cfg.get("tail_window")
+    window = _window(cfg, "tail_window", required=False)
     if window is not None:
         try:
-            tc = tail_classify(final.f_s.normalized(), tuple(window))
+            tc = tail_classify(final.f_s.normalized(), window)
             metrics["final_s_tail"] = {"kind": tc.kind.value, "exponent": tc.exponent}
         except (TailInconclusiveError, ValueError) as exc:
             metrics["final_s_tail"] = {"kind": "inconclusive", "detail": str(exc)}
@@ -449,7 +522,10 @@ def execute(config_path: Path, out_dir: Path | None = None, seed: int | None = N
     eff_seed = seed if seed is not None else _get(cfg, "seed", int, required=False, default=0)
     if kind == "dsmc_equilibrium" and _get(cfg, "seed", int, required=False) is None and seed is None:
         raise ConfigError("field 'seed': required for stochastic scenarios")
-    out = resolve_out_dir(str(out_dir) if out_dir else None, cfg.get("out_dir"), config_path.stem)
+    if eff_seed < 0:
+        raise ConfigError(f"field 'seed': must be >= 0, got {eff_seed}")
+    config_out = _get(cfg, "out_dir", str, required=False)
+    out = resolve_out_dir(str(out_dir) if out_dir else None, config_out, config_path.stem)
     out.mkdir(parents=True, exist_ok=True)
 
     start = time.time()
@@ -563,7 +639,7 @@ def main(argv: list[str] | None = None) -> int:
         except ConfigError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return 2
-        except Exception as exc:  # noqa: BLE001 - numerical failures map to exit 3
+        except NUMERICAL_FAILURES as exc:
             print(f"numerical failure [{type(exc).__name__}]: {exc}", file=sys.stderr)
             return 3
         print(f"run complete: {out}")

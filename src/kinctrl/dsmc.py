@@ -148,6 +148,18 @@ def kernel_cap(p: KineticParams, x_floor: float) -> float:
     return collision_kernel(x_floor, p)
 
 
+def check_step_size(dt: float, epsilon: float, sigma_bound: float) -> None:
+    """Raise ValueError unless dt <= epsilon / sigma_bound, the largest step at
+    which one particle step is still a convex combination."""
+    if not sigma_bound > 0:
+        raise ValueError(f"sigma_bound must be > 0, got {sigma_bound}")
+    if dt > epsilon / sigma_bound * (1.0 + 1e-12):
+        raise ValueError(
+            f"dt = {dt} exceeds epsilon / sigma_bound = {epsilon / sigma_bound}; "
+            "the step would not be a convex combination"
+        )
+
+
 def dsmc_step(
     ens: ParticleEnsemble,
     m: float,
@@ -162,13 +174,7 @@ def dsmc_step(
     epsilon, with the compartment mean m frozen for the whole step.  The
     particle count is conserved exactly.
     """
-    if not sigma_bound > 0:
-        raise ValueError(f"sigma_bound must be > 0, got {sigma_bound}")
-    if dt > p.epsilon / sigma_bound * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt = {dt} exceeds epsilon / sigma_bound = {p.epsilon / sigma_bound}; "
-            "the step would not be a convex combination"
-        )
+    check_step_size(dt, p.epsilon, sigma_bound)
     x = ens.samples
     if p.delta == -1.0:
         accept_prob = np.full(x.shape, dt / p.epsilon)

@@ -15,23 +15,33 @@ type), which makes the discrete steady state satisfy
 i.e. the cell-by-cell integrating-factor solution of the zero-flux equation.
 An implicit (backward Euler) step is a tridiagonal M-matrix solve, so mass is
 conserved and no cell can go negative for any step size.
+
+Each rule's drift depends on the reference mean m only through one scalar
+s(m), as a polynomial of degree <= 2, so w(m) is the same polynomial in s(m)
+over a basis that interface_weights integrates once per (grid, params,
+control).  sp_step_batch then steps several densities, each at its own mean,
+as the blocks of one tridiagonal system.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import NumericsError
-from .params import STRATEGY_RULES, ControlSpec, KineticParams
+from .params import STRATEGY_RULES, ControlSpec, KineticParams, check_finite
 
 # Gauss-Legendre nodes/weights on [-1, 1] used for the per-interface
 # quadrature of C/D; 5 points keep the discrete equilibrium within roundoff
 # of the exact integrating factor on the grids used here.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -42,10 +52,9 @@ class Grid:
     n_cells: int
 
     def __post_init__(self):
-        if not self.x_max > 0:
-            raise ValueError(f"x_max must be > 0, got {self.x_max}")
-        if self.n_cells < 2:
-            raise ValueError(f"n_cells must be >= 2, got {self.n_cells}")
+        check_finite("x_max", self.x_max, low=0.0, strict=True)
+        if not isinstance(self.n_cells, Integral) or self.n_cells < 2:
+            raise ValueError(f"n_cells must be an integer >= 2, got {self.n_cells}")
 
     @property
     def dx(self) -> float:
@@ -123,6 +132,24 @@ class DriftDiffusion:
     diffusion: Callable[[np.ndarray], np.ndarray]
 
 
+def check_operator_domain(p: KineticParams, c: ControlSpec) -> None:
+    """Raise ValueError for a controlled rule away from delta = -1, where it has no operator."""
+    if c.active and p.delta != -1.0:
+        raise ValueError(
+            f"controlled operators require delta = -1, got delta = {p.delta}"
+        )
+
+
+def _diffusion(p: KineticParams) -> Callable[[np.ndarray], np.ndarray]:
+    diff_exp = 2.0 - (1.0 + p.delta) / 2.0
+    sig_half = 0.5 * p.sigma2
+
+    def diffusion(x: np.ndarray) -> np.ndarray:
+        return sig_half * np.asarray(x, dtype=float) ** diff_exp
+
+    return diffusion
+
+
 def build_operator(p: KineticParams, c: ControlSpec, m: float) -> DriftDiffusion:
     """Drift/diffusion pair for the selected transition rule at reference mean m.
 
@@ -132,37 +159,50 @@ def build_operator(p: KineticParams, c: ControlSpec, m: float) -> DriftDiffusion
     """
     if not m > 0:
         raise ValueError(f"reference mean must be > 0, got {m}")
-    if c.active and p.delta != -1.0:
-        raise ValueError(
-            f"controlled operators require delta = -1, got delta = {p.delta}"
-        )
-
-    diff_exp = 2.0 - (1.0 + p.delta) / 2.0
-    sig_half = 0.5 * p.sigma2
-    rule_drift = STRATEGY_RULES[c.strategy].drift
-
-    def diffusion(x: np.ndarray) -> np.ndarray:
-        return sig_half * np.asarray(x, dtype=float) ** diff_exp
+    check_operator_domain(p, c)
+    rule = STRATEGY_RULES[c.strategy]
 
     def drift(x: np.ndarray) -> np.ndarray:
-        return rule_drift(np.asarray(x, dtype=float), m, p, c)
+        return rule.drift(np.asarray(x, dtype=float), m, p, c)
 
-    return DriftDiffusion(drift, diffusion)
+    return DriftDiffusion(drift, _diffusion(p))
 
 
-def _bernoulli(w: np.ndarray) -> np.ndarray:
-    """w / (exp(w) - 1), evaluated without overflow for any w."""
+def _bernoulli(w: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(B(w), B(-w)) with B(w) = w / (exp(w) - 1), both from one |w|.
+
+    With a = |w|: B(a) = a / expm1(a), which is 0 once expm1 overflows, and
+    B(-a) = B(a) + a.  Hence B(w) = B(a) + max(-w, 0) and B(-w) = B(a) +
+    max(w, 0).  Every sum adds non-negative terms, so no digits cancel, one
+    transcendental pass serves both, and the sign needs no branch.  a is
+    floored at the smallest normal float, where a / expm1(a) is exactly 1.
+    out, a pair of arrays shaped like w, receives the result.
+    """
     w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
-    small = np.abs(w) < 1e-8
-    out[small] = 1.0 - 0.5 * w[small] + w[small] ** 2 / 12.0
-    pos = (w >= 1e-8) & (w < 700.0)
-    out[pos] = w[pos] * np.exp(-w[pos]) / (1.0 - np.exp(-w[pos]))
-    out[w >= 700.0] = 0.0
-    neg = (w <= -1e-8) & (w > -700.0)
-    out[neg] = w[neg] / np.expm1(w[neg])
-    out[w <= -700.0] = -w[w <= -700.0]
-    return out
+    b_w, b_minus = out if out is not None else (np.empty_like(w), np.empty_like(w))
+    b = np.abs(w)
+    np.maximum(b, _TINY, out=b)
+    with np.errstate(over="ignore"):
+        np.divide(b, np.expm1(b), out=b)
+    np.add(b, np.maximum(w, 0.0, out=b_minus), out=b_minus)
+    np.add(b, np.maximum(np.negative(w, out=b_w), 0.0, out=b_w), out=b_w)
+    return b_w, b_minus
+
+
+def _gauss_points(grid: Grid):
+    """(nodes, weights) of the Gauss-Legendre rule between neighbouring cell
+    centers, one point of the rule at a time (weights include the half-width)."""
+    x = grid.centers()
+    lo, hi = x[:-1], x[1:]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+        yield mid + half * node, weight * half
+
+
+def _log_diffusion_jump(diffusion: Callable, grid: Grid) -> np.ndarray:
+    d_centers = diffusion(grid.centers())
+    return np.log(d_centers[1:]) - np.log(d_centers[:-1])
 
 
 def interface_log_ratios(op: DriftDiffusion, grid: Grid) -> np.ndarray:
@@ -171,15 +211,103 @@ def interface_log_ratios(op: DriftDiffusion, grid: Grid) -> np.ndarray:
     The C/D part is integrated with Gauss-Legendre nodes between neighbouring
     cell centers; the ln D difference is exact.
     """
-    x = grid.centers()
-    lo, hi = x[:-1], x[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[None, :] + half[None, :] * _GL_NODES[:, None]
-    ratio = op.drift(nodes) / op.diffusion(nodes)
-    quad = (half * np.einsum("q,qi->i", _GL_WEIGHTS, ratio))
-    d_centers = op.diffusion(x)
-    return quad + np.log(d_centers[1:]) - np.log(d_centers[:-1])
+    quad = sum(wq * (op.drift(xq) / op.diffusion(xq)) for xq, wq in _gauss_points(grid))
+    return quad + _log_diffusion_jump(op.diffusion, grid)
+
+
+@dataclass(frozen=True, eq=False)
+class InterfaceWeights:
+    """Interface log-ratios of one rule on one grid, for any reference mean.
+
+    The rule's drift is sum_k s(m)^k term_k(x), so w(m) = sum_k s(m)^k
+    basis[k], where row k of the basis is the quadrature of term_k / D and
+    row 0 also carries the ln D difference.  The basis is integrated once;
+    each w(m) is then one small matrix product.
+    """
+
+    grid: Grid
+    basis: np.ndarray          # (K + 1, n_cells - 1)
+    d_interfaces: np.ndarray   # D at the interior interfaces
+    scalar: Callable[[float], float]
+
+    def powers(self, m: float) -> np.ndarray:
+        """(1, s(m), ..., s(m)^K)."""
+        if not m > 0:
+            raise ValueError(f"reference mean must be > 0, got {m}")
+        return self.scalar(m) ** np.arange(len(self.basis))
+
+    def at(self, m: float) -> np.ndarray:
+        """w_{i+1/2} at mean m, as interface_log_ratios(build_operator(p, c, m), grid)."""
+        return self.powers(m) @ self.basis
+
+
+@functools.lru_cache(maxsize=1)
+def interface_weights(grid: Grid, p: KineticParams, c: ControlSpec) -> InterfaceWeights:
+    """Weight basis of rule c at p on grid, integrated once per (grid, p, c)."""
+    check_operator_domain(p, c)
+    rule = STRATEGY_RULES[c.strategy]
+    diffusion = _diffusion(p)
+    basis = sum(
+        wq * (np.array(rule.drift_terms(xq, p, c)) / diffusion(xq))
+        for xq, wq in _gauss_points(grid)
+    )
+    basis[0] += _log_diffusion_jump(diffusion, grid)
+    d_if = diffusion(grid.interior_interfaces())
+    basis.flags.writeable = False
+    d_if.flags.writeable = False
+    return InterfaceWeights(grid, basis, d_if, functools.partial(rule.scalar, p=p))
+
+
+def _bands(w: np.ndarray, d_if: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bands (lower, diag, upper) of the implicit step, one block per row of w.
+
+    Interface k carries the flux c D_k (B(w_k) f_k - B(-w_k) f_{k+1}).
+    lower[k] and upper[k] are the matrix entries (k+1, k) and (k, k+1); the
+    last entry of each row is 0, the zero-flux edge, so stacked rows form
+    one block-diagonal tridiagonal system.
+    """
+    shape = w.shape[:-1] + (w.shape[-1] + 1,)
+    lower = np.zeros(shape)
+    upper = np.zeros(shape)
+    left, right = _bernoulli(w, out=(lower[..., :-1], upper[..., :-1]))
+    scale = -c * d_if
+    left *= scale    # cell k+1 gains flux k from f_k
+    right *= scale   # cell k gains flux k back from f_{k+1}
+    diag = np.ones(shape)
+    diag[..., :-1] -= left    # outflow through the right interface
+    diag[..., 1:] -= right    # outflow through the left interface
+    return lower, diag, upper
+
+
+def _solve_bands(
+    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray, overwrite: bool
+) -> np.ndarray:
+    """Solve the (stacked) tridiagonal system in one LAPACK gtsv call.
+
+    overwrite lets LAPACK work in the band and rhs arrays themselves.
+    """
+    flat = diag.size
+    *_, out, info = dgtsv(
+        lower.reshape(flat)[:-1],
+        diag.reshape(flat),
+        upper.reshape(flat)[:-1],
+        rhs.reshape(flat, 1),
+        overwrite, overwrite, overwrite, overwrite,
+    )
+    if info != 0:
+        raise NumericsError(f"tridiagonal solve failed: LAPACK gtsv info = {info}")
+    out = out.reshape(diag.shape)
+    if not np.all(np.isfinite(out)):
+        raise NumericsError("implicit contact step produced non-finite values")
+    return out
+
+
+def _step_factor(grid: Grid, dt: float, tau: float) -> float:
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    if not tau > 0:
+        raise ValueError(f"tau must be > 0, got {tau}")
+    return dt / (tau * grid.dx * grid.dx)
 
 
 class SpStepper:
@@ -190,18 +318,12 @@ class SpStepper:
     """
 
     def __init__(self, grid: Grid, op: DriftDiffusion, dt: float, tau: float):
-        if not dt > 0:
-            raise ValueError(f"dt must be > 0, got {dt}")
-        if not tau > 0:
-            raise ValueError(f"tau must be > 0, got {tau}")
+        c = _step_factor(grid, dt, tau)
         self.grid = grid
         self.dt = dt
         self.tau = tau
-        n = grid.n_cells
-        dx = grid.dx
 
-        x_if = grid.interior_interfaces()
-        d_if = np.asarray(op.diffusion(x_if), dtype=float)
+        d_if = np.asarray(op.diffusion(grid.interior_interfaces()), dtype=float)
         self._degenerate = bool(np.all(d_if == 0.0))
         if self._degenerate:
             # zero-diffusion operator: only the trivial (zero-drift) case is
@@ -212,36 +334,27 @@ class SpStepper:
                     "representable by the exponential-fitting scheme"
                 )
             return
-
-        w = interface_log_ratios(op, grid)
-        b_plus = _bernoulli(w)     # multiplies the left cell in the flux
-        b_minus = _bernoulli(-w)   # multiplies the right cell in the flux
-        c = dt / (tau * dx * dx)
-        flux_l = c * d_if * b_plus    # coefficient of f_{k-1} in flux k
-        flux_r = c * d_if * b_minus   # coefficient of f_k in flux k
-
-        diag = np.ones(n)
-        diag[:-1] += flux_l           # outflow through right interface
-        diag[1:] += flux_r            # outflow through left interface
-        lower = np.zeros(n)
-        lower[:-1] = -flux_l          # row k, column k-1 (shifted for banded)
-        upper = np.zeros(n)
-        upper[1:] = -flux_r           # row k, column k+1
-
-        self._ab = np.vstack([upper, diag, lower])
-        self._w = w
+        self._bands = _bands(interface_log_ratios(op, grid), d_if, c)
 
     def step(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)
         if self._degenerate:
             return values.copy()
-        try:
-            out = solve_banded((1, 1), self._ab, values)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericsError(f"tridiagonal solve failed: {exc}") from exc
-        if not np.all(np.isfinite(out)):
-            raise NumericsError("implicit contact step produced non-finite values")
-        return out
+        return _solve_bands(*self._bands, values, overwrite=False)
+
+
+def sp_step_batch(
+    weights: InterfaceWeights, values: np.ndarray, means, dt: float, tau: float
+) -> np.ndarray:
+    """One implicit step of each row of values, row j at reference mean means[j].
+
+    The rows are the blocks of one tridiagonal system, uncoupled at their
+    edges (the zero-flux boundary), and are solved in a single call.
+    """
+    c = _step_factor(weights.grid, dt, tau)
+    w = np.array([weights.powers(m) for m in means]) @ weights.basis
+    rhs = np.array(values, dtype=float)
+    return _solve_bands(*_bands(w, weights.d_interfaces, c), rhs, overwrite=True)
 
 
 def sp_step(f: ContactDensity, op: DriftDiffusion, dt: float, tau: float) -> ContactDensity:

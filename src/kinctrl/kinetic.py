@@ -18,7 +18,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import InvariantViolationError
-from .fp import ContactDensity, Grid, SpStepper, build_operator
+from .fp import ContactDensity, Grid, interface_weights, sp_step_batch
+from .fp import build_operator  # noqa: F401  re-exported as kinetic.build_operator
 from .macro import MacroState
 from .params import ControlSpec, EpidemicParams, KineticParams, step_count
 
@@ -97,21 +98,24 @@ def gamma_profile_state(
     return KineticSIRState(*fs)
 
 
+def contact_powers(x: np.ndarray, order: int) -> np.ndarray:
+    """Rows x^1, ..., x^order of the contact moments entering the incidence."""
+    return x ** np.arange(1, order + 1)[:, None]
+
+
 def exchange_rate(
-    vs: np.ndarray, vi: np.ndarray, x: np.ndarray, dx: float, e: EpidemicParams
+    vs: np.ndarray, vi: np.ndarray, x_pows: np.ndarray, dx: float, e: EpidemicParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pointwise (df_S, df_I, df_R)/dt = (-K, K - gamma f_I, gamma f_I).
 
     K(x) = f_S(x) [beta0 rho_I + sum_l beta_l x^l (rho_I m_{l,I})] >= 0 is the
-    local infection rate; the infected moments rho_I m_{l,I} are taken from
-    vi itself by midpoint quadrature with cell width dx.
+    local infection rate; x_pows = contact_powers(x, e.order) at the cell
+    centers, and the infected moments rho_I m_{l,I} are taken from vi itself
+    by midpoint quadrature with cell width dx.
     """
-    rate = np.zeros_like(x)
+    rate = (np.asarray(e.betas) * ((x_pows @ vi) * dx)) @ x_pows
     if e.beta0 > 0:
         rate += e.beta0 * vi.sum() * dx
-    for ell, beta in enumerate(e.betas, start=1):
-        if beta > 0:
-            rate += beta * x**ell * float((x**ell * vi).sum() * dx)
     k = vs * rate
     gamma_fi = e.gamma_i * vi
     return -k, k - gamma_fi, gamma_fi
@@ -128,17 +132,18 @@ def epidemic_substep(state: KineticSIRState, e: EpidemicParams, dt: float) -> Ki
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     grid = state.grid
-    x = grid.centers()
+    x_pows = contact_powers(grid.centers(), e.order)
     dx = grid.dx
     vs, vi, vr = (f.values for f in state.densities())
 
-    def deriv(ys, yi, yr):
-        return exchange_rate(ys, yi, x, dx, e)
+    def deriv(h, k):
+        # the rates do not depend on f_R, so its stage values are never formed
+        return exchange_rate(vs + h * k[0], vi + h * k[1], x_pows, dx, e)
 
-    k1 = deriv(vs, vi, vr)
-    k2 = deriv(*(v + 0.5 * dt * k for v, k in zip((vs, vi, vr), k1)))
-    k3 = deriv(*(v + 0.5 * dt * k for v, k in zip((vs, vi, vr), k2)))
-    k4 = deriv(*(v + dt * k for v, k in zip((vs, vi, vr), k3)))
+    k1 = exchange_rate(vs, vi, x_pows, dx, e)
+    k2 = deriv(0.5 * dt, k1)
+    k3 = deriv(0.5 * dt, k2)
+    k4 = deriv(dt, k3)
     new = [
         v + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
         for v, a, b, c, d in zip((vs, vi, vr), k1, k2, k3, k4)
@@ -172,29 +177,34 @@ def _contact_substep(
     c: ControlSpec,
     dt: float,
 ) -> KineticSIRState:
-    """Implicit contact relaxation for each compartment at its own current mean.
+    """Implicit contact relaxation of each compartment at its own current mean.
 
-    Each compartment is rescaled back to its pre-step mass: the scheme
-    conserves mass exactly in exact arithmetic, but at stiff dt/tau the
-    tridiagonal solve leaves roundoff at the 1e-9 level that would otherwise
-    accumulate over thousands of steps.
+    The compartments are the blocks of one tridiagonal solve, with the
+    interface weights of the rule integrated once per run
+    (fp.interface_weights).  Compartments with mass at or below MASS_FLOOR
+    keep their values.  Each stepped compartment is rescaled back to its
+    pre-step mass: the scheme conserves mass exactly in exact arithmetic,
+    but at stiff dt/tau the tridiagonal solve leaves roundoff at the 1e-9
+    level that would otherwise accumulate over thousands of steps.
     """
     grid = state.grid
-    out = []
-    for f in state.densities():
-        mass = f.mass()
-        if mass <= MASS_FLOOR:
-            out.append(f.copy())
-            continue
-        m = f.raw_moment(1) / mass
-        op = build_operator(p, c, m)
-        stepper = SpStepper(grid, op, dt, p.tau)
-        vals = stepper.step(f.values)
-        new_mass = vals.sum() * grid.dx
-        if new_mass > 0:
-            vals = vals * (mass / new_mass)
-        out.append(ContactDensity(grid, vals, f.compartment))
-    return KineticSIRState(*out, clipped_mass=state.clipped_mass)
+    values = [f.values for f in state.densities()]
+    masses = [f.mass() for f in state.densities()]
+    live = [j for j, mass in enumerate(masses) if mass > MASS_FLOOR]
+    if live:
+        x = grid.centers()
+        means = [float(x @ values[j]) * grid.dx / masses[j] for j in live]
+        weights = interface_weights(grid, p, c)
+        stepped = sp_step_batch(weights, [values[j] for j in live], means, dt, p.tau)
+        for j, vals in zip(live, stepped):
+            new_mass = vals.sum() * grid.dx
+            if new_mass > 0:
+                vals *= masses[j] / new_mass
+            values[j] = vals
+    return KineticSIRState(
+        *(ContactDensity(grid, v if j in live else v.copy()) for j, v in enumerate(values)),
+        clipped_mass=state.clipped_mass,
+    )
 
 
 def split_step(

@@ -9,6 +9,7 @@ STRATEGY_RULES is the one place where the three transition rules differ.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Mapping, Optional
@@ -18,6 +19,13 @@ import numpy as np
 # Below this |delta| the growth law switches to its logarithmic (Gompertz)
 # limit; avoids catastrophic cancellation in ((x/m)^delta - 1) / delta.
 GOMPERTZ_DELTA_EPS = 1e-10
+
+
+def check_finite(name: str, value: float, low: float, strict: bool = False) -> None:
+    """Raise ValueError naming the field unless value is finite and >= low (> low if strict)."""
+    if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        bound = ">" if strict else ">="
+        raise ValueError(f"{name} must be finite and {bound} {low:g}, got {value}")
 
 
 class Strategy(Enum):
@@ -74,16 +82,10 @@ class KineticParams:
     tau: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not self.sigma2 > 0:
-            raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
+        for name in ("alpha", "sigma2", "epsilon", "tau"):
+            check_finite(name, getattr(self, name), low=0.0, strict=True)
         if not -1.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must lie in [-1, 1], got {self.delta}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
         if not np.isfinite(self.alpha / self.sigma2):
             raise ValueError("alpha / sigma2 must be finite")
 
@@ -110,12 +112,10 @@ class EpidemicParams:
 
     def __post_init__(self):
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
-        if any(b < 0 for b in self.betas):
-            raise ValueError(f"all betas must be >= 0, got {self.betas}")
-        if self.beta0 < 0:
-            raise ValueError(f"beta0 must be >= 0, got {self.beta0}")
-        if not self.gamma_i > 0:
-            raise ValueError(f"gamma_i must be > 0, got {self.gamma_i}")
+        for ell, beta in enumerate(self.betas, start=1):
+            check_finite(f"betas[{ell}]", beta, low=0.0)
+        check_finite("beta0", self.beta0, low=0.0)
+        check_finite("gamma_i", self.gamma_i, low=0.0, strict=True)
 
     @property
     def order(self) -> int:
@@ -136,10 +136,8 @@ class ControlSpec:
     x_target: float = 0.0
 
     def __post_init__(self):
-        if self.strategy is not Strategy.UNCONTROLLED and not self.nu > 0:
-            raise ValueError(f"nu must be > 0 for strategy {self.strategy}, got {self.nu}")
-        if self.x_target < 0:
-            raise ValueError(f"x_target must be >= 0, got {self.x_target}")
+        check_finite("nu", self.nu, low=0.0, strict=self.active)
+        check_finite("x_target", self.x_target, low=0.0)
 
     @classmethod
     def uncontrolled(cls) -> "ControlSpec":
@@ -234,17 +232,39 @@ def collision_kernel(x, p: KineticParams):
     return out
 
 
-def _drift_uncontrolled(x, m, p, c):
-    # kernel-weighted growth term: B(x) * psi(x/m) * x
-    return growth_rate_times_x(x, m, p) * x ** (-(1.0 + p.delta) / 2.0)
+def _terms_uncontrolled(x, p, c):
+    # kernel-weighted growth B(x) psi(x/m) x
+    #   = (alpha/2) x^((1-delta)/2) ((x/m)^delta - 1) / delta
+    #   = (alpha/2) x^((1-delta)/2) (x^delta - 1) / delta - s (alpha/2) x^((1+delta)/2)
+    # with s = (1 - m^-delta) / delta; both terms stay O(1) as delta -> 0
+    gain = 0.5 * p.alpha * x ** ((1.0 - p.delta) / 2.0)
+    if abs(p.delta) < GOMPERTZ_DELTA_EPS:
+        return gain * np.log(x), -gain
+    return (
+        gain * (np.expm1(p.delta * np.log(x)) / p.delta),
+        -0.5 * p.alpha * x ** ((1.0 + p.delta) / 2.0),
+    )
 
 
-def _drift_additive(x, m, p, c):
-    return 0.5 * p.alpha * (x - m) + (x - c.x_target) / c.nu
+def _scalar_uncontrolled(m, p):
+    if abs(p.delta) < GOMPERTZ_DELTA_EPS:
+        return math.log(m)
+    return -math.expm1(-p.delta * math.log(m)) / p.delta
 
 
-def _drift_interaction(x, m, p, c):
-    return p.alpha**2 / (4.0 * c.nu) * (m - x) ** 2 * (x - c.x_target)
+def _terms_additive(x, p, c):
+    # 0.5 alpha (x - m) + (x - x_T) / nu, with s = m
+    return 0.5 * p.alpha * x + (x - c.x_target) / c.nu, np.full_like(x, -0.5 * p.alpha)
+
+
+def _terms_interaction(x, p, c):
+    # alpha^2 / (4 nu) (m - x)^2 (x - x_T), expanded in s = m
+    k = p.alpha**2 / (4.0 * c.nu) * (x - c.x_target)
+    return k * x * x, -2.0 * k * x, k
+
+
+def _scalar_mean(m, p):
+    return m
 
 
 def _shift_uncontrolled(x, g, eps, c):
@@ -265,31 +285,44 @@ def _shift_interaction(x, g, eps, c):
 class StrategyRule:
     """One transition rule at the mean-field, particle and steady-state levels.
 
-    drift(x, m, p, c)   : drift C(x) of the drift-diffusion operator at mean m
-    shift(x, g, eps, c) : deterministic part of one particle transition,
-                          x' - x - x eta, given g = growth_rate_times_x(x, m, p)
-    steady_states       : closed-form steady-state kind, keyed by delta
+    drift_terms(x, p, c) : (term_0, ..., term_K), K <= 2; the drift of the
+                           drift-diffusion operator at mean m is
+                           sum_k scalar(m, p)^k term_k(x)
+    scalar(m, p)         : the one number through which the drift depends on m
+    shift(x, g, eps, c)  : deterministic part of one particle transition,
+                           x' - x - x eta, given g = growth_rate_times_x(x, m, p)
+    steady_states        : closed-form steady-state kind, keyed by delta
 
     With c.micro_scaled(eps), shift / eps tends to -drift as eps -> 0 at
     delta = -1 (where the interaction kernel is 1).
     """
 
-    drift: Callable
+    drift_terms: Callable
+    scalar: Callable
     shift: Callable
     steady_states: Mapping[float, EquilibriumKind]
+
+    def drift(self, x, m: float, p: KineticParams, c: ControlSpec):
+        """Drift C(x) at reference mean m."""
+        s = self.scalar(m, p)
+        return sum(s**k * term for k, term in enumerate(self.drift_terms(x, p, c)))
 
 
 STRATEGY_RULES: dict[Strategy, StrategyRule] = {
     Strategy.UNCONTROLLED: StrategyRule(
-        _drift_uncontrolled,
+        _terms_uncontrolled,
+        _scalar_uncontrolled,
         _shift_uncontrolled,
         {1.0: EquilibriumKind.GAMMA, -1.0: EquilibriumKind.INVERSE_GAMMA},
     ),
     Strategy.ADDITIVE_A: StrategyRule(
-        _drift_additive, _shift_additive, {-1.0: EquilibriumKind.CONTROLLED_A}
+        _terms_additive, _scalar_mean, _shift_additive, {-1.0: EquilibriumKind.CONTROLLED_A}
     ),
     Strategy.INTERACTION_B: StrategyRule(
-        _drift_interaction, _shift_interaction, {-1.0: EquilibriumKind.CONTROLLED_B}
+        _terms_interaction,
+        _scalar_mean,
+        _shift_interaction,
+        {-1.0: EquilibriumKind.CONTROLLED_B},
     ),
 }
 

@@ -87,6 +87,92 @@ class TestConfigValidation:
             execute(path, tmp_path / "out")
 
 
+def controlled_epidemic_config(tmp_path, edit=None, name="ctrl.json"):
+    cfg = {
+        "schema_version": 1,
+        "kind": "controlled_epidemic",
+        "seed": 0,
+        "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": -1.0, "epsilon": 0.01, "tau": 1e-4},
+        "epidemic": {"betas": [0.02, 2e-6], "gamma_i": 0.07142857142857142},
+        "control": {"strategy": "interaction_b", "nu": 1.0, "x_target": 3.0},
+        "grid": {"x_max": 100.0, "n_cells": 2000},
+        "time": {"dt": 0.01, "t_final": 0.5, "output_every": 10},
+        "initial": {"type": "gamma_profile", "mean": 10.0, "rho": [0.98, 0.01, 0.01]},
+        "tail_window": [5.0, 10.0],
+    }
+    if edit is not None:
+        edit(cfg)
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def set_field(path, value):
+    """Config edit that sets the dotted path (list index as last part) to value."""
+    def edit(cfg):
+        *parents, last = path.split(".")
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[int(last) if isinstance(node, list) else last] = value
+    return edit
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            ("control.x_target", float("nan"), "control.x_target"),
+            ("control.nu", float("inf"), "control.nu"),
+            ("epidemic.betas.1", float("nan"), "epidemic.betas[1]"),
+            ("epidemic.gamma_i", float("inf"), "epidemic.gamma_i"),
+            ("kinetic.epsilon", float("inf"), "kinetic.epsilon"),
+            ("grid.x_max", float("inf"), "grid.x_max"),
+            ("grid.n_cells", 10.5, "grid.n_cells"),
+            ("tail_window", ["5", "10"], "tail_window[0]"),
+            ("initial.rho", [0.98, "0.01", 0.01], "initial.rho[1]"),
+        ],
+    )
+    def test_bad_field_exits_two_naming_it(self, tmp_path, capsys, path, value, named):
+        cfg = controlled_epidemic_config(tmp_path, set_field(path, value))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert err.count("field '") == 1  # named once, not inside its block's name too
+
+    @pytest.mark.parametrize("field", ["window_slim", "window_power_law"])
+    def test_sweep_window_element_types_exit_two(self, tmp_path, capsys, field):
+        cfg = load_config(bundled_config_path("test2_nu_sweep.json"))
+        cfg["sweep"][field] = ["20", "40"]
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"sweep.{field}[0]" in capsys.readouterr().err
+
+    def test_controlled_operator_at_other_delta_exits_two(self, tmp_path, capsys):
+        cfg = controlled_epidemic_config(tmp_path, set_field("kinetic.delta", 1.0))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "kinetic.delta" in capsys.readouterr().err
+
+    def test_numerical_failure_exits_three(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise NumericsError("tridiagonal solve failed")
+
+        monkeypatch.setattr("kinctrl.cli.run_scenario", fail)
+        cfg = controlled_epidemic_config(tmp_path)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+        assert "NumericsError" in capsys.readouterr().err
+
+    def test_code_bug_propagates(self, tmp_path, monkeypatch):
+        def bug(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr("kinctrl.cli.run_scenario", bug)
+        cfg = controlled_epidemic_config(tmp_path)
+        with pytest.raises(TypeError):
+            main(["run", str(cfg), "--out", str(tmp_path / "out")])
+
+
 class TestRun:
     def test_dsmc_run_writes_artifacts(self, tmp_path):
         path = small_dsmc_config(tmp_path)
@@ -196,21 +282,7 @@ class TestScenarioRunners:
         assert gaps["rho_I"] < 1e-2
 
     def test_controlled_epidemic(self, tmp_path):
-        cfg = {
-            "schema_version": 1,
-            "kind": "controlled_epidemic",
-            "seed": 0,
-            "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": -1.0, "epsilon": 0.01, "tau": 1e-4},
-            "epidemic": {"betas": [0.02, 2e-6], "gamma_i": 0.07142857142857142},
-            "control": {"strategy": "interaction_b", "nu": 1.0, "x_target": 3.0},
-            "grid": {"x_max": 100.0, "n_cells": 2000},
-            "time": {"dt": 0.01, "t_final": 0.5, "output_every": 10},
-            "initial": {"type": "gamma_profile", "mean": 10.0, "rho": [0.98, 0.01, 0.01]},
-            "tail_window": [5.0, 10.0],
-        }
-        path = tmp_path / "ctrl.json"
-        path.write_text(json.dumps(cfg))
-        out = execute(path, tmp_path / "out")
+        out = execute(controlled_epidemic_config(tmp_path), tmp_path / "out")
         traj = read_csv(out / "trajectory.csv")
         assert "m2_I" in traj
         assert (out / "density_t0.5.csv").exists()

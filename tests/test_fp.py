@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinctrl import (
     ContactDensity,
@@ -8,13 +12,22 @@ from kinctrl import (
     EquilibriumKind,
     Grid,
     KineticParams,
+    Strategy,
     build_operator,
     controlled_steady_state,
     sp_step,
     steady_state_solve,
     uniform_density,
 )
-from kinctrl.fp import SpStepper, _bernoulli
+from kinctrl.errors import NumericsError
+from kinctrl.fp import (
+    SpStepper,
+    _bernoulli,
+    _log_diffusion_jump,
+    interface_log_ratios,
+    interface_weights,
+    sp_step_batch,
+)
 
 
 def kp(delta, alpha=1.0, sigma2=0.2, **kw):
@@ -44,7 +57,8 @@ class TestGrid:
 class TestBernoulli:
     def test_limits(self):
         w = np.array([0.0, 1e-12, 800.0, -800.0, 2.0, -2.0])
-        b = _bernoulli(w)
+        b, b_minus = _bernoulli(w)
+        assert b_minus == pytest.approx(_bernoulli(-w)[0])
         assert b[0] == pytest.approx(1.0)
         assert b[1] == pytest.approx(1.0)
         assert b[2] == 0.0
@@ -54,8 +68,20 @@ class TestBernoulli:
 
     def test_equilibrium_ratio_identity(self):
         w = np.linspace(-30, 30, 301)
-        ratio = _bernoulli(w) / _bernoulli(-w)
+        b, b_minus = _bernoulli(w)
+        ratio = b / b_minus
         assert ratio == pytest.approx(np.exp(-w))
+
+    def test_matches_scalar_expm1(self):
+        # B(w) = w / expm1(w) at every scale, each value against the scalar
+        # libm expm1 (the old 1 - exp(-w) form was 5e-9 off near w = 1e-8)
+        w = np.logspace(-12, 2.8, 500)
+        w = np.concatenate([w, -w])
+        b, b_minus = _bernoulli(w)
+        ref = np.array([v / math.expm1(v) for v in w])
+        ref_minus = np.array([-v / math.expm1(-v) for v in w])
+        assert np.max(np.abs(b / ref - 1.0)) <= 1e-14
+        assert np.max(np.abs(b_minus / ref_minus - 1.0)) <= 1e-14
 
 
 class TestBuildOperator:
@@ -217,3 +243,98 @@ class TestControlledMeanOrdering:
         for make in (ControlSpec.additive, ControlSpec.interaction):
             f = steady_state_solve(build_operator(p, make(1e-3, 3.0), 10.0), grid)
             assert f.mean() == pytest.approx(3.0, rel=0.05)
+
+
+# Cached interface weights and the batched implicit step, over random rules.
+WEIGHTS_GRID = Grid(200.0, 600)
+
+
+@st.composite
+def rules(draw):
+    """(KineticParams, ControlSpec): any delta when uncontrolled, delta = -1 for controls."""
+    strategy = draw(st.sampled_from(Strategy))
+    alpha = draw(st.floats(0.2, 2.0))
+    sigma2 = draw(st.floats(0.1, 1.0))
+    if strategy is Strategy.UNCONTROLLED:
+        delta = draw(st.one_of(st.floats(-1.0, 1.0), st.floats(-1e-10, 1e-10)))
+        return KineticParams(alpha, sigma2, delta), ControlSpec.uncontrolled()
+    c = ControlSpec(strategy, nu=draw(st.floats(0.1, 10.0)), x_target=draw(st.floats(0.0, 10.0)))
+    return KineticParams(alpha, sigma2, -1.0), c
+
+
+def discrete_equilibrium(w):
+    """f with f[i+1] / f[i] = exp(-w[i]) to one rounding per cell, peak 1.
+
+    Built by products outward from the peak, so no cell ratio carries the
+    rounding of a long cumulative sum of logs.
+    """
+    log_f = np.concatenate([[0.0], -np.cumsum(w)])
+    k = int(np.argmax(log_f))
+    f = np.empty(len(log_f))
+    f[k] = 1.0
+    f[k + 1:] = np.cumprod(np.exp(-w[k:]))
+    f[:k] = np.cumprod(np.exp(w[:k][::-1]))[::-1]
+    return f
+
+
+class TestInterfaceWeights:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(rule=rules(), m=st.floats(0.5, 100.0))
+    def test_matches_quadrature_of_the_operator(self, rule, m):
+        # w is a sum of the drift quadrature and the ln D jump, which nearly
+        # cancel where lam = alpha/sigma2 is close to 1; rounding is measured
+        # against the size of those summands
+        p, c = rule
+        op = build_operator(p, c, m)
+        ref = interface_log_ratios(op, WEIGHTS_GRID)
+        jump = _log_diffusion_jump(op.diffusion, WEIGHTS_GRID)
+        scale = np.max(np.abs(ref - jump) + np.abs(jump))
+        w = interface_weights(WEIGHTS_GRID, p, c).at(m)
+        assert np.max(np.abs(w - ref)) <= 1e-13 * scale
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        rule=rules(),
+        means=st.lists(st.floats(0.5, 100.0), min_size=1, max_size=3),
+        tau=st.floats(0.01, 10.0),
+    )
+    def test_batched_step_keeps_each_equilibrium(self, rule, means, tau):
+        p, c = rule
+        weights = interface_weights(WEIGHTS_GRID, p, c)
+        rows = [
+            scale * discrete_equilibrium(weights.at(m)) for scale, m in zip((1.0, 0.3, 1e-4), means)
+        ]
+        out = sp_step_batch(weights, rows, means, 0.01, tau)
+        for row, new in zip(rows, out):
+            assert np.max(np.abs(new - row)) <= 1e-12 * np.max(row)
+            assert abs(new.sum() - row.sum()) <= 1e-13 * row.sum()
+
+    def test_cached_once_per_rule_and_read_only(self):
+        p, c = kp(-1.0), ControlSpec.interaction(1.0, 3.0)
+        weights = interface_weights(WEIGHTS_GRID, p, c)
+        again = interface_weights(Grid(200.0, 600), kp(-1.0), ControlSpec.interaction(1.0, 3.0))
+        assert again is weights
+        with pytest.raises(ValueError):
+            weights.basis[0, 0] = 0.0
+
+    def test_batched_rows_match_single_steppers(self):
+        grid = Grid(100.0, 1000)
+        p, c = kp(-1.0), ControlSpec.additive(1.0, 3.0)
+        rows = [uniform_density(grid, lo, lo + 2.0).values for lo in (2.0, 6.0, 30.0)]
+        means = [3.0, 7.0, 31.0]
+        out = sp_step_batch(interface_weights(grid, p, c), rows, means, 0.05, 1.0)
+        for row, m, new in zip(rows, means, out):
+            alone = SpStepper(grid, build_operator(p, c, m), 0.05, 1.0).step(row)
+            assert np.max(np.abs(new - alone)) <= 1e-13 * np.max(alone)
+
+    def test_non_finite_step_is_numerics_error(self):
+        grid = Grid(10.0, 50)
+        weights = interface_weights(grid, kp(-1.0), ControlSpec.uncontrolled())
+        row = uniform_density(grid, 2.0, 8.0).values.copy()
+        row[10] = np.nan
+        with pytest.raises(NumericsError):
+            sp_step_batch(weights, [row], [5.0], 0.1, 1.0)
+
+    def test_controls_require_delta_minus_one(self):
+        with pytest.raises(ValueError):
+            interface_weights(WEIGHTS_GRID, kp(1.0), ControlSpec.additive(1.0, 3.0))

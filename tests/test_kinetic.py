@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinctrl import (
     ContactDensity,
@@ -7,12 +9,16 @@ from kinctrl import (
     EpidemicParams,
     Grid,
     KineticParams,
+    Strategy,
     build_operator,
     steady_state_solve,
     uniform_density,
 )
 from kinctrl.kinetic import (
+    MASS_FLOOR,
     KineticSIRState,
+    _contact_substep,
+    contact_powers,
     epidemic_substep,
     exchange_rate,
     gamma_profile_state,
@@ -56,8 +62,8 @@ class TestState:
 
 def incidence(f_s, f_i, e):
     """Local infection rate K(x): minus the susceptible rate of the exchange."""
-    x = f_s.grid.centers()
-    return -exchange_rate(f_s.values, f_i.values, x, f_s.grid.dx, e)[0]
+    x_pows = contact_powers(f_s.grid.centers(), e.order)
+    return -exchange_rate(f_s.values, f_i.values, x_pows, f_s.grid.dx, e)[0]
 
 
 class TestIncidence:
@@ -190,3 +196,36 @@ class TestRunScenario:
         assert m2[0] == pytest.approx(
             mixed_state.f_s.raw_moment(2) / mixed_state.f_s.mass(), rel=1e-12
         )
+
+
+class TestContactSubstep:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        strategy=st.sampled_from(Strategy),
+        tau=st.sampled_from([1.0, 1e-2, 1e-5]),
+        lam=st.floats(1.5, 8.0),
+        mean0=st.floats(2.0, 20.0),
+        rho=st.tuples(st.floats(1e-6, 1.0), st.floats(1e-6, 1.0), st.floats(1e-6, 1.0)),
+    )
+    def test_conserves_each_compartment_mass(self, strategy, tau, lam, mean0, rho):
+        grid = Grid(100.0, 1000)
+        c = ControlSpec(strategy, nu=1.0, x_target=3.0)
+        state = gamma_profile_state(grid, lam, mean0, rho)
+        out = _contact_substep(state, kin(tau=tau), c, 0.01)
+        for before, after in zip(state.densities(), out.densities()):
+            assert abs(after.mass() - before.mass()) <= 1e-13 * before.mass()
+            assert after.values.min() >= 0.0
+
+    def test_compartment_below_mass_floor_is_kept(self, mixed_state):
+        grid = mixed_state.grid
+        empty = ContactDensity(grid, np.full(grid.n_cells, MASS_FLOOR * 1e-4))
+        assert empty.mass() <= MASS_FLOOR
+        state = KineticSIRState(mixed_state.f_s, mixed_state.f_i, empty)
+        out = _contact_substep(state, kin(), ControlSpec.interaction(1.0, 3.0), 0.01)
+        assert np.array_equal(out.f_r.values, empty.values)
+        assert out.f_r.values is not empty.values
+        assert not np.array_equal(out.f_s.values, mixed_state.f_s.values)
+
+    def test_controls_at_other_delta_are_domain_errors(self, mixed_state):
+        with pytest.raises(ValueError, match="delta = -1"):
+            _contact_substep(mixed_state, kin(delta=1.0), ControlSpec.additive(1.0, 3.0), 0.01)

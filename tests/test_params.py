@@ -5,6 +5,7 @@ from kinctrl import (
     ClosureKind,
     ControlSpec,
     EpidemicParams,
+    Grid,
     KineticParams,
     Strategy,
     build_operator,
@@ -56,6 +57,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             ControlSpec(Strategy.INTERACTION_B, nu=1.0, x_target=-1.0)
         assert not ControlSpec.uncontrolled().active
+
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("x_target", lambda: ControlSpec.additive(1.0, float("nan"))),
+            ("nu", lambda: ControlSpec.interaction(float("inf"), 3.0)),
+            ("betas", lambda: EpidemicParams(betas=(0.02, float("nan")), gamma_i=0.1)),
+            ("gamma_i", lambda: EpidemicParams(betas=(0.02,), gamma_i=float("inf"))),
+            ("beta0", lambda: EpidemicParams(betas=(0.02,), gamma_i=0.1, beta0=float("nan"))),
+            ("epsilon", lambda: kp(epsilon=float("inf"))),
+            ("x_max", lambda: Grid(float("inf"), 100)),
+            ("n_cells", lambda: Grid(10.0, 10.5)),
+        ],
+    )
+    def test_rejects_non_finite_field(self, field, build):
+        with pytest.raises(ValueError, match=field):
+            build()
 
     def test_micro_scaling(self):
         c = ControlSpec.additive(1.0, 3.0)
@@ -189,3 +207,32 @@ class TestStrategyTable:
         assert fine < 5e-4
         if strategy is not Strategy.UNCONTROLLED:
             assert fine < coarse / 50.0
+
+    @pytest.mark.parametrize("delta", [-1.0, -0.4, -1e-7, -1e-11, 0.0, 1e-12, 1e-4, 0.5, 1.0])
+    def test_uncontrolled_terms_match_growth_law(self, delta):
+        # B(x) psi(x/m) x = (alpha/2) x^((1-delta)/2) ((x/m)^delta - 1) / delta,
+        # evaluated in one piece with expm1 (ln(x/m) in the Gompertz limit)
+        p = kp(alpha=0.8, delta=delta)
+        x = np.linspace(0.05, 60.0, 400)
+        m = 7.0
+        gain = 0.5 * p.alpha * x ** ((1.0 - delta) / 2.0)
+        if abs(delta) < 1e-10:
+            ref = gain * np.log(x / m)
+        else:
+            ref = gain * np.expm1(delta * np.log(x / m)) / delta
+        drift = build_operator(p, ControlSpec.uncontrolled(), m).drift(x)
+        assert np.max(np.abs(drift - ref)) <= 1e-13 * np.max(np.abs(ref))
+        if delta in (-1.0, 1.0):
+            direct = growth_rate_times_x(x, m, p) * collision_kernel(x, p)
+            assert np.max(np.abs(drift - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("m", [0.5, 7.0, 90.0])
+    def test_controlled_terms_match_factored_drift(self, m):
+        p = kp(alpha=0.8)
+        x = np.linspace(0.05, 120.0, 400)
+        a = build_operator(p, ControlSpec.additive(0.7, 3.0), m).drift(x)
+        b = build_operator(p, ControlSpec.interaction(0.7, 3.0), m).drift(x)
+        ref_a = 0.5 * p.alpha * (x - m) + (x - 3.0) / 0.7
+        ref_b = p.alpha**2 / (4.0 * 0.7) * (m - x) ** 2 * (x - 3.0)
+        assert np.max(np.abs(a - ref_a)) <= 1e-13 * np.max(np.abs(ref_a))
+        assert np.max(np.abs(b - ref_b)) <= 1e-13 * np.max(np.abs(ref_b))
