@@ -53,7 +53,7 @@ from .io import (
     write_manifest,
     write_trajectory,
 )
-from .kinetic import gamma_profile_state, run_scenario
+from .kinetic import OBSERVABLES, gamma_profile_state, run_scenario
 from .macro import MacroModel, MacroState, MacroVariant, rk4_integrate
 from .params import (
     ClosureKind,
@@ -344,6 +344,15 @@ def run_fp_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
     return metrics
 
 
+def _tail(f: ContactDensity, window: tuple[float, float]) -> dict:
+    """tail_classify(f, window) as a manifest entry; "inconclusive" with the reason if it fails."""
+    try:
+        tc = tail_classify(f, window)
+    except (TailInconclusiveError, ValueError) as exc:
+        return {"kind": "inconclusive", "detail": str(exc)}
+    return {"kind": tc.kind.value, "exponent": tc.exponent}
+
+
 def run_tail_sweep(cfg: dict, out: Path, seed: int) -> dict:
     p = _kinetic_params(cfg)
     grid = _grid(cfg)
@@ -359,7 +368,7 @@ def run_tail_sweep(cfg: dict, out: Path, seed: int) -> dict:
     if p.delta != -1.0:
         raise ConfigError("field 'kinetic.delta': tail_sweep requires delta = -1")
 
-    u = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, p, m_ref, grid).as_contact_density()
+    u = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, p, m_ref, grid)
     rows = [("uncontrolled", 0.0, u.raw_moment(1), u.raw_moment(2))]
     tails: dict[str, dict] = {"additive_a": {}, "interaction_b": {}}
     for nu in nus:
@@ -370,15 +379,7 @@ def run_tail_sweep(cfg: dict, out: Path, seed: int) -> dict:
             c = make(nu, x_target)
             f = controlled_steady_state(p, c, m_ref, grid)
             rows.append((strategy, float(nu), f.raw_moment(1), f.raw_moment(2)))
-            try:
-                tc = tail_classify(f, window)
-                tails[strategy][str(nu)] = {
-                    "kind": tc.kind.value,
-                    "exponent": tc.exponent,
-                    "window": list(window),
-                }
-            except (TailInconclusiveError, ValueError) as exc:
-                tails[strategy][str(nu)] = {"kind": "inconclusive", "detail": str(exc)}
+            tails[strategy][str(nu)] = {**_tail(f, window), "window": list(window)}
 
     sweep_path = out / "sweep.csv"
     sweep_path.parent.mkdir(parents=True, exist_ok=True)
@@ -404,15 +405,9 @@ def _macro_initial(cfg: dict) -> MacroState:
     return MacroState(*rho, mean, mean, mean)
 
 
-_MACRO_COLUMNS = ("rho_S", "rho_I", "rho_R", "m_S", "m_I", "m_R")
-
-
 def _write_macro_trajectory(path: Path, times, states) -> None:
-    write_trajectory(
-        path,
-        np.asarray(times),
-        {name: np.array([getattr(s, name.lower()) for s in states]) for name in _MACRO_COLUMNS},
-    )
+    table = np.array([s.as_tuple() for s in states])
+    write_trajectory(path, np.asarray(times), dict(zip(OBSERVABLES[:6], table.T)))
 
 
 def run_macro_compare(cfg: dict, out: Path, seed: int) -> dict:
@@ -443,8 +438,7 @@ def _kinetic_pieces(cfg: dict):
 
 
 def _write_kinetic_trajectory(path: Path, result) -> None:
-    names = _MACRO_COLUMNS + ("m2_S", "m2_I", "m2_R")
-    write_trajectory(path, result.times, {name: result.column(name.lower()) for name in names})
+    write_trajectory(path, result.times, dict(zip(OBSERVABLES, result.observables.T)))
 
 
 def run_kinetic_macro_consistency(cfg: dict, out: Path, seed: int) -> dict:
@@ -460,20 +454,21 @@ def run_kinetic_macro_consistency(cfg: dict, out: Path, seed: int) -> dict:
     closure = ClosureKind.INVERSE_GAMMA if p.delta == -1.0 else ClosureKind.GAMMA
     variant = MacroVariant.L2 if e.order >= 2 else MacroVariant.L1
     model = _build("kinetic/epidemic", MacroModel, variant, closure, p, e)
-    s0 = ic.macro_state()
+    s0 = MacroState(*result.observables[0, :6].tolist())
     times, states = rk4_integrate(model, s0, dt, t_final)
     idx = [step_count(t, dt) for t in result.times]
     times = [times[i] for i in idx]
     states = [states[i] for i in idx]
     _write_macro_trajectory(out / "trajectory_macro.csv", times, states)
 
-    gaps = {}
-    for name, attr in (("rho_S", "rho_s"), ("rho_I", "rho_i"), ("rho_R", "rho_r")):
-        gaps[name] = float(np.max(np.abs(result.column(attr) - np.array([getattr(s, attr) for s in states]))))
-    for name, attr in (("m_S", "m_s"), ("m_I", "m_i"), ("m_R", "m_r")):
-        ref = np.array([getattr(s, attr) for s in states])
-        gaps[name + "_rel"] = float(np.max(np.abs(result.column(attr) - ref) / np.abs(ref)))
-    return {"sup_gaps": gaps, "clipped_mass": result.final_state.clipped_mass}
+    ref = np.array([s.as_tuple() for s in states])
+    gaps = np.abs(result.observables[:, :6] - ref)
+    gaps[:, 3:] /= np.abs(ref[:, 3:])  # the means' gaps are relative
+    names = [*OBSERVABLES[:3], *(name + "_rel" for name in OBSERVABLES[3:6])]
+    return {
+        "sup_gaps": dict(zip(names, gaps.max(axis=0).tolist())),
+        "clipped_mass": result.final_state.clipped_mass,
+    }
 
 
 def run_controlled_epidemic(cfg: dict, out: Path, seed: int) -> dict:
@@ -485,23 +480,16 @@ def run_controlled_epidemic(cfg: dict, out: Path, seed: int) -> dict:
     _write_kinetic_trajectory(out / TRAJECTORY_FILE, result)
 
     final = result.final_state
-    write_density(
-        out / density_filename(t_final),
-        grid.centers(),
-        {"f_S": final.f_s.values, "f_I": final.f_i.values, "f_R": final.f_r.values},
-    )
+    columns = dict(zip(("f_S", "f_I", "f_R"), final.values))
+    write_density(out / density_filename(t_final), grid.centers(), columns)
     metrics = {
-        "peak_rho_i": float(result.column("rho_i").max()),
-        "final_m_s": float(result.column("m_s")[-1]),
+        "peak_rho_i": float(result.column("rho_I").max()),
+        "final_m_s": float(result.column("m_S")[-1]),
         "clipped_mass": final.clipped_mass,
     }
     window = _window(cfg, "tail_window", required=False)
     if window is not None:
-        try:
-            tc = tail_classify(final.f_s.normalized(), window)
-            metrics["final_s_tail"] = {"kind": tc.kind.value, "exponent": tc.exponent}
-        except (TailInconclusiveError, ValueError) as exc:
-            metrics["final_s_tail"] = {"kind": "inconclusive", "detail": str(exc)}
+        metrics["final_s_tail"] = _tail(ContactDensity(grid, final.values[0]), window)
     return metrics
 
 
@@ -528,9 +516,9 @@ def execute(config_path: Path, out_dir: Path | None = None, seed: int | None = N
     out = resolve_out_dir(str(out_dir) if out_dir else None, config_out, config_path.stem)
     out.mkdir(parents=True, exist_ok=True)
 
-    start = time.time()
+    start = time.perf_counter()
     metrics = RUNNERS[kind](cfg, out, eff_seed)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
 
     p = _kinetic_params(cfg) if "kinetic" in cfg else None
     derived = {}

@@ -77,11 +77,12 @@ _LOG_SHAPES = {
 }
 
 
-class EquilibriumDensity:
+class EquilibriumDensity(ContactDensity):
     """A unit-mass equilibrium profile on a grid, evaluable pointwise.
 
     The raw shape is scaled to unit mass under midpoint quadrature on the
-    construction grid.
+    construction grid.  Its log values stay finite where the values
+    themselves underflow to 0.
     """
 
     def __init__(
@@ -107,8 +108,7 @@ class EquilibriumDensity:
         self.grid = grid
         self.control = control
 
-        x = grid.centers()
-        log_vals = self._log_shape(x)
+        log_vals = self._log_shape(grid.centers())
         log_peak = float(log_vals.max())
         shifted = np.exp(log_vals - log_peak)
         total = shifted.sum() * grid.dx
@@ -117,7 +117,11 @@ class EquilibriumDensity:
         # density = exp(log_shape + log_norm) with unit grid mass; the constant
         # itself may overflow for extreme shapes, so evaluation stays in logs
         self._log_norm = -log_peak - float(np.log(total))
+        self._log_values = log_vals + self._log_norm
         self.values = shifted / total
+
+    def log_values(self) -> np.ndarray:
+        return self._log_values
 
     def _log_shape(self, x: np.ndarray) -> np.ndarray:
         return _LOG_SHAPES[self.kind](x, self.params, self.control, self.mean_ref)
@@ -133,9 +137,6 @@ class EquilibriumDensity:
         out = np.exp(log_vals + self._log_norm)
         out = np.where(np.isnan(out), 0.0, out)
         return float(out[0]) if scalar else out
-
-    def as_contact_density(self) -> ContactDensity:
-        return ContactDensity(self.grid, self.values.copy())
 
 
 def _check_tail_resolved(values: np.ndarray, grid: Grid) -> None:
@@ -158,7 +159,7 @@ def _check_tail_resolved(values: np.ndarray, grid: Grid) -> None:
 
 def controlled_steady_state(
     p: KineticParams, c: ControlSpec, m: float, grid: Grid
-) -> ContactDensity:
+) -> EquilibriumDensity:
     """Closed-form steady state of the controlled contact operator, unit mass on the grid.
 
     Requires delta = -1, the only delta at which the controlled rules have one.
@@ -171,7 +172,7 @@ def controlled_steady_state(
         )
     density = EquilibriumDensity(kind, p, m, grid, control=c)
     _check_tail_resolved(density.values, grid)
-    return density.as_contact_density()
+    return density
 
 
 class TailKind(Enum):
@@ -190,11 +191,13 @@ def tail_classify(
 ) -> TailClassification:
     """Classify the decay of f on an x-window as power-law or slim-tailed.
 
-    Fits the local log-log slope s(x).  If s varies by less than 10% across
-    the window, the tail is a power law and the fitted exponent is returned.
-    If s decreases monotonically and more than doubles in magnitude across
-    the window, the decay is faster than any power: slim tail.  Anything else
-    is inconclusive.
+    Fits the local log-log slope s(x) of f.log_values(), so an
+    EquilibriumDensity whose values underflow on the window still
+    classifies; a density with a zero cell on the window raises ValueError.
+    If s varies by less than 10% across the window, the tail is a power law
+    and the fitted exponent is returned.  If s decreases monotonically and
+    more than doubles in magnitude across the window, the decay is faster
+    than any power: slim tail.  Anything else is inconclusive.
     """
     lo, hi = window
     if not 0 < lo < hi:
@@ -205,13 +208,11 @@ def tail_classify(
     sel = (x >= lo) & (x <= hi)
     if sel.sum() < 8:
         raise ValueError(f"window {window} covers fewer than 8 cells")
-    xs = x[sel]
-    vs = f.values[sel]
-    if np.any(vs <= 0):
+    log_v = f.log_values()[sel]
+    if not np.all(np.isfinite(log_v)):
         raise ValueError("density must be strictly positive on the window")
 
-    log_x = np.log(xs)
-    log_v = np.log(vs)
+    log_x = np.log(x[sel])
     slopes = np.diff(log_v) / np.diff(log_x)
     mean_slope = slopes.mean()
     variation = (slopes.max() - slopes.min()) / abs(mean_slope)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -74,7 +74,6 @@ class ContactDensity:
 
     grid: Grid
     values: np.ndarray
-    compartment: Optional[str] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -102,13 +101,18 @@ class ContactDensity:
         m = self.mass()
         if m <= 0:
             raise ValueError("cannot normalize a density with non-positive mass")
-        return ContactDensity(self.grid, self.values / m, self.compartment)
+        return ContactDensity(self.grid, self.values / m)
 
     def copy(self) -> "ContactDensity":
-        return ContactDensity(self.grid, self.values.copy(), self.compartment)
+        return ContactDensity(self.grid, self.values.copy())
+
+    def log_values(self) -> np.ndarray:
+        """ln f in every cell; -inf where the density is 0."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(self.values)
 
 
-def uniform_density(grid: Grid, low: float, high: float, compartment: Optional[str] = None) -> ContactDensity:
+def uniform_density(grid: Grid, low: float, high: float) -> ContactDensity:
     """Unit-mass density uniform on [low, high], discretized on the grid."""
     if not 0 <= low < high <= grid.x_max:
         raise ValueError(f"need 0 <= low < high <= x_max, got [{low}, {high}]")
@@ -117,7 +121,7 @@ def uniform_density(grid: Grid, low: float, high: float, compartment: Optional[s
     total = vals.sum() * grid.dx
     if total <= 0:
         raise ValueError("uniform window does not cover any cell center")
-    return ContactDensity(grid, vals / total, compartment)
+    return ContactDensity(grid, vals / total)
 
 
 @dataclass(frozen=True)
@@ -364,20 +368,23 @@ def sp_step(f: ContactDensity, op: DriftDiffusion, dt: float, tau: float) -> Con
     point), non-negativity, and the discrete equilibrium of the operator.
     """
     stepper = SpStepper(f.grid, op, dt, tau)
-    return ContactDensity(f.grid, stepper.step(f.values), f.compartment)
+    return ContactDensity(f.grid, stepper.step(f.values))
 
 
 def steady_state_solve(op: DriftDiffusion, grid: Grid) -> ContactDensity:
     """Zero-flux solution of C f + d/dx(D f) = 0, unit mass on the grid.
 
-    Built in log space from the same interface log-ratios the implicit scheme
-    uses, so the long-time limit of sp_step matches this density to solver
-    precision.
+    Built from the same interface log-ratios the implicit scheme uses, so
+    the long-time limit of sp_step matches this density to solver precision.
+    The values are running products of the cell ratios exp(-w) outward from
+    the peak, so each neighbour ratio is exact to a few roundings; a running
+    sum of w would carry the rounding of the whole partial sum instead.
     """
     w = interface_log_ratios(op, grid)
-    log_f = np.concatenate([[0.0], -np.cumsum(w)])
-    log_f -= log_f.max()
-    vals = np.exp(log_f)
+    peak = int(np.argmax(np.concatenate([[0.0], -np.cumsum(w)])))
+    right = np.cumprod(np.exp(-w[peak:]))
+    left = np.cumprod(np.exp(w[:peak][::-1]))[::-1]
+    vals = np.concatenate([left, [1.0], right])
     total = vals.sum() * grid.dx
     if not total > 0 or not np.isfinite(total):
         raise NumericsError("steady-state normalization failed on this grid")

@@ -4,23 +4,23 @@ One time step is a first-order (Lie) splitting: each compartment density
 first relaxes under its contact operator (implicit structure-preserving
 solve, scaled by 1/tau), then the three densities exchange mass pointwise in
 x through the incidence and recovery terms (one classical Runge-Kutta step
-with the infected moments refreshed at every stage).
+with the infected moments refreshed at every stage).  The state keeps the
+three densities as the rows S, I, R of one array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 from .errors import InvariantViolationError
-from .fp import ContactDensity, Grid, interface_weights, sp_step_batch
+from .fp import Grid, interface_weights, sp_step_batch
 from .fp import build_operator  # noqa: F401  re-exported as kinetic.build_operator
-from .macro import MacroState
 from .params import ControlSpec, EpidemicParams, KineticParams, step_count
 
 # Compartments with less mass than this skip their contact substep (their
@@ -29,51 +29,48 @@ MASS_FLOOR = 1e-300
 
 NEGATIVITY_WARN = -1e-12
 
+# Columns of ScenarioResult.observables (and of the kinetic trajectory CSV).
+OBSERVABLES = ("rho_S", "rho_I", "rho_R", "m_S", "m_I", "m_R", "m2_S", "m2_I", "m2_R")
+
+
+@functools.lru_cache(maxsize=1)
+def moment_powers(grid: Grid) -> np.ndarray:
+    """(n_cells, 3) columns dx, x dx, x^2 dx: values @ moment_powers gives
+    each row's mass, first and second raw moment."""
+    x = grid.centers()
+    powers = x[:, None] ** np.arange(3) * grid.dx
+    powers.flags.writeable = False
+    return powers
+
 
 @dataclass
 class KineticSIRState:
-    """Per-compartment contact densities on one shared grid."""
+    """Contact densities of S, I and R: the rows of one (3, n_cells) array on one grid."""
 
-    f_s: ContactDensity
-    f_i: ContactDensity
-    f_r: ContactDensity
+    values: np.ndarray
+    grid: Grid
     clipped_mass: float = 0.0
 
     def __post_init__(self):
-        if not (self.f_s.grid == self.f_i.grid == self.f_r.grid):
-            raise ValueError("all compartments must share one grid")
-        for f, tag in zip((self.f_s, self.f_i, self.f_r), "SIR"):
-            f.compartment = tag
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (3, self.grid.n_cells):
+            raise ValueError(f"values shape {self.values.shape} is not (3, {self.grid.n_cells})")
 
-    @property
-    def grid(self) -> Grid:
-        return self.f_s.grid
-
-    def densities(self) -> tuple[ContactDensity, ContactDensity, ContactDensity]:
-        return (self.f_s, self.f_i, self.f_r)
+    def masses(self) -> np.ndarray:
+        return self.values.sum(axis=1) * self.grid.dx
 
     def total_mass(self) -> float:
-        return self.f_s.mass() + self.f_i.mass() + self.f_r.mass()
+        return float(self.masses().sum())
 
-    def macro_state(self) -> MacroState:
-        rho, mean = [], []
-        for f in self.densities():
-            mass = f.mass()
-            rho.append(mass)
-            mean.append(f.raw_moment(1) / mass if mass > MASS_FLOOR else 0.0)
-        return MacroState(rho[0], rho[1], rho[2], mean[0], mean[1], mean[2])
+    def observables(self) -> np.ndarray:
+        """The OBSERVABLES: masses, means and second moments of S, I and R.
 
-    def second_moments(self) -> tuple[float, float, float]:
-        out = []
-        for f in self.densities():
-            mass = f.mass()
-            out.append(f.raw_moment(2) / mass if mass > MASS_FLOOR else 0.0)
-        return tuple(out)
-
-    def copy(self) -> "KineticSIRState":
-        return KineticSIRState(
-            self.f_s.copy(), self.f_i.copy(), self.f_r.copy(), self.clipped_mass
-        )
+        A compartment at or below MASS_FLOOR reports mean and second moment 0.
+        """
+        raw = self.values @ moment_powers(self.grid)
+        mass = raw[:, :1]
+        ratios = np.divide(raw[:, 1:], mass, out=np.zeros((3, 2)), where=mass > MASS_FLOOR)
+        return np.concatenate([mass[:, 0], ratios.T.ravel()])
 
 
 def gamma_profile_state(
@@ -93,9 +90,7 @@ def gamma_profile_state(
         + (lam - 1.0) * np.log(x)
         - lam * x / mean0
     )
-    profile = np.exp(log_profile)
-    fs = [ContactDensity(grid, r * profile) for r in rho]
-    return KineticSIRState(*fs)
+    return KineticSIRState(np.asarray(rho, dtype=float)[:, None] * np.exp(log_profile), grid)
 
 
 def contact_powers(x: np.ndarray, order: int) -> np.ndarray:
@@ -105,8 +100,8 @@ def contact_powers(x: np.ndarray, order: int) -> np.ndarray:
 
 def exchange_rate(
     vs: np.ndarray, vi: np.ndarray, x_pows: np.ndarray, dx: float, e: EpidemicParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pointwise (df_S, df_I, df_R)/dt = (-K, K - gamma f_I, gamma f_I).
+) -> np.ndarray:
+    """Pointwise rows (df_S, df_I, df_R)/dt = (-K, K - gamma f_I, gamma f_I).
 
     K(x) = f_S(x) [beta0 rho_I + sum_l beta_l x^l (rho_I m_{l,I})] >= 0 is the
     local infection rate; x_pows = contact_powers(x, e.order) at the cell
@@ -116,9 +111,12 @@ def exchange_rate(
     rate = (np.asarray(e.betas) * ((x_pows @ vi) * dx)) @ x_pows
     if e.beta0 > 0:
         rate += e.beta0 * vi.sum() * dx
-    k = vs * rate
-    gamma_fi = e.gamma_i * vi
-    return -k, k - gamma_fi, gamma_fi
+    out = np.empty((3,) + vs.shape)
+    np.multiply(vs, rate, out=out[0])
+    np.multiply(e.gamma_i, vi, out=out[2])
+    np.subtract(out[0], out[2], out=out[1])
+    np.negative(out[0], out=out[0])
+    return out
 
 
 def epidemic_substep(state: KineticSIRState, e: EpidemicParams, dt: float) -> KineticSIRState:
@@ -133,49 +131,35 @@ def epidemic_substep(state: KineticSIRState, e: EpidemicParams, dt: float) -> Ki
         raise ValueError(f"dt must be > 0, got {dt}")
     grid = state.grid
     x_pows = contact_powers(grid.centers(), e.order)
-    dx = grid.dx
-    vs, vi, vr = (f.values for f in state.densities())
+    vs, vi, _ = state.values
 
     def deriv(h, k):
         # the rates do not depend on f_R, so its stage values are never formed
-        return exchange_rate(vs + h * k[0], vi + h * k[1], x_pows, dx, e)
+        return exchange_rate(vs + h * k[0], vi + h * k[1], x_pows, grid.dx, e)
 
-    k1 = exchange_rate(vs, vi, x_pows, dx, e)
+    k1 = exchange_rate(vs, vi, x_pows, grid.dx, e)
     k2 = deriv(0.5 * dt, k1)
     k3 = deriv(0.5 * dt, k2)
     k4 = deriv(dt, k3)
-    new = [
-        v + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-        for v, a, b, c, d in zip((vs, vi, vr), k1, k2, k3, k4)
-    ]
+    new = state.values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     clipped = state.clipped_mass
-    for idx, v in enumerate(new):
-        neg = v < 0
-        if np.any(neg):
-            worst = float(v[neg].min())
-            if worst < NEGATIVITY_WARN:
-                warnings.warn(
-                    f"epidemic substep produced a cell at {worst:.3e}; clipping",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            clipped += float(-v[neg].sum() * dx)
-            new[idx] = np.where(neg, 0.0, v)
-
-    return KineticSIRState(
-        ContactDensity(grid, new[0]),
-        ContactDensity(grid, new[1]),
-        ContactDensity(grid, new[2]),
-        clipped,
-    )
+    neg = new < 0
+    if neg.any():
+        lost = new[neg]
+        if lost.min() < NEGATIVITY_WARN:
+            warnings.warn(
+                f"epidemic substep produced a cell at {lost.min():.3e}; clipping",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        clipped -= float(lost.sum() * grid.dx)
+        new[neg] = 0.0
+    return KineticSIRState(new, grid, clipped)
 
 
 def _contact_substep(
-    state: KineticSIRState,
-    p: KineticParams,
-    c: ControlSpec,
-    dt: float,
+    state: KineticSIRState, p: KineticParams, c: ControlSpec, dt: float
 ) -> KineticSIRState:
     """Implicit contact relaxation of each compartment at its own current mean.
 
@@ -188,31 +172,25 @@ def _contact_substep(
     level that would otherwise accumulate over thousands of steps.
     """
     grid = state.grid
-    values = [f.values for f in state.densities()]
-    masses = [f.mass() for f in state.densities()]
-    live = [j for j, mass in enumerate(masses) if mass > MASS_FLOOR]
-    if live:
-        x = grid.centers()
-        means = [float(x @ values[j]) * grid.dx / masses[j] for j in live]
-        weights = interface_weights(grid, p, c)
-        stepped = sp_step_batch(weights, [values[j] for j in live], means, dt, p.tau)
-        for j, vals in zip(live, stepped):
-            new_mass = vals.sum() * grid.dx
-            if new_mass > 0:
-                vals *= masses[j] / new_mass
-            values[j] = vals
-    return KineticSIRState(
-        *(ContactDensity(grid, v if j in live else v.copy()) for j, v in enumerate(values)),
-        clipped_mass=state.clipped_mass,
-    )
+    masses = state.masses()
+    live = masses > MASS_FLOOR
+    if not live.any():
+        return state
+    x = grid.centers()
+    rows = [v for v, ok in zip(state.values, live) if ok]
+    means = [float(x @ v) * grid.dx / mass for v, mass in zip(rows, masses[live])]
+    # the solve copies the live rows once, and its result is the new state
+    stepped = sp_step_batch(interface_weights(grid, p, c), rows, means, dt, p.tau)
+    stepped *= (masses[live] / (stepped.sum(axis=1) * grid.dx))[:, None]
+    if live.all():
+        return KineticSIRState(stepped, grid, state.clipped_mass)
+    values = state.values.copy()
+    values[live] = stepped
+    return KineticSIRState(values, grid, state.clipped_mass)
 
 
 def split_step(
-    state: KineticSIRState,
-    p: KineticParams,
-    c: ControlSpec,
-    e: EpidemicParams,
-    dt: float,
+    state: KineticSIRState, p: KineticParams, c: ControlSpec, e: EpidemicParams, dt: float,
     epidemic_first: bool = False,
 ) -> KineticSIRState:
     """One splitting step: contact relaxation, then epidemic exchange.
@@ -227,63 +205,40 @@ def split_step(
 
 @dataclass
 class ScenarioResult:
-    """Trajectory of observables plus optional density snapshots."""
+    """Output times, the OBSERVABLES at each of them (one row per time) and the final state."""
 
     times: np.ndarray
-    macro: list[MacroState]
-    second_moments: list[tuple[float, float, float]]
-    snapshots: dict[float, KineticSIRState] = field(default_factory=dict)
-    final_state: Optional[KineticSIRState] = None
+    observables: np.ndarray
+    final_state: KineticSIRState
 
     def column(self, name: str) -> np.ndarray:
-        if name.startswith("m2_"):
-            idx = "sir".index(name[3:].lower())
-            return np.array([m2[idx] for m2 in self.second_moments])
-        return np.array([getattr(s, name) for s in self.macro])
+        """One observable over time, by its OBSERVABLES name in any letter case."""
+        names = [n.lower() for n in OBSERVABLES]
+        return self.observables[:, names.index(name.lower())]
 
 
 def run_scenario(
-    initial: KineticSIRState,
-    p: KineticParams,
-    c: ControlSpec,
-    e: EpidemicParams,
-    t_final: float,
-    dt: float,
-    output_every: int = 1,
-    snapshot_times: tuple[float, ...] = (),
-    mass_tol: float = 1e-10,
+    initial: KineticSIRState, p: KineticParams, c: ControlSpec, e: EpidemicParams,
+    t_final: float, dt: float, output_every: int = 1, mass_tol: float = 1e-10,
 ) -> ScenarioResult:
     """Integrate the coupled system, recording observables every output_every steps.
 
     Total mass over the three compartments must stay within mass_tol of its
-    initial value for the whole run.  t_final and every snapshot time must
-    be whole numbers of steps.
+    initial value for the whole run.  t_final must be a whole number of steps.
     """
     n_steps = step_count(t_final, dt)
-    snap_steps = {step_count(t, dt): t for t in snapshot_times}
-
-    state = initial.copy()
+    state = initial
     mass0 = state.total_mass()
     times = [0.0]
-    macro = [state.macro_state()]
-    m2 = [state.second_moments()]
-    snapshots = {}
-    if 0 in snap_steps:
-        snapshots[snap_steps[0]] = state.copy()
-
+    rows = [state.observables()]
     for k in range(1, n_steps + 1):
         state = split_step(state, p, c, e, dt)
         drift = abs(state.total_mass() - mass0)
         if drift > mass_tol * max(mass0, 1.0):
             raise InvariantViolationError(
-                f"total mass drifted by {drift:.3e} at t = {k * dt}",
-                t=k * dt,
+                f"total mass drifted by {drift:.3e} at t = {k * dt}", t=k * dt
             )
         if k % output_every == 0 or k == n_steps:
             times.append(k * dt)
-            macro.append(state.macro_state())
-            m2.append(state.second_moments())
-        if k in snap_steps:
-            snapshots[snap_steps[k]] = state.copy()
-
-    return ScenarioResult(np.asarray(times), macro, m2, snapshots, state)
+            rows.append(state.observables())
+    return ScenarioResult(np.asarray(times), np.array(rows), state)

@@ -18,6 +18,7 @@ from scipy.special import gammaln
 
 from kinctrl import (
     ClosureKind,
+    ContactDensity,
     ControlSpec,
     EpidemicParams,
     EquilibriumDensity,
@@ -280,8 +281,10 @@ def test_criterion_5_control_ordering(t4_runs):
         peaks = {name: float(res.column("rho_i").max()) for name, res in t4_runs.items()}
         assert peaks["control_b"] < peaks["control_a"]
         assert peaks["control_b"] < peaks["uncontrolled"]
-        tc_a = tail_classify(t4_runs["control_a"].final_state.f_s.normalized(), (50.0, 100.0))
-        tc_b = tail_classify(t4_runs["control_b"].final_state.f_s.normalized(), (5.0, 10.0))
+        s_a, s_b = (ContactDensity(T3_GRID, t4_runs[name].final_state.values[0]).normalized()
+                    for name in ("control_a", "control_b"))
+        tc_a = tail_classify(s_a, (50.0, 100.0))
+        tc_b = tail_classify(s_b, (5.0, 10.0))
         assert tc_a.kind is TailKind.POWER_LAW
         assert tc_b.kind is TailKind.SLIM_TAIL
 

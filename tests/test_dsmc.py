@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinctrl import (
     ClosureKind,
@@ -10,6 +12,7 @@ from kinctrl import (
     Histogram,
     KineticParams,
     ParticleEnsemble,
+    Strategy,
     closure_moment,
     dsmc_step,
     kernel_cap,
@@ -112,6 +115,37 @@ class TestStep:
             dsmc_step(ens, ens.mean(), p, UN, dt=0.01, sigma_bound=1.0)
         assert ens.size == 5_000
         assert np.all(ens.samples >= 0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        strategy=st.sampled_from(Strategy),
+        delta=st.floats(-1.0, 1.0),
+        alpha=st.floats(0.2, 2.0),
+        sigma2=st.floats(0.05, 0.6),
+        epsilon=st.floats(1e-3, 0.5),
+        m=st.floats(0.5, 50.0),
+        nu=st.floats(1e-6, 10.0),
+        x_target=st.floats(0.0, 20.0),
+        dt_frac=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_count_and_admissibility_over_random_parameters(
+        self, strategy, delta, alpha, sigma2, epsilon, m, nu, x_target, dt_frac, seed
+    ):
+        # controls are derived at delta = -1 only; large epsilon with a small
+        # nu steers a particle almost onto the target in one step, so the
+        # noise can carry the proposal below 0 and the clamp must hold
+        if strategy is not Strategy.UNCONTROLLED:
+            delta = -1.0
+        p = KineticParams(alpha=alpha, sigma2=sigma2, delta=delta, epsilon=epsilon)
+        c = ControlSpec(strategy, nu=nu, x_target=x_target).micro_scaled(epsilon)
+        bound = kernel_cap(p, x_floor=0.05)
+        ens = ParticleEnsemble.from_uniform(2_000, 0.0, 3.0 * m, seed)
+        for _ in range(5):
+            dsmc_step(ens, m, p, c, dt=dt_frac * epsilon / bound, sigma_bound=bound)
+        assert ens.size == 2_000
+        assert np.all(ens.samples >= 0.0)
+        assert np.all(np.isfinite(ens.samples))
 
     def test_determinism(self):
         p = kp()

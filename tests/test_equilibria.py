@@ -5,6 +5,7 @@ from scipy.special import gammaln
 
 from kinctrl import (
     ClosureKind,
+    ContactDensity,
     ControlSpec,
     EquilibriumDensity,
     EquilibriumKind,
@@ -82,7 +83,7 @@ class TestEquilibriumDensity:
         for kind, p, m, grid in cases:
             eq = EquilibriumDensity(kind, p, m, grid)
             assert eq.values.sum() * grid.dx == pytest.approx(1.0, abs=1e-8)
-            assert eq.as_contact_density().raw_moment(1) == pytest.approx(m, rel=1e-6)
+            assert eq.raw_moment(1) == pytest.approx(m, rel=1e-6)
 
     def test_gamma_mode(self):
         # argmax of x^(lam-1) e^(-lam x/m) sits at m (lam-1)/lam
@@ -176,19 +177,38 @@ class TestTailClassify:
     def test_inverse_gamma_power_law(self):
         grid = Grid(120.0, 6000)
         eq = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, kp(-1.0), 1.0, grid)
-        tc = tail_classify(eq.as_contact_density(), (50.0, 100.0))
+        tc = tail_classify(eq, (50.0, 100.0))
         assert tc.kind is TailKind.POWER_LAW
         assert tc.exponent == pytest.approx(-7.0, abs=0.35)
 
     def test_gamma_slim(self):
         grid = Grid(120.0, 6000)
         eq = EquilibriumDensity(EquilibriumKind.GAMMA, kp(1.0), 5.0, grid)
-        assert tail_classify(eq.as_contact_density(), (50.0, 100.0)).kind is TailKind.SLIM_TAIL
+        assert tail_classify(eq, (50.0, 100.0)).kind is TailKind.SLIM_TAIL
+
+    @pytest.mark.parametrize("nu", [0.001, 0.01, 0.1, 1.0, 10.0])
+    def test_underflowing_controlled_tails_classify(self, nu):
+        # the bundled test2_nu_sweep: at small nu the controlled densities
+        # underflow to 0 on the window, and their log values still classify
+        p = kp(-1.0, alpha=0.4)
+        grid = Grid(200.0, 10000)
+        fa = controlled_steady_state(p, ControlSpec.additive(nu, 3.0), 10.0, grid)
+        fb = controlled_steady_state(p, ControlSpec.interaction(nu, 3.0), 10.0, grid)
+        assert tail_classify(fa, (50.0, 100.0)).kind is TailKind.POWER_LAW
+        assert tail_classify(fb, (20.0, 40.0)).kind is TailKind.SLIM_TAIL
+
+    def test_zero_cell_on_window_raises(self):
+        grid = Grid(100.0, 1000)
+        eq = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, kp(-1.0), 5.0, grid)
+        values = eq.values.copy()
+        values[600] = 0.0
+        with pytest.raises(ValueError, match="strictly positive"):
+            tail_classify(ContactDensity(grid, values), (50.0, 100.0))
 
     def test_window_validation(self):
         grid = Grid(100.0, 1000)
         eq = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, kp(-1.0), 5.0, grid)
-        f = eq.as_contact_density()
+        f = eq
         with pytest.raises(ValueError):
             tail_classify(f, (50.0, 150.0))
         with pytest.raises(ValueError):

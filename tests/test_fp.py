@@ -152,6 +152,18 @@ class TestSteadyState:
         assert l1(ss.values, eq.values, grid.dx) < 1e-6
 
 
+    def test_is_a_fixed_point_of_the_implicit_step(self):
+        # built by products outward from the peak, each neighbour ratio is
+        # exact to a few roundings, so one implicit step leaves the density
+        # where it is (a running sum of w moved it by about 4e-12)
+        grid = Grid(200.0, 600)
+        p = kp(-1.0, alpha=1.6, sigma2=0.33)
+        op = build_operator(p, ControlSpec.interaction(0.84, 9.6), 54.0)
+        f = steady_state_solve(op, grid).values
+        out = SpStepper(grid, op, 0.01, 1.0).step(f)
+        assert np.max(np.abs(out - f)) <= 1e-14 * f.max()
+
+
 class TestSpStep:
     def test_identity_for_zero_operator(self):
         grid = Grid(10.0, 100)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kinctrl import ClosureKind, ControlSpec, EpidemicParams, Grid, KineticParams
 from kinctrl.errors import InvariantViolationError
@@ -103,6 +105,31 @@ class TestIntegration:
         assert all(b.rho_s <= a.rho_s + 1e-14 for a, b in zip(states, states[1:]))
         assert all(b.rho_r >= a.rho_r - 1e-14 for a, b in zip(states, states[1:]))
         assert all(b.m_s <= a.m_s + 1e-12 for a, b in zip(states, states[1:]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        variant=st.sampled_from(MacroVariant),
+        closure=st.sampled_from([ClosureKind.GAMMA, ClosureKind.INVERSE_GAMMA]),
+        lam=st.floats(3.0, 10.0),
+        b1=st.floats(0.0, 2e-2),
+        b2=st.floats(0.0, 1e-5),
+        gamma_i=st.floats(1e-2, 0.5),
+        rho=st.tuples(st.floats(1e-6, 1.0), st.floats(1e-6, 1.0), st.floats(0.0, 1.0)),
+        mean=st.floats(1.0, 10.0),
+        dt=st.sampled_from([0.01, 0.05, 0.1]),
+    )
+    def test_invariants_over_random_parameters(
+        self, variant, closure, lam, b1, b2, gamma_i, rho, mean, dt
+    ):
+        delta = -1.0 if closure is ClosureKind.INVERSE_GAMMA else 1.0
+        model = MacroModel(variant, closure, kin(delta, lam=lam),
+                           EpidemicParams((b1, b2), gamma_i), beta=b1 * mean**2)
+        total = sum(rho)
+        s0 = MacroState(*(r / total for r in rho), mean, mean, mean)
+        _, states = rk4_integrate(model, s0, dt, 200 * dt)
+        assert max(abs(s.mass_sum() - s0.mass_sum()) for s in states) <= 1e-12
+        assert all(b.rho_s <= a.rho_s for a, b in zip(states, states[1:]))
+        assert all(b.rho_r >= a.rho_r for a, b in zip(states, states[1:]))
 
     def test_l2_second_moment_only_peak_bound(self):
         model = MacroModel(MacroVariant.L2, ClosureKind.INVERSE_GAMMA,
