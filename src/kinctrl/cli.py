@@ -61,7 +61,9 @@ from .params import (
     EpidemicParams,
     KineticParams,
     Strategy,
+    closure_kind,
     moment_ratio,
+    output_steps,
     step_count,
 )
 
@@ -154,8 +156,16 @@ def _window(cfg: dict, path: str, required=True, default=None):
     return lo, hi
 
 
+def _initial_profile(cfg: dict, name: str) -> None:
+    """Reject an initial.type that does not name the profile the scenario builds."""
+    kind = _get(cfg, "initial.type", str, required=False)
+    if kind is not None and kind != name:
+        raise ConfigError(f"field 'initial.type': this scenario starts from {name!r}, got {kind!r}")
+
+
 def _interval(cfg: dict) -> tuple[float, float]:
-    """(initial.low, initial.high) with 0 <= low < high."""
+    """(initial.low, initial.high) of the uniform initial profile, with 0 <= low < high."""
+    _initial_profile(cfg, "uniform")
     low = _get(cfg, "initial.low", float)
     high = _get(cfg, "initial.high", float)
     if not 0 <= low < high:
@@ -405,22 +415,26 @@ def _macro_initial(cfg: dict) -> MacroState:
     return MacroState(*rho, mean, mean, mean)
 
 
-def _write_macro_trajectory(path: Path, times, states) -> None:
-    table = np.array([s.as_tuple() for s in states])
-    write_trajectory(path, np.asarray(times), dict(zip(OBSERVABLES[:6], table.T)))
+def _write_trajectory(path: Path, times: np.ndarray, table: np.ndarray) -> None:
+    """Write the table's columns under the first table.shape[1] OBSERVABLES names."""
+    write_trajectory(path, times, dict(zip(OBSERVABLES[: table.shape[1]], table.T)))
+
+
+def _output_every(cfg: dict) -> int:
+    return _count(cfg, "time.output_every", required=False, default=1)
 
 
 def run_macro_compare(cfg: dict, out: Path, seed: int) -> dict:
     model = _macro_model(cfg)
     s0 = _macro_initial(cfg)
     dt, t_final = _time(cfg)
-    every = _get(cfg, "time.output_every", int, required=False, default=1)
     times, states = rk4_integrate(model, s0, dt, t_final)
-    times, states = times[::every], states[::every]
-    _write_macro_trajectory(out / TRAJECTORY_FILE, times, states)
+    steps = output_steps(len(states) - 1, _output_every(cfg))
+    table = np.array([states[k] for k in steps])
+    _write_trajectory(out / TRAJECTORY_FILE, np.array([times[k] for k in steps]), table)
     return {
-        "peak_rho_i": max(s.rho_i for s in states),
-        "peak_m_i": max(s.m_i for s in states),
+        "peak_rho_i": float(table[:, 1].max()),
+        "peak_m_i": float(table[:, 4].max()),
     }
 
 
@@ -430,6 +444,7 @@ def _kinetic_pieces(cfg: dict):
     c = _control_spec(cfg)
     grid = _grid(cfg)
     _build("kinetic.delta", check_operator_domain, p, c)
+    _initial_profile(cfg, "gamma_profile")
     rho = _numbers(cfg, "initial.rho", length=3, low=0.0)
     mean0 = _positive(cfg, "initial.mean")
     lam = _positive(cfg, "initial.lam", required=False)
@@ -437,31 +452,25 @@ def _kinetic_pieces(cfg: dict):
     return p, e, c, grid, ic
 
 
-def _write_kinetic_trajectory(path: Path, result) -> None:
-    write_trajectory(path, result.times, dict(zip(OBSERVABLES, result.observables.T)))
-
-
 def run_kinetic_macro_consistency(cfg: dict, out: Path, seed: int) -> dict:
     p, e, c, grid, ic = _kinetic_pieces(cfg)
     if c.active:
         raise ConfigError("field 'control': consistency scenario is uncontrolled")
     dt, t_final = _time(cfg)
-    every = _get(cfg, "time.output_every", int, required=False, default=1)
-
-    result = run_scenario(ic, p, c, e, t_final, dt, output_every=every)
-    _write_kinetic_trajectory(out / TRAJECTORY_FILE, result)
-
-    closure = ClosureKind.INVERSE_GAMMA if p.delta == -1.0 else ClosureKind.GAMMA
+    every = _output_every(cfg)
+    closure = _build("kinetic.delta", closure_kind, p.delta)
     variant = MacroVariant.L2 if e.order >= 2 else MacroVariant.L1
     model = _build("kinetic/epidemic", MacroModel, variant, closure, p, e)
+
+    result = run_scenario(ic, p, c, e, t_final, dt, output_every=every)
+    _write_trajectory(out / TRAJECTORY_FILE, result.times, result.observables)
+
     s0 = MacroState(*result.observables[0, :6].tolist())
     times, states = rk4_integrate(model, s0, dt, t_final)
-    idx = [step_count(t, dt) for t in result.times]
-    times = [times[i] for i in idx]
-    states = [states[i] for i in idx]
-    _write_macro_trajectory(out / "trajectory_macro.csv", times, states)
+    steps = output_steps(len(states) - 1, every)
+    ref = np.array([states[k] for k in steps])
+    _write_trajectory(out / "trajectory_macro.csv", np.array([times[k] for k in steps]), ref)
 
-    ref = np.array([s.as_tuple() for s in states])
     gaps = np.abs(result.observables[:, :6] - ref)
     gaps[:, 3:] /= np.abs(ref[:, 3:])  # the means' gaps are relative
     names = [*OBSERVABLES[:3], *(name + "_rel" for name in OBSERVABLES[3:6])]
@@ -474,10 +483,9 @@ def run_kinetic_macro_consistency(cfg: dict, out: Path, seed: int) -> dict:
 def run_controlled_epidemic(cfg: dict, out: Path, seed: int) -> dict:
     p, e, c, grid, ic = _kinetic_pieces(cfg)
     dt, t_final = _time(cfg)
-    every = _get(cfg, "time.output_every", int, required=False, default=1)
 
-    result = run_scenario(ic, p, c, e, t_final, dt, output_every=every)
-    _write_kinetic_trajectory(out / TRAJECTORY_FILE, result)
+    result = run_scenario(ic, p, c, e, t_final, dt, output_every=_output_every(cfg))
+    _write_trajectory(out / TRAJECTORY_FILE, result.times, result.observables)
 
     final = result.final_state
     columns = dict(zip(("f_S", "f_I", "f_R"), final.values))

@@ -68,7 +68,7 @@ class Grid:
         return np.arange(1, self.n_cells) * self.dx
 
 
-@dataclass
+@dataclass(eq=False)
 class ContactDensity:
     """Cell-centered density of contact numbers for one compartment."""
 

@@ -21,13 +21,16 @@ from scipy.special import gammaln
 from .errors import InvariantViolationError
 from .fp import Grid, interface_weights, sp_step_batch
 from .fp import build_operator  # noqa: F401  re-exported as kinetic.build_operator
-from .params import ControlSpec, EpidemicParams, KineticParams, step_count
+from .params import ControlSpec, EpidemicParams, KineticParams, output_steps, step_count
 
 # Compartments with less mass than this skip their contact substep (their
 # mean is not defined) and report mean 0 in trajectories.
 MASS_FLOOR = 1e-300
 
 NEGATIVITY_WARN = -1e-12
+
+# Largest drift of the total mass over a run, relative to max(initial mass, 1).
+MASS_DRIFT_TOL = 1e-10
 
 # Columns of ScenarioResult.observables (and of the kinetic trajectory CSV).
 OBSERVABLES = ("rho_S", "rho_I", "rho_R", "m_S", "m_I", "m_R", "m2_S", "m2_I", "m2_R")
@@ -190,16 +193,9 @@ def _contact_substep(
 
 
 def split_step(
-    state: KineticSIRState, p: KineticParams, c: ControlSpec, e: EpidemicParams, dt: float,
-    epidemic_first: bool = False,
+    state: KineticSIRState, p: KineticParams, c: ControlSpec, e: EpidemicParams, dt: float
 ) -> KineticSIRState:
-    """One splitting step: contact relaxation, then epidemic exchange.
-
-    epidemic_first swaps the substep order (used to measure the first-order
-    splitting error); the default order applies the contact dynamics first.
-    """
-    if epidemic_first:
-        return _contact_substep(epidemic_substep(state, e, dt), p, c, dt)
+    """One splitting step: contact relaxation, then epidemic exchange."""
     return epidemic_substep(_contact_substep(state, p, c, dt), e, dt)
 
 
@@ -219,26 +215,27 @@ class ScenarioResult:
 
 def run_scenario(
     initial: KineticSIRState, p: KineticParams, c: ControlSpec, e: EpidemicParams,
-    t_final: float, dt: float, output_every: int = 1, mass_tol: float = 1e-10,
+    t_final: float, dt: float, output_every: int = 1,
 ) -> ScenarioResult:
-    """Integrate the coupled system, recording observables every output_every steps.
+    """Integrate the coupled system, recording observables at output_steps(n_steps, output_every).
 
-    Total mass over the three compartments must stay within mass_tol of its
-    initial value for the whole run.  t_final must be a whole number of steps.
+    Total mass over the three compartments must stay within MASS_DRIFT_TOL
+    of its initial value for the whole run.  t_final must be a whole number
+    of steps.
     """
     n_steps = step_count(t_final, dt)
+    steps = output_steps(n_steps, output_every)
+    recorded = set(steps)
     state = initial
     mass0 = state.total_mass()
-    times = [0.0]
     rows = [state.observables()]
     for k in range(1, n_steps + 1):
         state = split_step(state, p, c, e, dt)
         drift = abs(state.total_mass() - mass0)
-        if drift > mass_tol * max(mass0, 1.0):
+        if drift > MASS_DRIFT_TOL * max(mass0, 1.0):
             raise InvariantViolationError(
                 f"total mass drifted by {drift:.3e} at t = {k * dt}", t=k * dt
             )
-        if k % output_every == 0 or k == n_steps:
-            times.append(k * dt)
+        if k in recorded:
             rows.append(state.observables())
-    return ScenarioResult(np.asarray(times), np.array(rows), state)
+    return ScenarioResult(np.asarray(steps) * dt, np.array(rows), state)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Optional
+from typing import NamedTuple, Optional
 
 from .equilibria import controlled_steady_state
 from .errors import InvariantViolationError
@@ -42,8 +42,7 @@ class MacroVariant(Enum):
     L2 = "l2"
 
 
-@dataclass(frozen=True)
-class MacroState:
+class MacroState(NamedTuple):
     """Compartment masses and mean contact numbers (S, I, R)."""
 
     rho_s: float
@@ -55,13 +54,6 @@ class MacroState:
 
     def mass_sum(self) -> float:
         return self.rho_s + self.rho_i + self.rho_r
-
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.rho_s, self.rho_i, self.rho_r, self.m_s, self.m_i, self.m_r)
-
-    @classmethod
-    def from_tuple(cls, t) -> "MacroState":
-        return cls(*t)
 
 
 @dataclass(frozen=True)
@@ -89,14 +81,11 @@ class MacroModel:
             raise ValueError("L1 model needs beta_1")
         if self.variant is MacroVariant.L2 and n_betas < 2:
             raise ValueError("L2 model needs beta_1 and beta_2")
-        self.closure_ratios()  # raises when the profile lacks a moment this order needs
-
-    def closure_ratios(self) -> tuple[float, float]:
-        """(c2, c3) = (m2/m^2, m3/m^3) of the closure profile; c3 = 1 (unused) at L1."""
-        return self._ratios
+        self.closure_ratios  # raises when the profile lacks a moment this order needs
 
     @cached_property
-    def _ratios(self) -> tuple[float, float]:
+    def closure_ratios(self) -> tuple[float, float]:
+        """(c2, c3) = (m2/m^2, m3/m^3) of the closure profile; c3 = 1 (unused) at L1."""
         c2 = closure_moment(self.closure, 2, 1.0, self.kinetic.lam)
         if self.variant is not MacroVariant.L2:
             return c2, 1.0
@@ -116,7 +105,7 @@ def rhs(model: MacroModel, s: MacroState) -> MacroState:
             -infection, infection - gamma * s.rho_i, gamma * s.rho_i, 0.0, 0.0, 0.0
         )
 
-    c2, c3 = model.closure_ratios()
+    c2, c3 = model.closure_ratios
     b1 = model.epidemic.betas[0]
     b2 = model.epidemic.betas[1] if model.variant is MacroVariant.L2 else 0.0
 
@@ -206,25 +195,14 @@ class ControlledMacroModel:
         )
 
 
-def controlled_rhs(
-    model: ControlledMacroModel,
-    s: MacroState,
-    closure_moments: Optional[dict[str, tuple[float, float]]] = None,
-) -> MacroState:
+def controlled_rhs(model: ControlledMacroModel, s: MacroState) -> MacroState:
     """Mass derivatives of the controlled system at state s.
 
-    closure_moments maps compartment tag ('S', 'I', 'R') to its (m, m2)
-    pair; when omitted they are recomputed (through the cache) from the
-    state's current means.
+    The incidence moments (m, m2) of S and I come (through the cache) from
+    the steady states at the state's current means.
     """
-    if closure_moments is None:
-        closure_moments = {
-            "S": model.moments_for_mean(s.m_s),
-            "I": model.moments_for_mean(s.m_i),
-            "R": model.moments_for_mean(s.m_r),
-        }
-    m_s, m2_s = closure_moments["S"]
-    m_i, m2_i = closure_moments["I"]
+    m_s, m2_s = model.moments_for_mean(s.m_s)
+    m_i, m2_i = model.moments_for_mean(s.m_i)
     betas = model.epidemic.betas
     b1 = betas[0]
     b2 = betas[1] if len(betas) > 1 else 0.0
@@ -239,46 +217,39 @@ def controlled_rhs(
 
 
 def rk4_integrate(
-    model,
-    s0: MacroState,
-    dt: float,
-    t_final: float,
-    rhs_fn: Optional[Callable] = None,
+    model, s0: MacroState, dt: float, t_final: float
 ) -> tuple[list[float], list[MacroState]]:
     """Classical fourth-order Runge-Kutta integration with a fixed step.
 
     Works for both MacroModel (closed systems) and ControlledMacroModel.
-    The compartment masses must keep summing to their initial total within
-    1e-10 at every step; a violation aborts with the last valid state
+    Returns the time and the state after every step, t = 0 included.  The
+    compartment masses must keep summing to their initial total within
+    MASS_SUM_TOL at every step; a violation aborts with the last valid state
     attached to the raised error.
     """
     n_steps = step_count(t_final, dt)
-    if rhs_fn is None:
-        rhs_fn = controlled_rhs if isinstance(model, ControlledMacroModel) else rhs
-
-    def f(y: tuple[float, ...]) -> tuple[float, ...]:
-        return rhs_fn(model, MacroState.from_tuple(y)).as_tuple()
-
+    f = controlled_rhs if isinstance(model, ControlledMacroModel) else rhs
+    half, sixth = 0.5 * dt, dt / 6.0
     target_sum = s0.mass_sum()
     times = [0.0]
     states = [s0]
-    y = s0.as_tuple()
-    for k in range(n_steps):
-        k1 = f(y)
-        k2 = f(tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k1)))
-        k3 = f(tuple(yi + 0.5 * dt * ki for yi, ki in zip(y, k2)))
-        k4 = f(tuple(yi + dt * ki for yi, ki in zip(y, k3)))
-        y = tuple(
-            yi + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+    y = s0
+    for k in range(1, n_steps + 1):
+        k1 = f(model, y)
+        k2 = f(model, MacroState._make(yi + half * ki for yi, ki in zip(y, k1)))
+        k3 = f(model, MacroState._make(yi + half * ki for yi, ki in zip(y, k2)))
+        k4 = f(model, MacroState._make(yi + dt * ki for yi, ki in zip(y, k3)))
+        y = MacroState._make(
+            yi + sixth * (a + 2.0 * b + 2.0 * c + d)
             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
         )
-        state = MacroState.from_tuple(y)
-        if not math.isfinite(state.mass_sum()) or abs(state.mass_sum() - target_sum) > MASS_SUM_TOL:
+        mass = y.mass_sum()
+        if not math.isfinite(mass) or abs(mass - target_sum) > MASS_SUM_TOL:
             raise InvariantViolationError(
-                f"compartment masses summed to {state.mass_sum()!r} at t = {(k + 1) * dt}",
-                t=k * dt,
+                f"compartment masses summed to {mass!r} at t = {k * dt}",
+                t=times[-1],
                 last_state=states[-1],
             )
-        times.append((k + 1) * dt)
-        states.append(state)
+        times.append(k * dt)
+        states.append(y)
     return times, states

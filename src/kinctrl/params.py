@@ -360,16 +360,20 @@ def closure_moment(kind: ClosureKind, r: int, m: float, lam: float | None = None
     raise ValueError(f"unknown closure kind {kind}")  # pragma: no cover
 
 
+def closure_kind(delta: float) -> ClosureKind:
+    """Profile that closes the uncontrolled moments: gamma at delta = +1, inverse gamma at -1."""
+    if delta not in (-1.0, 1.0):
+        raise ValueError(f"the closure profile is defined for delta = +/-1, got {delta}")
+    return ClosureKind.GAMMA if delta == 1.0 else ClosureKind.INVERSE_GAMMA
+
+
 def moment_ratio(lam: float, delta: float) -> float:
-    """Ratio m2 / m^2 of the closure profile: gamma at delta = +1, inverse gamma at -1.
+    """Ratio m2 / m^2 of the closure profile at delta (see closure_kind).
 
     Exceeds 1 for every valid input; lam > 1 is required at delta = -1 for
     the second moment to exist.
     """
-    if delta not in (-1.0, 1.0):
-        raise ValueError(f"moment_ratio is defined for delta = +/-1, got {delta}")
-    kind = ClosureKind.GAMMA if delta == 1.0 else ClosureKind.INVERSE_GAMMA
-    return closure_moment(kind, 2, 1.0, lam)
+    return closure_moment(closure_kind(delta), 2, 1.0, lam)
 
 
 def step_count(t_final: float, dt: float) -> int:
@@ -387,3 +391,11 @@ def step_count(t_final: float, dt: float) -> int:
     if abs(ratio - n) > 1e-9 * max(n, 1):
         raise ValueError(f"t_final = {t_final} is not a whole number of steps dt = {dt}")
     return int(n)
+
+
+def output_steps(n_steps: int, every: int) -> list[int]:
+    """Steps at which a run of n_steps records its output: 0, every, 2 every, ..., and n_steps."""
+    steps = list(range(0, n_steps + 1, every))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    return steps

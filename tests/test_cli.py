@@ -107,6 +107,19 @@ def controlled_epidemic_config(tmp_path, edit=None, name="ctrl.json"):
     return path
 
 
+def consistency_config():
+    return {
+        "schema_version": 1,
+        "kind": "kinetic_macro_consistency",
+        "seed": 0,
+        "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": -1.0, "epsilon": 0.01, "tau": 1e-4},
+        "epidemic": {"betas": [0.02, 2e-6], "gamma_i": 0.07142857142857142},
+        "grid": {"x_max": 100.0, "n_cells": 2000},
+        "time": {"dt": 0.01, "t_final": 0.5, "output_every": 10},
+        "initial": {"type": "gamma_profile", "mean": 10.0, "rho": [0.98, 0.01, 0.01]},
+    }
+
+
 def set_field(path, value):
     """Config edit that sets the dotted path (list index as last part) to value."""
     def edit(cfg):
@@ -148,6 +161,33 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"sweep.{field}[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "make, wrong",
+        [(controlled_epidemic_config, "uniform"), (small_dsmc_config, "gamma_profile")],
+    )
+    def test_initial_type_of_another_profile_exits_two(self, tmp_path, capsys, make, wrong):
+        cfg = json.loads(make(tmp_path).read_text())
+        cfg["initial"]["type"] = wrong
+        path = tmp_path / "wrong_type.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "initial.type" in capsys.readouterr().err
+
+    def test_initial_type_may_be_omitted(self, tmp_path):
+        def edit(cfg):
+            del cfg["initial"]["type"]
+            cfg["time"]["t_final"] = 0.02
+
+        execute(controlled_epidemic_config(tmp_path, edit), tmp_path / "out")
+
+    def test_consistency_closure_needs_delta_plus_or_minus_one(self, tmp_path, capsys):
+        cfg = consistency_config()
+        cfg["kinetic"]["delta"] = 0.5
+        path = tmp_path / "cons.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "kinetic.delta" in capsys.readouterr().err
 
     def test_controlled_operator_at_other_delta_exits_two(self, tmp_path, capsys):
         cfg = controlled_epidemic_config(tmp_path, set_field("kinetic.delta", 1.0))
@@ -222,6 +262,17 @@ class TestRun:
         assert list(traj) == ["t", "rho_S", "rho_I", "rho_R", "m_S", "m_I", "m_R"]
         assert traj["t"][-1] == pytest.approx(5.0)
 
+    def test_macro_trajectory_ends_at_t_final(self, tmp_path):
+        # 500 steps recorded every 7: steps 0, 7, ..., 497 and then 500
+        cfg = load_config(bundled_config_path("closure_l1_gamma.json"))
+        cfg["time"].update(t_final=5.0, output_every=7)
+        path = tmp_path / "closure.json"
+        path.write_text(json.dumps(cfg))
+        traj = read_csv(execute(path, tmp_path / "out") / "trajectory.csv")
+        assert len(traj["t"]) == 73
+        assert traj["t"][-2] == pytest.approx(4.97)
+        assert traj["t"][-1] == 5.0
+
     def test_fp_run(self, tmp_path):
         cfg = {
             "schema_version": 1,
@@ -263,18 +314,8 @@ class TestScenarioRunners:
         assert tails["interaction_b"]["1.0"]["kind"] == "slim_tail"
 
     def test_kinetic_macro_consistency(self, tmp_path):
-        cfg = {
-            "schema_version": 1,
-            "kind": "kinetic_macro_consistency",
-            "seed": 0,
-            "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": -1.0, "epsilon": 0.01, "tau": 1e-4},
-            "epidemic": {"betas": [0.02, 2e-6], "gamma_i": 0.07142857142857142},
-            "grid": {"x_max": 100.0, "n_cells": 2000},
-            "time": {"dt": 0.01, "t_final": 0.5, "output_every": 10},
-            "initial": {"type": "gamma_profile", "mean": 10.0, "rho": [0.98, 0.01, 0.01]},
-        }
         path = tmp_path / "cons.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(consistency_config()))
         out = execute(path, tmp_path / "out")
         assert (out / "trajectory.csv").exists()
         assert (out / "trajectory_macro.csv").exists()

@@ -92,6 +92,17 @@ class TestEquilibriumDensity:
         mode = grid.centers()[np.argmax(eq.values)]
         assert mode == pytest.approx(8.0, abs=2 * grid.dx)
 
+    def test_equality_returns_a_bool(self):
+        # densities compare by identity: equal but distinct value arrays must
+        # not reach the ambiguous truth value of an array comparison
+        grid = Grid(100.0, 1000)
+        a, b = (ContactDensity(grid, np.full(1000, 0.01)) for _ in range(2))
+        e, f = (EquilibriumDensity(EquilibriumKind.GAMMA, kp(1.0), 10.0, grid) for _ in range(2))
+        for x, y in ((a, b), (e, f)):
+            assert (x == y) is False
+            assert (x == x) is True
+            assert (x != y) is True
+
     def test_inverse_gamma_zero_at_origin(self):
         eq = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, kp(-1.0), 10.0, Grid(100.0, 1000))
         assert eq(0.0) == 0.0

@@ -158,14 +158,20 @@ class TestSplitStep:
         # swapping substep order changes rho_I(T) at first order in dt
         e = EpidemicParams((0.05,), GAMMA_I)
         p = kin(tau=0.5)
+        c = ControlSpec.uncontrolled()
+
+        def epidemic_then_contact(st, dt):
+            return _contact_substep(epidemic_substep(st, e, dt), p, c, dt)
+
+        def contact_then_epidemic(st, dt):
+            return split_step(st, p, c, e, dt)
 
         def order_gap(dt):
             states = []
-            for first in (False, True):
+            for step in (contact_then_epidemic, epidemic_then_contact):
                 st = gamma_profile_state(grid, 5.0, 10.0, (0.9, 0.05, 0.05))
                 for _ in range(int(round(2.0 / dt))):
-                    st = split_step(st, p, ControlSpec.uncontrolled(), e, dt,
-                                    epidemic_first=first)
+                    st = step(st, dt)
                 states.append(st.masses()[1])
             return abs(states[0] - states[1])
 

@@ -159,16 +159,17 @@ class TestIntegration:
                               state(), 0.01, 600.0)
         assert max(s.m_i for s in ti) > max(s.m_i for s in tg)
 
-    def test_abort_on_invariant_violation(self):
+    def test_abort_on_invariant_violation(self, monkeypatch):
         model = MacroModel(MacroVariant.CLASSICAL_SIR, ClosureKind.DIRAC,
                            kin(-1.0), EpidemicParams((0.0,), GAMMA_I), beta=0.2)
 
         def broken_rhs(_model, s):
             return MacroState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # injects mass
 
+        monkeypatch.setattr("kinctrl.macro.rhs", broken_rhs)
         with pytest.raises(InvariantViolationError) as err:
-            rk4_integrate(model, state(), 0.1, 1.0, rhs_fn=broken_rhs)
-        assert err.value.last_state is not None
+            rk4_integrate(model, state(), 0.1, 1.0)
+        assert err.value.last_state == state()
 
 
 class TestControlledMacro:

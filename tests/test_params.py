@@ -16,7 +16,7 @@ from kinctrl import (
     moment_ratio,
     transition,
 )
-from kinctrl.params import step_count
+from kinctrl.params import closure_kind, output_steps, step_count
 
 
 def kp(alpha=1.0, sigma2=0.2, delta=-1.0, **kw):
@@ -173,6 +173,13 @@ class TestMomentRatio:
             assert moment_ratio(lam, 1.0) > 1.0
             assert moment_ratio(lam, -1.0) > 1.0
 
+    def test_closure_kind_only_at_plus_or_minus_one(self):
+        assert closure_kind(1.0) is ClosureKind.GAMMA
+        assert closure_kind(-1.0) is ClosureKind.INVERSE_GAMMA
+        for delta in (0.5, 0.0, -0.5):
+            with pytest.raises(ValueError, match="delta"):
+                closure_kind(delta)
+
 
 class TestStepCount:
     def test_whole_step_counts(self):
@@ -186,6 +193,13 @@ class TestStepCount:
     def test_rejects_partial_or_invalid(self, t_final, dt):
         with pytest.raises(ValueError):
             step_count(t_final, dt)
+
+    def test_output_steps_end_at_the_last_step(self):
+        assert output_steps(60000, 100) == list(range(0, 60001, 100))
+        assert output_steps(500, 7) == [*range(0, 498, 7), 500]
+        assert len(output_steps(500, 7)) == 73
+        assert output_steps(0, 10) == [0]
+        assert output_steps(3, 1) == [0, 1, 2, 3]
 
 
 class TestStrategyTable:
