@@ -16,16 +16,13 @@ from .params import (
     Strategy,
     closure_moment,
     collision_kernel,
-    growth_rate,
     growth_rate_times_x,
     moment_ratio,
 )
 from .fp import (
     ContactDensity,
-    DriftDiffusion,
     Grid,
     build_operator,
-    sp_step,
     steady_state_solve,
     uniform_density,
 )
@@ -41,10 +38,8 @@ from .dsmc import (
     Histogram,
     ParticleEnsemble,
     dsmc_step,
-    kernel_cap,
     run_to_equilibrium,
     sample_noise,
-    transition,
 )
 
 __all__ = [
@@ -55,14 +50,11 @@ __all__ = [
     "KineticParams",
     "Strategy",
     "collision_kernel",
-    "growth_rate",
     "growth_rate_times_x",
     "moment_ratio",
     "ContactDensity",
-    "DriftDiffusion",
     "Grid",
     "build_operator",
-    "sp_step",
     "steady_state_solve",
     "uniform_density",
     "EquilibriumDensity",
@@ -75,8 +67,6 @@ __all__ = [
     "Histogram",
     "ParticleEnsemble",
     "dsmc_step",
-    "kernel_cap",
     "run_to_equilibrium",
     "sample_noise",
-    "transition",
 ]

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dsmc import ParticleEnsemble, check_step_size, kernel_cap, run_to_equilibrium
+from .dsmc import ParticleEnsemble, check_step_size, run_to_equilibrium
 from .equilibria import (
     EquilibriumDensity,
     EquilibriumKind,
@@ -62,6 +62,7 @@ from .params import (
     KineticParams,
     Strategy,
     closure_kind,
+    collision_kernel,
     moment_ratio,
     output_steps,
     step_count,
@@ -266,13 +267,13 @@ def load_config(path: Path) -> dict:
 
 
 def _reference_density(
-    kind: EquilibriumKind, p: KineticParams, c: ControlSpec, m_ref: float, edges: np.ndarray
+    p: KineticParams, c: ControlSpec, m_ref: float, edges: np.ndarray
 ) -> np.ndarray:
     """Bin-averaged equilibrium density on histogram bins (16 panels per bin)."""
     refine = 16
     n_bins = len(edges) - 1
     fine = Grid(float(edges[-1]), n_bins * refine)
-    eq = EquilibriumDensity(kind, p, m_ref, fine, control=c)
+    eq = EquilibriumDensity(p, m_ref, fine, control=c)
     return eq.values.reshape(n_bins, refine).mean(axis=1)
 
 
@@ -290,7 +291,7 @@ def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
 
     bound = _positive(cfg, "dsmc.kernel_bound", required=False)
     if bound is None:
-        bound = kernel_cap(p, x_floor=0.5 * x_max / n_bins)
+        bound = collision_kernel(0.5 * x_max / n_bins, p)
     _build("time.dt", check_step_size, dt, p.epsilon, bound)
 
     ens = ParticleEnsemble.from_uniform(n, low, high, seed)
@@ -308,7 +309,7 @@ def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
     }
     eq_kind = EquilibriumKind.for_model(p, c)
     if eq_kind is not None and m_ref is not None:
-        ref = _reference_density(eq_kind, p, c, m_ref, hist.bin_edges)
+        ref = _reference_density(p, c, m_ref, hist.bin_edges)
         metrics["l1_to_equilibrium"] = hist.l1_distance(ref)
         metrics["equilibrium_kind"] = eq_kind.value
     return metrics
@@ -348,7 +349,7 @@ def run_fp_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
     }
     eq_kind = EquilibriumKind.for_model(p, c)
     if eq_kind is not None and m_ref is not None:
-        eq = EquilibriumDensity(eq_kind, p, m_ref, grid, control=c)
+        eq = EquilibriumDensity(p, m_ref, grid, control=c)
         metrics["l1_to_equilibrium"] = float(np.abs(f.values - eq.values).sum() * grid.dx)
         metrics["equilibrium_kind"] = eq_kind.value
     return metrics
@@ -378,7 +379,7 @@ def run_tail_sweep(cfg: dict, out: Path, seed: int) -> dict:
     if p.delta != -1.0:
         raise ConfigError("field 'kinetic.delta': tail_sweep requires delta = -1")
 
-    u = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, p, m_ref, grid)
+    u = EquilibriumDensity(p, m_ref, grid)
     rows = [("uncontrolled", 0.0, u.raw_moment(1), u.raw_moment(2))]
     tails: dict[str, dict] = {"additive_a": {}, "interaction_b": {}}
     for nu in nus:
@@ -471,8 +472,11 @@ def run_kinetic_macro_consistency(cfg: dict, out: Path, seed: int) -> dict:
     ref = np.array([states[k] for k in steps])
     _write_trajectory(out / "trajectory_macro.csv", np.array([times[k] for k in steps]), ref)
 
+    # the means' gaps are relative where the reference mean is non-zero
+    # (an empty compartment has mean 0) and absolute where it is 0
     gaps = np.abs(result.observables[:, :6] - ref)
-    gaps[:, 3:] /= np.abs(ref[:, 3:])  # the means' gaps are relative
+    means = np.abs(ref[:, 3:])
+    np.divide(gaps[:, 3:], means, out=gaps[:, 3:], where=means != 0)
     names = [*OBSERVABLES[:3], *(name + "_rel" for name in OBSERVABLES[3:6])]
     return {
         "sup_gaps": dict(zip(names, gaps.max(axis=0).tolist())),

@@ -23,7 +23,6 @@ from .params import (
     STRATEGY_RULES,
     ControlSpec,
     KineticParams,
-    collision_kernel,
     growth_rate_times_x,
     step_count,
 )
@@ -53,10 +52,6 @@ class ParticleEnsemble:
     def from_uniform(cls, n: int, low: float, high: float, seed: int) -> "ParticleEnsemble":
         rng = np.random.default_rng(seed)
         return cls(rng.uniform(low, high, size=n), rng)
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray, seed: int) -> "ParticleEnsemble":
-        return cls(np.array(samples, dtype=float), np.random.default_rng(seed))
 
     @property
     def size(self) -> int:
@@ -116,36 +111,6 @@ def _proposed(x: np.ndarray, m: float, p: KineticParams, c: ControlSpec, eta) ->
     x = np.asarray(x, dtype=float)
     drift_x = growth_rate_times_x(x, m, p)  # psi(x/m) * x
     return x + STRATEGY_RULES[c.strategy].shift(x, drift_x, p.epsilon, c) + x * eta
-
-
-def transition(
-    x,
-    m: float,
-    p: KineticParams,
-    c: ControlSpec,
-    rng: Optional[np.random.Generator] = None,
-    eta=None,
-):
-    """One single-agent transition, clamped to the admissible region x' >= 0.
-
-    Draws the noise from rng unless an explicit eta is given (useful for
-    deterministic checks).  Accepts scalars or arrays.
-    """
-    if not m > 0:
-        raise ValueError(f"compartment mean must be > 0, got {m}")
-    if eta is None:
-        if rng is None:
-            raise ValueError("provide either rng or an explicit eta")
-        eta = sample_noise(p, rng, size=np.shape(x) if np.ndim(x) else None)
-    out = np.maximum(_proposed(x, m, p, c, eta), 0.0)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def kernel_cap(p: KineticParams, x_floor: float) -> float:
-    """Default kernel bound: the kernel value at x_floor (1 for delta = -1)."""
-    return collision_kernel(x_floor, p)
 
 
 def check_step_size(dt: float, epsilon: float, sigma_bound: float) -> None:

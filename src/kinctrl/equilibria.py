@@ -34,15 +34,6 @@ def _log_shape_inverse_gamma(x: np.ndarray, p: KineticParams, c, m: float) -> np
         return -(p.lam + 2.0) * np.log(x) - p.lam * m / x
 
 
-def _log_shape_general(x: np.ndarray, p: KineticParams, c, m: float) -> np.ndarray:
-    lam, d = p.lam, p.delta
-    if d == 0.0:
-        raise ValueError("general-delta shape is undefined at delta = 0")
-    expo = lam / d - 2.0 + (1.0 + d) / 2.0
-    with np.errstate(divide="ignore"):
-        return expo * np.log(x) - (lam / d**2) * (x / m) ** d
-
-
 def _log_shape_controlled_a(
     x: np.ndarray, p: KineticParams, c: ControlSpec, m: float
 ) -> np.ndarray:
@@ -69,7 +60,6 @@ def _log_shape_controlled_b(
 
 
 _LOG_SHAPES = {
-    EquilibriumKind.GENERAL_DELTA: _log_shape_general,
     EquilibriumKind.GAMMA: _log_shape_gamma,
     EquilibriumKind.INVERSE_GAMMA: _log_shape_inverse_gamma,
     EquilibriumKind.CONTROLLED_A: _log_shape_controlled_a,
@@ -78,16 +68,16 @@ _LOG_SHAPES = {
 
 
 class EquilibriumDensity(ContactDensity):
-    """A unit-mass equilibrium profile on a grid, evaluable pointwise.
+    """The unit-mass closed-form steady state of one rule on a grid.
 
-    The raw shape is scaled to unit mass under midpoint quadrature on the
-    construction grid.  Its log values stay finite where the values
-    themselves underflow to 0.
+    The kind of steady state is the rule's (EquilibriumKind.for_model); a
+    rule with none at p.delta raises ValueError.  The raw shape is scaled to
+    unit mass under midpoint quadrature on the grid.  Its log values stay
+    finite where the values themselves underflow to 0.
     """
 
     def __init__(
         self,
-        kind: EquilibriumKind,
         params: KineticParams,
         mean_ref: float,
         grid: Grid,
@@ -96,47 +86,28 @@ class EquilibriumDensity(ContactDensity):
         if not mean_ref > 0:
             raise ValueError(f"mean_ref must be > 0, got {mean_ref}")
         rule = control or ControlSpec.uncontrolled()
-        expected = EquilibriumKind.for_model(params, rule)
-        if kind is not EquilibriumKind.GENERAL_DELTA and kind is not expected:
+        kind = EquilibriumKind.for_model(params, rule)
+        if kind is None:
             raise ValueError(
-                f"{kind.value} is not the steady state of {rule.strategy.value} "
+                f"{rule.strategy.value} has no closed-form steady state "
                 f"at delta = {params.delta}"
             )
         self.kind = kind
-        self.params = params
-        self.mean_ref = float(mean_ref)
         self.grid = grid
-        self.control = control
 
-        log_vals = self._log_shape(grid.centers())
+        log_vals = _LOG_SHAPES[kind](grid.centers(), params, control, float(mean_ref))
         log_peak = float(log_vals.max())
         shifted = np.exp(log_vals - log_peak)
         total = shifted.sum() * grid.dx
         if not np.isfinite(total) or total <= 0:
             raise NumericsError(f"normalization failed for {kind} on this grid")
-        # density = exp(log_shape + log_norm) with unit grid mass; the constant
-        # itself may overflow for extreme shapes, so evaluation stays in logs
-        self._log_norm = -log_peak - float(np.log(total))
-        self._log_values = log_vals + self._log_norm
+        # log of the unit-mass density; its normalizing constant may overflow
+        # for extreme shapes, so it is only ever applied in logs
+        self._log_values = log_vals + (-log_peak - float(np.log(total)))
         self.values = shifted / total
 
     def log_values(self) -> np.ndarray:
         return self._log_values
-
-    def _log_shape(self, x: np.ndarray) -> np.ndarray:
-        return _LOG_SHAPES[self.kind](x, self.params, self.control, self.mean_ref)
-
-    def __call__(self, x) -> np.ndarray | float:
-        """Pointwise density value; 0 at x = 0 for kinds with an exp(-c/x) factor."""
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x_arr < 0):
-            raise ValueError("density is supported on x >= 0")
-        with np.errstate(invalid="ignore", over="ignore"):
-            log_vals = self._log_shape(x_arr)
-        out = np.exp(log_vals + self._log_norm)
-        out = np.where(np.isnan(out), 0.0, out)
-        return float(out[0]) if scalar else out
 
 
 def _check_tail_resolved(values: np.ndarray, grid: Grid) -> None:
@@ -164,13 +135,11 @@ def controlled_steady_state(
 
     Requires delta = -1, the only delta at which the controlled rules have one.
     """
-    kind = EquilibriumKind.for_model(p, c)
-    if not c.active or kind is None:
+    if not c.active:
         raise ValueError(
-            f"controlled steady states need an active control at delta = -1, "
-            f"got {c.strategy.value} at delta = {p.delta}"
+            f"controlled steady states need an active control, got {c.strategy.value}"
         )
-    density = EquilibriumDensity(kind, p, m, grid, control=c)
+    density = EquilibriumDensity(p, m, grid, control=c)
     _check_tail_resolved(density.values, grid)
     return density
 

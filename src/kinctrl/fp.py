@@ -103,9 +103,6 @@ class ContactDensity:
             raise ValueError("cannot normalize a density with non-positive mass")
         return ContactDensity(self.grid, self.values / m)
 
-    def copy(self) -> "ContactDensity":
-        return ContactDensity(self.grid, self.values.copy())
-
     def log_values(self) -> np.ndarray:
         """ln f in every cell; -inf where the density is 0."""
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -361,24 +358,15 @@ def sp_step_batch(
     return _solve_bands(*_bands(w, weights.d_interfaces, c), rhs, overwrite=True)
 
 
-def sp_step(f: ContactDensity, op: DriftDiffusion, dt: float, tau: float) -> ContactDensity:
-    """One implicit structure-preserving step of length dt at time scale tau.
-
-    Preserves mass (exactly in exact arithmetic; to roundoff in floating
-    point), non-negativity, and the discrete equilibrium of the operator.
-    """
-    stepper = SpStepper(f.grid, op, dt, tau)
-    return ContactDensity(f.grid, stepper.step(f.values))
-
-
 def steady_state_solve(op: DriftDiffusion, grid: Grid) -> ContactDensity:
     """Zero-flux solution of C f + d/dx(D f) = 0, unit mass on the grid.
 
     Built from the same interface log-ratios the implicit scheme uses, so
-    the long-time limit of sp_step matches this density to solver precision.
-    The values are running products of the cell ratios exp(-w) outward from
-    the peak, so each neighbour ratio is exact to a few roundings; a running
-    sum of w would carry the rounding of the whole partial sum instead.
+    the long-time limit of the implicit step matches this density to solver
+    precision.  The values are running products of the cell ratios exp(-w)
+    outward from the peak, so each neighbour ratio is exact to a few
+    roundings; a running sum of w would carry the rounding of the whole
+    partial sum instead.
     """
     w = interface_log_ratios(op, grid)
     peak = int(np.argmax(np.concatenate([[0.0], -np.cumsum(w)])))

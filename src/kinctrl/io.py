@@ -71,10 +71,11 @@ def write_density(path: Path, x: np.ndarray, series: Mapping[str, np.ndarray]) -
 
 
 def write_manifest(path: Path, manifest: dict) -> None:
+    """Write manifest as strict JSON; a NaN or infinite value raises ValueError
+    before the file is touched."""
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(text + "\n")
 
 
 def resolve_out_dir(cli_out: str | None, config_out: str | None, config_stem: str) -> Path:

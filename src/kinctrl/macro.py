@@ -154,7 +154,8 @@ class ControlledMacroModel:
 
     Moments (m, m2) per compartment come from quadrature over the controlled
     steady state evaluated at the compartment's current mean; results are
-    cached on the mean rounded to 1e-6.  Compartment means themselves are
+    cached on the exact mean, which stays constant over an RK4 step because
+    the means do not evolve.  Compartment means themselves are
     pinned by the stiff contact dynamics, so their macroscopic derivative is
     zero and trajectories should start from the self-consistent mean.
     """
@@ -173,23 +174,29 @@ class ControlledMacroModel:
 
     def moments_for_mean(self, m: float) -> tuple[float, float]:
         """(first, second) moment of the controlled steady state at reference mean m."""
-        key = round(m, 6)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        f = controlled_steady_state(self.kinetic, self.control, m, self.grid)
-        out = (f.raw_moment(1), f.raw_moment(2))
-        self._cache[key] = out
-        return out
+        hit = self._cache.get(m)
+        if hit is None:
+            f = controlled_steady_state(self.kinetic, self.control, m, self.grid)
+            hit = self._cache[m] = (f.raw_moment(1), f.raw_moment(2))
+        return hit
 
-    def self_consistent_mean(self, m0: float, tol: float = 1e-9, max_iter: int = 200) -> float:
-        """Fixed point m* of m -> mean(steady state at m), from initial guess m0."""
-        m = m0
+    def self_consistent_mean(self, m0: float, tol: float = 1e-12, max_iter: int = 50) -> float:
+        """Fixed point m* of m -> mean(steady state at m), from initial guess m0.
+
+        Secant steps on the residual r(m) = mean(m) - m, started by one plain
+        fixed-point step; stops once |r(m)| <= tol max(1, |m|) and returns
+        that m.
+        """
+        m_prev = m0
+        r_prev = self.moments_for_mean(m0)[0] - m0
+        m = m0 + r_prev
         for _ in range(max_iter):
-            m_new = self.moments_for_mean(m)[0]
-            if abs(m_new - m) <= tol * max(1.0, abs(m)):
-                return m_new
-            m = 0.5 * (m + m_new)  # damped iteration
+            r = self.moments_for_mean(m)[0] - m
+            if abs(r) <= tol * max(1.0, abs(m)):
+                return m
+            if r == r_prev:
+                break
+            m, m_prev, r_prev = m - r * (m - m_prev) / (r - r_prev), m, r
         raise InvariantViolationError(
             f"self-consistent mean did not converge from m0 = {m0}"
         )

@@ -52,7 +52,6 @@ class ClosureKind(Enum):
 class EquilibriumKind(Enum):
     """Closed-form steady state of a contact operator."""
 
-    GENERAL_DELTA = "general_delta"
     GAMMA = "gamma"
     INVERSE_GAMMA = "inverse_gamma"
     CONTROLLED_A = "controlled_a"
@@ -168,35 +167,14 @@ class ControlSpec:
         return replace(self, nu=self.nu * epsilon)
 
 
-def growth_rate(x, m: float, p: KineticParams):
-    """Relative growth rate of the contact number at x given reference mean m.
-
-    Returns (alpha / (2 delta)) * ((x/m)^delta - 1); in the |delta| -> 0 limit
-    this degenerates to the logarithmic law (alpha/2) * ln(x/m).  Strictly
-    increasing in x and zero exactly at x = m.
-
-    At x = 0 the value is -inf for delta < 0 and for the logarithmic branch;
-    callers must guard that sentinel.
-    """
-    if not m > 0:
-        raise ValueError(f"reference mean must be > 0, got {m}")
-    x_arr = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        if abs(p.delta) < GOMPERTZ_DELTA_EPS:
-            out = 0.5 * p.alpha * np.log(x_arr / m)
-        else:
-            out = (p.alpha / (2.0 * p.delta)) * ((x_arr / m) ** p.delta - 1.0)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 def growth_rate_times_x(x, m: float, p: KineticParams):
-    """growth_rate(x, m) * x, fused so the x = 0 limit is finite.
+    """Growth law times x: (alpha / (2 delta)) ((x/m)^delta - 1) x.
 
-    For delta < 0 the product (x/m)^delta * x stays finite as x -> 0 even
-    though the rate itself diverges; solvers use this form on grids and
-    particle arrays that may contain zeros.
+    In the |delta| -> 0 limit the rate becomes the logarithmic law
+    (alpha/2) ln(x/m).  The rate is strictly increasing in x and zero at
+    x = m.  For delta < 0 it diverges as x -> 0, but the product with x
+    stays finite, so this fused form is safe on particle arrays that may
+    contain zeros.
     """
     if not m > 0:
         raise ValueError(f"reference mean must be > 0, got {m}")

@@ -22,7 +22,6 @@ from kinctrl import (
     ControlSpec,
     EpidemicParams,
     EquilibriumDensity,
-    EquilibriumKind,
     Grid,
     KineticParams,
     ParticleEnsemble,
@@ -61,9 +60,9 @@ def kp(delta, alpha=1.0, sigma2=0.2, **kw):
     return KineticParams(alpha=alpha, sigma2=sigma2, delta=delta, **kw)
 
 
-def bin_averaged_equilibrium(kind, p, m_ref, control, n_bins, x_max, refine=16):
+def bin_averaged_equilibrium(p, m_ref, control, n_bins, x_max, refine=16):
     fine = Grid(x_max, n_bins * refine)
-    eq = EquilibriumDensity(kind, p, m_ref, fine, control=control)
+    eq = EquilibriumDensity(p, m_ref, fine, control=control)
     return eq.values.reshape(n_bins, refine).mean(axis=1)
 
 
@@ -105,11 +104,11 @@ def test_criterion_1_equilibrium_oracle_suite():
 # criterion 2: particle and mesoscopic solvers reach the analytic equilibria
 
 T1_CASES = {
-    # name: (delta, control, t_final, dt, sigma_bound, equilibrium kind)
-    "delta_m1": (-1.0, ControlSpec.uncontrolled(), 50.0, 0.01, 1.0, EquilibriumKind.INVERSE_GAMMA),
-    "delta_p1": (1.0, ControlSpec.uncontrolled(), 50.0, 0.001, 10.0, EquilibriumKind.GAMMA),
-    "control_a": (-1.0, ControlSpec.additive(1.0, 3.0), 20.0, 0.01, 1.0, EquilibriumKind.CONTROLLED_A),
-    "control_b": (-1.0, ControlSpec.interaction(1.0, 3.0), 20.0, 0.01, 1.0, EquilibriumKind.CONTROLLED_B),
+    # name: (delta, control, t_final, dt, sigma_bound)
+    "delta_m1": (-1.0, ControlSpec.uncontrolled(), 50.0, 0.01, 1.0),
+    "delta_p1": (1.0, ControlSpec.uncontrolled(), 50.0, 0.001, 10.0),
+    "control_a": (-1.0, ControlSpec.additive(1.0, 3.0), 20.0, 0.01, 1.0),
+    "control_b": (-1.0, ControlSpec.interaction(1.0, 3.0), 20.0, 0.01, 1.0),
 }
 
 M_REF = 5.0
@@ -120,7 +119,7 @@ N_BINS = 400
 @pytest.fixture(scope="session")
 def t1_dsmc_runs():
     out = {}
-    for seed, (name, (delta, control, t_final, dt, bound, eq_kind)) in enumerate(
+    for seed, (name, (delta, control, t_final, dt, bound)) in enumerate(
         T1_CASES.items(), start=101
     ):
         p = kp(delta)
@@ -129,9 +128,7 @@ def t1_dsmc_runs():
             ens, p, control.micro_scaled(p.epsilon), t_final, dt, bound,
             m_ref=M_REF, x_max=X_MAX, n_bins=N_BINS,
         )
-        ref = bin_averaged_equilibrium(
-            eq_kind, p, M_REF, control if control.active else None, N_BINS, X_MAX
-        )
+        ref = bin_averaged_equilibrium(p, M_REF, control, N_BINS, X_MAX)
         out[name] = hist.l1_distance(ref)
     return out
 
@@ -140,16 +137,14 @@ def t1_dsmc_runs():
 def t1_fp_runs():
     grid = Grid(X_MAX, 1000)  # dx = 0.1
     out = {}
-    for name, (delta, control, t_final, dt, _, eq_kind) in T1_CASES.items():
+    for name, (delta, control, t_final, dt, _) in T1_CASES.items():
         p = kp(delta)
         op = build_operator(p, control, M_REF)
         stepper = SpStepper(grid, op, dt, p.tau)
         v = uniform_density(grid, 6.0, 8.0).values
         for _ in range(int(round(t_final / dt))):
             v = stepper.step(v)
-        eq = EquilibriumDensity(
-            eq_kind, p, M_REF, grid, control=control if control.active else None
-        )
+        eq = EquilibriumDensity(p, M_REF, grid, control=control)
         out[name] = float(np.abs(v - eq.values).sum() * grid.dx)
     return out
 

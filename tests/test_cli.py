@@ -322,6 +322,37 @@ class TestScenarioRunners:
         gaps = json.loads((out / "manifest.json").read_text())["metrics"]["sup_gaps"]
         assert gaps["rho_I"] < 1e-2
 
+    def test_consistency_with_an_empty_compartment_writes_strict_json(self, tmp_path):
+        # rho_R = 0 at t = 0 gives m_R = 0 in both models there; that gap is
+        # absolute, not 0/0
+        cfg = consistency_config()
+        cfg["initial"]["rho"] = [0.99, 0.01, 0.0]
+        path = tmp_path / "cons.json"
+        path.write_text(json.dumps(cfg))
+        out = execute(path, tmp_path / "out")
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON value {constant}")
+
+        manifest = json.loads((out / "manifest.json").read_text(), parse_constant=reject)
+        gaps = manifest["metrics"]["sup_gaps"]
+        assert gaps["m_R_rel"] >= 0.0
+
+    def test_dsmc_default_kernel_bound(self, tmp_path):
+        # without dsmc.kernel_bound the bound is the kernel x^-1 (delta = +1)
+        # at half a histogram bin
+        path = small_dsmc_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["kinetic"]["delta"] = 1.0
+        del cfg["dsmc"]["kernel_bound"]
+        cfg["time"].update(dt=0.005, t_final=0.05)
+        path.write_text(json.dumps(cfg))
+        metrics = json.loads((execute(path, tmp_path / "out") / "manifest.json").read_text())[
+            "metrics"
+        ]
+        x_max, n_bins = cfg["grid"]["x_max"], cfg["dsmc"]["n_bins"]
+        assert metrics["kernel_bound"] == (0.5 * x_max / n_bins) ** -1
+
     def test_controlled_epidemic(self, tmp_path):
         out = execute(controlled_epidemic_config(tmp_path), tmp_path / "out")
         traj = read_csv(out / "trajectory.csv")

@@ -7,19 +7,18 @@ from kinctrl import (
     ClosureKind,
     ControlSpec,
     EquilibriumDensity,
-    EquilibriumKind,
     Grid,
     Histogram,
     KineticParams,
     ParticleEnsemble,
     Strategy,
     closure_moment,
+    collision_kernel,
     dsmc_step,
-    kernel_cap,
     run_to_equilibrium,
     sample_noise,
-    transition,
 )
+from kinctrl.dsmc import _proposed
 
 
 def kp(delta=-1.0, alpha=1.0, sigma2=0.2, epsilon=0.01):
@@ -48,40 +47,37 @@ class TestNoise:
 
 
 class TestTransition:
+    # _proposed(x, m, p, c, eta) is one transition before dsmc_step's clamp at 0
+
     def test_fixed_point_at_mean(self):
-        assert transition(5.0, 5.0, kp(), UN, eta=0.0) == pytest.approx(5.0)
+        assert _proposed(5.0, 5.0, kp(), UN, 0.0) == pytest.approx(5.0)
 
     def test_interaction_inactive_at_mean(self):
         c = ControlSpec.interaction(1.0, 3.0)
-        assert transition(5.0, 5.0, kp(), c, eta=0.0) == pytest.approx(5.0)
+        assert _proposed(5.0, 5.0, kp(), c, 0.0) == pytest.approx(5.0)
 
     def test_additive_instantaneous_steering(self):
         c = ControlSpec.additive(1e-12, 3.0)
-        assert transition(8.0, 5.0, kp(), c, eta=0.0) == pytest.approx(3.0, abs=1e-6)
+        assert _proposed(8.0, 5.0, kp(), c, 0.0) == pytest.approx(3.0, abs=1e-6)
 
     def test_mean_reverting_sign(self):
         # above the reference mean contacts shrink, below they grow
         p = kp()
-        assert transition(8.0, 5.0, p, UN, eta=0.0) < 8.0
-        assert transition(2.0, 5.0, p, UN, eta=0.0) > 2.0
+        assert _proposed(8.0, 5.0, p, UN, 0.0) < 8.0
+        assert _proposed(2.0, 5.0, p, UN, 0.0) > 2.0
 
     def test_clamped_at_zero(self):
-        p = kp(epsilon=0.5)  # exaggerated step so the proposal goes negative
+        p = kp(epsilon=0.5)  # exaggerated step so proposals go negative
         c = ControlSpec.additive(1e-9, 0.0)
-        out = transition(10.0, 5.0, p, c, eta=-0.99)
-        assert out >= 0.0
+        assert _proposed(10.0, 5.0, p, c, -0.99) < 0.0
+        ens = ParticleEnsemble.from_uniform(1_000, 9.0, 11.0, seed=3)
+        dsmc_step(ens, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
+        assert ens.n_clamped > 0
+        assert ens.samples.min() >= 0.0
 
     def test_requires_mean(self):
         with pytest.raises(ValueError):
-            transition(1.0, 0.0, kp(), UN, eta=0.0)
-        with pytest.raises(ValueError):
-            transition(1.0, 5.0, kp(), UN)  # no rng, no eta
-
-
-class TestKernelCap:
-    def test_values(self):
-        assert kernel_cap(kp(delta=-1.0), 0.1) == 1.0
-        assert kernel_cap(kp(delta=1.0), 0.01) == pytest.approx(100.0)
+            _proposed(1.0, 0.0, kp(), UN, 0.0)
 
 
 class TestStep:
@@ -139,7 +135,7 @@ class TestStep:
             delta = -1.0
         p = KineticParams(alpha=alpha, sigma2=sigma2, delta=delta, epsilon=epsilon)
         c = ControlSpec(strategy, nu=nu, x_target=x_target).micro_scaled(epsilon)
-        bound = kernel_cap(p, x_floor=0.05)
+        bound = collision_kernel(0.05, p)
         ens = ParticleEnsemble.from_uniform(2_000, 0.0, 3.0 * m, seed)
         for _ in range(5):
             dsmc_step(ens, m, p, c, dt=dt_frac * epsilon / bound, sigma_bound=bound)
@@ -204,7 +200,7 @@ class TestHistogram:
     def test_run_to_equilibrium_fixed_point(self):
         # vanishing noise and growth: the histogram stays concentrated at the mean
         p = KineticParams(alpha=1.0, sigma2=1e-12, delta=-1.0, epsilon=0.01)
-        ens = ParticleEnsemble.from_samples(np.full(2_000, 5.0), seed=2)
+        ens = ParticleEnsemble(np.full(2_000, 5.0), np.random.default_rng(2))
         h = run_to_equilibrium(ens, p, UN, t_final=2.0, dt=0.01, sigma_bound=1.0, m_ref=5.0)
         centers = h.centers
         mass_near_mean = h.density[np.abs(centers - 5.0) < 0.5].sum() * h.bin_width
@@ -222,6 +218,6 @@ class TestHistogram:
         h = run_to_equilibrium(ens, p, UN, t_final=15.0, dt=0.01, sigma_bound=1.0,
                                m_ref=5.0, x_max=100.0, n_bins=200)
         fine = Grid(100.0, 200 * 16)
-        eq = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, kp(), 5.0, fine)
+        eq = EquilibriumDensity(kp(), 5.0, fine)
         ref = eq.values.reshape(200, 16).mean(axis=1)
         assert h.l1_distance(ref) < 0.12

@@ -81,14 +81,15 @@ class TestEquilibriumDensity:
             (EquilibriumKind.INVERSE_GAMMA, kp(-1.0, sigma2=0.1), 1.0, Grid(200.0, 100000)),
         ]
         for kind, p, m, grid in cases:
-            eq = EquilibriumDensity(kind, p, m, grid)
+            eq = EquilibriumDensity(p, m, grid)
+            assert eq.kind is kind
             assert eq.values.sum() * grid.dx == pytest.approx(1.0, abs=1e-8)
             assert eq.raw_moment(1) == pytest.approx(m, rel=1e-6)
 
     def test_gamma_mode(self):
         # argmax of x^(lam-1) e^(-lam x/m) sits at m (lam-1)/lam
         grid = Grid(50.0, 50000)
-        eq = EquilibriumDensity(EquilibriumKind.GAMMA, kp(1.0), 10.0, grid)
+        eq = EquilibriumDensity(kp(1.0), 10.0, grid)
         mode = grid.centers()[np.argmax(eq.values)]
         assert mode == pytest.approx(8.0, abs=2 * grid.dx)
 
@@ -97,29 +98,20 @@ class TestEquilibriumDensity:
         # not reach the ambiguous truth value of an array comparison
         grid = Grid(100.0, 1000)
         a, b = (ContactDensity(grid, np.full(1000, 0.01)) for _ in range(2))
-        e, f = (EquilibriumDensity(EquilibriumKind.GAMMA, kp(1.0), 10.0, grid) for _ in range(2))
+        e, f = (EquilibriumDensity(kp(1.0), 10.0, grid) for _ in range(2))
         for x, y in ((a, b), (e, f)):
             assert (x == y) is False
             assert (x == x) is True
             assert (x != y) is True
 
-    def test_inverse_gamma_zero_at_origin(self):
-        eq = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, kp(-1.0), 10.0, Grid(100.0, 1000))
-        assert eq(0.0) == 0.0
-
-    def test_general_delta_specializes_to_gamma(self):
-        grid = Grid(100.0, 5000)
-        gen = EquilibriumDensity(EquilibriumKind.GENERAL_DELTA, kp(1.0), 10.0, grid)
-        gam = EquilibriumDensity(EquilibriumKind.GAMMA, kp(1.0), 10.0, grid)
-        assert np.max(np.abs(gen.values - gam.values)) < 1e-12
-
     def test_matches_closed_form_constant(self):
         # grid normalization reproduces the analytic constant when the grid
         # captures essentially all the mass
         grid = Grid(300.0, 30000)
-        eq = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, kp(-1.0), 5.0, grid)
-        x = np.array([2.0, 5.0, 20.0, 80.0])
-        assert eq(x) == pytest.approx(inv_gamma_pdf(x, 5.0, 5.0), rel=1e-6)
+        eq = EquilibriumDensity(kp(-1.0), 5.0, grid)
+        cells = [200, 500, 2000, 8000]  # centers near x = 2, 5, 20, 80
+        x = grid.centers()[cells]
+        assert eq.values[cells] == pytest.approx(inv_gamma_pdf(x, 5.0, 5.0), rel=1e-6)
 
     def test_kind_for_model(self):
         cases = [
@@ -133,11 +125,12 @@ class TestEquilibriumDensity:
         for p, c, kind in cases:
             assert EquilibriumKind.for_model(p, c) is kind
 
-    def test_kind_delta_consistency_checked(self):
-        with pytest.raises(ValueError):
-            EquilibriumDensity(EquilibriumKind.GAMMA, kp(-1.0), 10.0, Grid(100.0, 100))
-        with pytest.raises(ValueError):
-            EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, kp(1.0), 10.0, Grid(100.0, 100))
+    def test_rule_without_closed_form_raises(self):
+        grid = Grid(100.0, 100)
+        with pytest.raises(ValueError, match="no closed-form steady state"):
+            EquilibriumDensity(kp(0.5), 10.0, grid)
+        with pytest.raises(ValueError, match="no closed-form steady state"):
+            EquilibriumDensity(kp(1.0), 10.0, grid, control=ControlSpec.additive(1.0, 3.0))
 
 
 class TestControlledSteadyStates:
@@ -145,8 +138,8 @@ class TestControlledSteadyStates:
         grid = Grid(200.0, 10000)
         p = kp(-1.0)
         c = ControlSpec.additive(1e12, 3.0)
-        f = EquilibriumDensity(EquilibriumKind.CONTROLLED_A, p, 10.0, grid, control=c)
-        ig = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, p, 10.0, grid)
+        f = EquilibriumDensity(p, 10.0, grid, control=c)
+        ig = EquilibriumDensity(p, 10.0, grid)
         assert np.max(np.abs(f.values - ig.values)) < 1e-6
 
     def test_additive_power_law_exponent(self):
@@ -187,14 +180,14 @@ class TestControlledSteadyStates:
 class TestTailClassify:
     def test_inverse_gamma_power_law(self):
         grid = Grid(120.0, 6000)
-        eq = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, kp(-1.0), 1.0, grid)
+        eq = EquilibriumDensity(kp(-1.0), 1.0, grid)
         tc = tail_classify(eq, (50.0, 100.0))
         assert tc.kind is TailKind.POWER_LAW
         assert tc.exponent == pytest.approx(-7.0, abs=0.35)
 
     def test_gamma_slim(self):
         grid = Grid(120.0, 6000)
-        eq = EquilibriumDensity(EquilibriumKind.GAMMA, kp(1.0), 5.0, grid)
+        eq = EquilibriumDensity(kp(1.0), 5.0, grid)
         assert tail_classify(eq, (50.0, 100.0)).kind is TailKind.SLIM_TAIL
 
     @pytest.mark.parametrize("nu", [0.001, 0.01, 0.1, 1.0, 10.0])
@@ -210,7 +203,7 @@ class TestTailClassify:
 
     def test_zero_cell_on_window_raises(self):
         grid = Grid(100.0, 1000)
-        eq = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, kp(-1.0), 5.0, grid)
+        eq = EquilibriumDensity(kp(-1.0), 5.0, grid)
         values = eq.values.copy()
         values[600] = 0.0
         with pytest.raises(ValueError, match="strictly positive"):
@@ -218,7 +211,7 @@ class TestTailClassify:
 
     def test_window_validation(self):
         grid = Grid(100.0, 1000)
-        eq = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, kp(-1.0), 5.0, grid)
+        eq = EquilibriumDensity(kp(-1.0), 5.0, grid)
         f = eq
         with pytest.raises(ValueError):
             tail_classify(f, (50.0, 150.0))

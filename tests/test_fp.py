@@ -6,21 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinctrl import (
-    ContactDensity,
     ControlSpec,
     EquilibriumDensity,
-    EquilibriumKind,
     Grid,
     KineticParams,
     Strategy,
     build_operator,
     controlled_steady_state,
-    sp_step,
     steady_state_solve,
     uniform_density,
 )
 from kinctrl.errors import NumericsError
 from kinctrl.fp import (
+    DriftDiffusion,
     SpStepper,
     _bernoulli,
     _log_diffusion_jump,
@@ -125,14 +123,14 @@ class TestSteadyState:
         grid = Grid(200.0, 10000)  # dx = 0.02
         p = kp(-1.0)
         ss = steady_state_solve(build_operator(p, ControlSpec.uncontrolled(), 10.0), grid)
-        eq = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, p, 10.0, grid)
+        eq = EquilibriumDensity(p, 10.0, grid)
         assert l1(ss.values, eq.values, grid.dx) < 1e-6
 
     def test_matches_gamma(self):
         grid = Grid(100.0, 5000)
         p = kp(1.0)
         ss = steady_state_solve(build_operator(p, ControlSpec.uncontrolled(), 10.0), grid)
-        eq = EquilibriumDensity(EquilibriumKind.GAMMA, p, 10.0, grid)
+        eq = EquilibriumDensity(p, 10.0, grid)
         assert l1(ss.values, eq.values, grid.dx) < 1e-6
 
     def test_matches_additive_closed_form(self):
@@ -167,23 +165,21 @@ class TestSteadyState:
 class TestSpStep:
     def test_identity_for_zero_operator(self):
         grid = Grid(10.0, 100)
-        from kinctrl.fp import DriftDiffusion
-
         zero_op = DriftDiffusion(
             drift=lambda x: np.zeros_like(x),
             diffusion=lambda x: np.zeros_like(x),
         )
         f = uniform_density(grid, 2.0, 8.0)
-        out = sp_step(f, zero_op, dt=0.5, tau=1.0)
-        assert out.values == pytest.approx(f.values)
+        out = SpStepper(grid, zero_op, dt=0.5, tau=1.0).step(f.values)
+        assert out == pytest.approx(f.values)
 
     def test_preserves_analytic_equilibrium(self):
         grid = Grid(200.0, 10000)
         p = kp(-1.0)
-        eq = EquilibriumDensity(EquilibriumKind.INVERSE_GAMMA, p, 10.0, grid)
-        f = ContactDensity(grid, eq.values.copy())
-        out = sp_step(f, build_operator(p, ControlSpec.uncontrolled(), 10.0), 0.01, 1.0)
-        assert l1(out.values, f.values, grid.dx) < 1e-6
+        eq = EquilibriumDensity(p, 10.0, grid)
+        stepper = SpStepper(grid, build_operator(p, ControlSpec.uncontrolled(), 10.0), 0.01, 1.0)
+        out = stepper.step(eq.values)
+        assert l1(out, eq.values, grid.dx) < 1e-6
 
     def test_mass_conservation_per_step(self):
         grid = Grid(100.0, 1000)
@@ -200,8 +196,9 @@ class TestSpStep:
         p = kp(-1.0)
         f = uniform_density(grid, 6.0, 8.0)
         for dt in (0.01, 1.0, 100.0):
-            out = sp_step(f, build_operator(p, ControlSpec.uncontrolled(), 7.0), dt, 1.0)
-            assert out.values.min() >= 0.0
+            op = build_operator(p, ControlSpec.uncontrolled(), 7.0)
+            out = SpStepper(grid, op, dt, 1.0).step(f.values)
+            assert out.min() >= 0.0
 
     def test_long_time_limit_equals_steady_state(self):
         grid = Grid(100.0, 1000)
@@ -230,12 +227,11 @@ class TestSpStep:
 
     def test_validates_steps(self):
         grid = Grid(10.0, 50)
-        f = uniform_density(grid, 2.0, 8.0)
         op = build_operator(kp(-1.0), ControlSpec.uncontrolled(), 5.0)
         with pytest.raises(ValueError):
-            sp_step(f, op, dt=0.0, tau=1.0)
+            SpStepper(grid, op, dt=0.0, tau=1.0)
         with pytest.raises(ValueError):
-            sp_step(f, op, dt=0.1, tau=-1.0)
+            SpStepper(grid, op, dt=0.1, tau=-1.0)
 
 
 class TestControlledMeanOrdering:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kinctrl.io import read_csv, write_csv
+from kinctrl.io import read_csv, write_csv, write_manifest
 
 
 class TestReadCsv:
@@ -27,3 +27,12 @@ class TestReadCsv:
         path.write_text("x,f\n1.0,2.0\n3.0\n4.0,5.0,6.0\n")
         with pytest.raises(ValueError, match="line 3"):
             read_csv(path)
+
+
+class TestWriteManifest:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_raises_before_writing(self, tmp_path, value):
+        path = tmp_path / "manifest.json"
+        with pytest.raises(ValueError):
+            write_manifest(path, {"metrics": {"gap": value}})
+        assert not path.exists()

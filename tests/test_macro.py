@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinctrl import ClosureKind, ControlSpec, EpidemicParams, Grid, KineticParams
+from kinctrl import (
+    ClosureKind,
+    ControlSpec,
+    EpidemicParams,
+    Grid,
+    KineticParams,
+    controlled_steady_state,
+)
 from kinctrl.errors import InvariantViolationError
 from kinctrl.macro import (
     ControlledMacroModel,
@@ -211,8 +218,23 @@ class TestControlledMacro:
         assert max(s.rho_i for s in ctrl) < max(s.rho_i for s in unc)
 
     def test_moment_cache(self):
+        # keyed on the exact mean: a repeated mean hits, a nearby one does not
         model = ControlledMacroModel(kin(-1.0, tau=1e-5), EpidemicParams((2e-2,), GAMMA_I),
                                      ControlSpec.additive(1.0, 3.0), self.grid())
         a = model.moments_for_mean(5.0)
-        b = model.moments_for_mean(5.0 + 1e-9)  # rounds to the same key
-        assert a == b
+        assert model.moments_for_mean(5.0) is a
+        assert model.moments_for_mean(5.0 + 1e-9) != a
+        assert len(model._cache) == 2
+
+    def test_self_consistent_means_solve_the_fixed_point(self):
+        # the bundled test4_control_* settings; control A's steady-state mean
+        # is (lam m + k x_T) / (lam + k), so its fixed point is x_T exactly
+        kinetic = kin(-1.0, tau=1e-5)
+        epi = EpidemicParams((2e-2, 2e-6), GAMMA_I)
+        grid = Grid(500.0, 25000)
+        a = ControlledMacroModel(kinetic, epi, ControlSpec.additive(1.0, 3.0), grid)
+        assert a.self_consistent_mean(10.0) == pytest.approx(3.0, rel=1e-12)
+        c = ControlSpec.interaction(1.0, 3.0)
+        m_star = ControlledMacroModel(kinetic, epi, c, grid).self_consistent_mean(10.0)
+        residual = controlled_steady_state(kinetic, c, m_star, grid).raw_moment(1) - m_star
+        assert abs(residual) <= 1e-12

@@ -11,11 +11,10 @@ from kinctrl import (
     build_operator,
     closure_moment,
     collision_kernel,
-    growth_rate,
     growth_rate_times_x,
     moment_ratio,
-    transition,
 )
+from kinctrl.dsmc import _proposed
 from kinctrl.params import closure_kind, output_steps, step_count
 
 
@@ -82,34 +81,45 @@ class TestValidation:
         assert un.micro_scaled(0.01) is un
 
 
+def growth_law_times_x(x, m, alpha, delta):
+    # (alpha / (2 delta)) ((x/m)^delta - 1) x, written out as the oracle
+    x = np.asarray(x, dtype=float)
+    return alpha / (2.0 * delta) * ((x / m) ** delta - 1.0) * x
+
+
 class TestGrowthRate:
+    # growth_rate_times_x(x, m, p) is the growth law times x
+
     def test_zero_at_reference_mean(self):
+        # the fused form x^(1+delta) / m^delta - x cancels to roundoff at x = m
         for delta in (-1.0, -0.3, 0.0, 0.4, 1.0):
-            assert growth_rate(7.3, 7.3, kp(delta=delta)) == 0.0
+            assert growth_rate_times_x(7.3, 7.3, kp(delta=delta)) == pytest.approx(0.0, abs=1e-14)
 
     def test_hand_values(self):
-        assert growth_rate(20.0, 10.0, kp(delta=-1.0)) == pytest.approx(0.25)
-        assert growth_rate(20.0, 10.0, kp(delta=1.0)) == pytest.approx(0.5)
+        assert growth_rate_times_x(20.0, 10.0, kp(delta=-1.0)) == pytest.approx(0.25 * 20.0)
+        assert growth_rate_times_x(20.0, 10.0, kp(delta=1.0)) == pytest.approx(0.5 * 20.0)
 
     def test_log_limit(self):
         tiny = kp(delta=1e-13)
-        assert growth_rate(20.0, 10.0, tiny) == pytest.approx(0.5 * np.log(2.0))
+        assert growth_rate_times_x(20.0, 10.0, tiny) == pytest.approx(10.0 * np.log(2.0))
 
     def test_strictly_increasing_and_sign_change(self):
+        # the rate, growth_rate_times_x / x, increases through 0 at x = m
         x = np.linspace(0.05, 40.0, 400)
         for delta in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            vals = growth_rate(x, 10.0, kp(delta=delta))
+            vals = growth_rate_times_x(x, 10.0, kp(delta=delta)) / x
             assert np.all(np.diff(vals) > 0)
             assert np.all(vals[x < 10.0 - 1e-9] < 0)
             assert np.all(vals[x > 10.0 + 1e-9] > 0)
 
     def test_zero_x_sentinel(self):
-        assert growth_rate(0.0, 5.0, kp(delta=-1.0)) == -np.inf
-        assert growth_rate(0.0, 5.0, kp(delta=0.0)) == -np.inf
+        # the rate diverges at x = 0 for delta <= 0; the product with x does not
+        for delta in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            assert np.isfinite(growth_rate_times_x(0.0, 5.0, kp(delta=delta)))
 
     def test_rejects_bad_mean(self):
         with pytest.raises(ValueError):
-            growth_rate(1.0, 0.0, kp())
+            growth_rate_times_x(1.0, 0.0, kp())
 
     def test_times_x_finite_at_zero(self):
         p = kp(delta=-1.0)
@@ -117,8 +127,7 @@ class TestGrowthRate:
         assert growth_rate_times_x(0.0, 5.0, kp(delta=0.0)) == 0.0
         x = np.array([0.0, 2.0, 5.0, 9.0])
         fused = growth_rate_times_x(x, 5.0, p)
-        direct = growth_rate(x[1:], 5.0, p) * x[1:]
-        assert fused[1:] == pytest.approx(direct)
+        assert fused[1:] == pytest.approx(growth_law_times_x(x[1:], 5.0, p.alpha, p.delta))
 
 
 class TestCollisionKernel:
@@ -214,7 +223,7 @@ class TestStrategyTable:
 
         def gap(eps):
             p = kp(epsilon=eps)
-            shift = transition(x, m, p, c.micro_scaled(eps), eta=0.0) - x
+            shift = _proposed(x, m, p, c.micro_scaled(eps), 0.0) - x
             return np.max(np.abs(shift / eps + drift)) / np.max(np.abs(drift))
 
         coarse, fine = gap(1e-4), gap(1e-6)

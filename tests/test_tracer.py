@@ -52,3 +52,32 @@ def test_traced_runs_report_every_layer_and_restore_the_patches(tmp_path, monkey
     assert layers["kinetic.split_step.calls"] == 5
     assert layers["kinetic.epidemic_substep.calls"] == 5
     assert layers["cli.execute.calls"] == 2
+
+
+def test_traced_fp_and_equilibria_paths(tmp_path, monkeypatch):
+    # the tracer patches fp.SpStepper (and reads its _degenerate attribute),
+    # fp.build_operator, fp.interface_log_ratios, cli.steady_state_solve and
+    # the equilibria entry points; only these two scenarios reach them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        start = time.perf_counter()
+        cli.execute(bundled(tmp_path, "test1_fp_control_b", t_final=0.1), tmp_path / "fp")
+        cli.execute(cli.bundled_config_path("test2_nu_sweep.json"), tmp_path / "sweep")
+        run_s = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+
+    layers, _shares = tracer.summary(1, run_s)
+    for name in (
+        "fp.SpStepper.step.calls",
+        "fp.build_operator.calls",
+        "fp.interface_log_ratios.calls",
+        "fp.steady_state_solve.calls",
+        "equilibria.EquilibriumDensity.calls",
+        "equilibria.controlled_steady_state.calls",
+    ):
+        assert layers[name] > 0, name
