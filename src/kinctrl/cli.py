@@ -304,6 +304,7 @@ def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
     metrics = {
         "kernel_bound": bound,
         "clamped_fraction": ens.n_clamped / max(ens.n_transitions, 1),
+        "accept_ratio": ens.n_transitions / (ens.size * ens.n_steps),
         "ensemble_mean": ens.mean(),
         "ensemble_second_moment": ens.second_moment(),
     }

@@ -1,10 +1,13 @@
 """Monte Carlo particle solver for the contact-formation dynamics.
 
 Each step, every particle independently undergoes the single-agent transition
-rule with probability B_cap(x) dt / epsilon, where B_cap caps the interaction
-kernel at a user-supplied bound.  The compartment mean entering the growth
-term is frozen at step start.  All randomness flows through one seedable
-generator, so runs are reproducible bit for bit.
+rule with probability min(B(x), sigma_bound) dt / epsilon, where B is the
+interaction kernel (1 at delta = -1); the compartment mean in the growth term
+is frozen at step start.  That probability depends only on x, which moves only
+when the particle fires, so each particle keeps a countdown clock with
+Geometric gaps, and a step moves only the particles whose clock is due, or the
+whole array in place when every probability is 1.  All randomness flows
+through one seedable generator: runs repeat bit for bit.
 
 The deterministic part of every transition is mean-reverting: contacts relax
 toward the reference mean (uncontrolled) or toward a blend of mean and target
@@ -14,7 +17,7 @@ toward the reference mean (uncontrolled) or toward a blend of mean and target
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -33,13 +36,19 @@ class ParticleEnsemble:
     """Fixed-size population of contact numbers with its random stream.
 
     n_clamped accumulates how many proposed transitions had to be clipped at
-    zero to keep contacts admissible.
+    zero to keep contacts admissible.  Particle i next fires at step clocks[i]
+    of n_steps; dsmc_step redraws all clocks (exact: Geometric gaps are
+    memoryless) when their step law or samples array is no longer current.
     """
 
     samples: np.ndarray
     rng: np.random.Generator
     n_clamped: int = 0
     n_transitions: int = 0
+    n_steps: int = 0
+    clocks: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    clock_law: Optional[tuple] = field(default=None, init=False)
+    clock_samples: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -136,26 +145,42 @@ def dsmc_step(
     """Advance the ensemble by dt; requires dt <= epsilon / sigma_bound.
 
     Each particle transitions with probability min(B(x), sigma_bound) dt /
-    epsilon, with the compartment mean m frozen for the whole step.  The
-    particle count is conserved exactly.
+    epsilon, with the compartment mean m frozen for the whole step: the
+    particles whose clock is due move and draw a Geometric gap to their next
+    firing, or, when every probability is 1, all move in place with no clocks.
+    The particle count is conserved exactly.
     """
     check_step_size(dt, p.epsilon, sigma_bound)
     x = ens.samples
-    if p.delta == -1.0:
-        accept_prob = np.full(x.shape, dt / p.epsilon)
+    if p.delta == -1.0 and _fire_prob(1.0, p, dt, sigma_bound) == 1.0:
+        ens.clock_law = None  # the moved samples outdate any clocks
+        np.maximum(_fired(ens, x, m, p, c), 0.0, out=x)
     else:
-        with np.errstate(divide="ignore"):
-            kernel = np.where(x > 0, x ** (-(1.0 + p.delta) / 2.0), np.inf)
-        accept_prob = np.minimum(kernel, sigma_bound) * (dt / p.epsilon)
-    mask = ens.rng.random(x.size) < accept_prob
-    n_hit = int(mask.sum())
-    if n_hit:
-        eta = sample_noise(p, ens.rng, size=n_hit)
-        raw = _proposed(x[mask], m, p, c, eta)
-        ens.n_clamped += int((raw < 0).sum())
-        x[mask] = np.maximum(raw, 0.0)
-    ens.n_transitions += n_hit
+        law = (dt, p.epsilon, p.delta, sigma_bound)
+        if ens.clock_law != law or ens.clock_samples is not x:
+            ens.clocks = ens.n_steps - 1 + ens.rng.geometric(_fire_prob(x, p, dt, sigma_bound))
+            ens.clock_law, ens.clock_samples = law, x
+        fire = np.flatnonzero(ens.clocks == ens.n_steps)
+        x[fire] = new = np.maximum(_fired(ens, x[fire], m, p, c), 0.0)
+        # a gap saturated at the int64 maximum wraps negative and never fires
+        ens.clocks[fire] = ens.n_steps + ens.rng.geometric(_fire_prob(new, p, dt, sigma_bound))
+    ens.n_steps += 1
     return ens
+
+
+def _fire_prob(x, p: KineticParams, dt: float, sigma_bound: float):
+    """Per-step probability min(B(x), sigma_bound) dt / epsilon, at most 1."""
+    with np.errstate(divide="ignore"):  # B(0) = inf for delta > -1
+        kernel = x ** (-(1.0 + p.delta) / 2.0)
+    return np.minimum(np.minimum(kernel, sigma_bound) * (dt / p.epsilon), 1.0)
+
+
+def _fired(ens: ParticleEnsemble, x: np.ndarray, m: float, p: KineticParams, c: ControlSpec):
+    """Unclamped transitions of the firing particles x, counted on ens."""
+    raw = _proposed(x, m, p, c, sample_noise(p, ens.rng, size=x.size))
+    ens.n_transitions += x.size
+    ens.n_clamped += int(np.count_nonzero(raw < 0))
+    return raw
 
 
 def run_to_equilibrium(

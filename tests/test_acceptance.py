@@ -390,23 +390,26 @@ def test_criterion_7_closure_limits():
 
 def test_criterion_8_byte_identical_reruns(tmp_path):
     with report("8", "same seed and config give byte-identical CSV outputs"):
-        cfg = {
-            "schema_version": 1,
-            "kind": "dsmc_equilibrium",
-            "seed": 2718,
-            "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": -1.0, "epsilon": 0.01, "tau": 1.0},
-            "grid": {"x_max": 100.0, "n_cells": 1000},
-            "dsmc": {"n_particles": 20000, "n_bins": 400, "mean_reference": 5.0,
-                     "kernel_bound": 1.0},
-            "time": {"dt": 0.01, "t_final": 3.0},
-            "initial": {"type": "uniform", "low": 6.0, "high": 8.0},
-        }
-        path = tmp_path / "repro.json"
-        path.write_text(json.dumps(cfg))
-        out_a = execute(path, tmp_path / "a")
-        out_b = execute(path, tmp_path / "b")
-        csvs_a = sorted(f.name for f in out_a.glob("*.csv"))
-        csvs_b = sorted(f.name for f in out_b.glob("*.csv"))
-        assert csvs_a and csvs_a == csvs_b
-        for name in csvs_a:
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        # delta = -1 moves every particle each step; delta = +1 runs the clocks
+        for delta, dt, bound in ((-1.0, 0.01, 1.0), (1.0, 0.001, 10.0)):
+            cfg = {
+                "schema_version": 1,
+                "kind": "dsmc_equilibrium",
+                "seed": 2718,
+                "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": delta, "epsilon": 0.01,
+                            "tau": 1.0},
+                "grid": {"x_max": 100.0, "n_cells": 1000},
+                "dsmc": {"n_particles": 20000, "n_bins": 400, "mean_reference": 5.0,
+                         "kernel_bound": bound},
+                "time": {"dt": dt, "t_final": 3.0},
+                "initial": {"type": "uniform", "low": 6.0, "high": 8.0},
+            }
+            path = tmp_path / f"repro_{delta:+.0f}.json"
+            path.write_text(json.dumps(cfg))
+            out_a = execute(path, tmp_path / path.stem / "a")
+            out_b = execute(path, tmp_path / path.stem / "b")
+            csvs_a = sorted(f.name for f in out_a.glob("*.csv"))
+            csvs_b = sorted(f.name for f in out_b.glob("*.csv"))
+            assert csvs_a and csvs_a == csvs_b
+            for name in csvs_a:
+                assert (out_a / name).read_bytes() == (out_b / name).read_bytes()

@@ -224,6 +224,23 @@ class TestRun:
         assert manifest["derived"]["moment_ratio"] == pytest.approx(1.25)
         assert manifest["code_version"]
 
+    @pytest.mark.parametrize("delta, dt, bound", [(-1.0, 0.01, 1.0), (1.0, 0.001, 10.0)])
+    def test_dsmc_manifest_accept_ratio(self, tmp_path, delta, dt, bound):
+        # transitions / (particles x steps): every particle fires each step at
+        # delta = -1 with dt = epsilon, only some do at delta = +1
+        cfg = json.loads(small_dsmc_config(tmp_path).read_text())
+        cfg["kinetic"]["delta"] = delta
+        cfg["dsmc"]["kernel_bound"] = bound
+        cfg["time"] = {"dt": dt, "t_final": 0.1}
+        path = tmp_path / "ratio.json"
+        path.write_text(json.dumps(cfg))
+        out = execute(path, tmp_path / "out")
+        ratio = json.loads((out / "manifest.json").read_text())["metrics"]["accept_ratio"]
+        if delta == -1.0:
+            assert ratio == 1.0
+        else:
+            assert 0.0 < ratio < 1.0
+
     def test_byte_identical_reruns(self, tmp_path):
         path = small_dsmc_config(tmp_path)
         out_a = execute(path, tmp_path / "a")

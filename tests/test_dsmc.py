@@ -144,14 +144,62 @@ class TestStep:
         assert np.all(np.isfinite(ens.samples))
 
     def test_determinism(self):
+        # delta = -1 moves every particle each step; delta = +1 runs the clocks
+        for delta, dt, bound in ((-1.0, 0.01, 1.0), (1.0, 0.001, 10.0)):
+            p = kp(delta=delta)
+            runs = []
+            for _ in range(2):
+                ens = ParticleEnsemble.from_uniform(10_000, 4.0, 6.0, seed=99)
+                for _ in range(100):
+                    dsmc_step(ens, ens.mean(), p, UN, dt=dt, sigma_bound=bound)
+                runs.append(ens.samples.copy())
+            assert np.array_equal(runs[0], runs[1]), delta
+
+
+def fire_prob(x, delta, dt, bound, epsilon=0.01):
+    """min(B(x), bound) dt / epsilon, with B(x) = x^(-(1+delta)/2)."""
+    return np.minimum(x ** (-(1.0 + delta) / 2.0), bound) * dt / epsilon
+
+
+def assert_fires_as(ens, step, probs):
+    """One step fires sum(probs) particles, within 5 standard errors."""
+    before = ens.n_transitions
+    step()
+    fired = ens.n_transitions - before
+    assert abs(fired - probs.sum()) < 5 * np.sqrt((probs * (1 - probs)).sum()), (fired, probs.sum())
+
+
+class TestClocks:
+    def test_kernel_bound_caps_delta_minus_one(self):
+        # B = 1 at delta = -1, so kernel_bound 0.5 with dt = epsilon fires half
         p = kp()
-        runs = []
-        for _ in range(2):
-            ens = ParticleEnsemble.from_uniform(10_000, 4.0, 6.0, seed=99)
-            for _ in range(100):
-                dsmc_step(ens, ens.mean(), p, UN, dt=0.01, sigma_bound=1.0)
-            runs.append(ens.samples.copy())
-        assert np.array_equal(runs[0], runs[1])
+        ens = ParticleEnsemble.from_uniform(100_000, 4.0, 6.0, seed=12)
+        assert_fires_as(ens, lambda: dsmc_step(ens, 5.0, p, UN, dt=p.epsilon, sigma_bound=0.5),
+                        np.full(ens.size, 0.5))
+
+    def test_fired_count_matches_probabilities_delta_plus_one(self):
+        p = kp(delta=1.0)
+        ens = ParticleEnsemble.from_uniform(20_000, 4.0, 6.0, seed=13)
+        expected = variance = 0.0
+        for _ in range(200):
+            probs = fire_prob(ens.samples, 1.0, 0.001, 10.0)
+            expected += probs.sum()
+            variance += (probs * (1 - probs)).sum()
+            dsmc_step(ens, 5.0, p, UN, dt=0.001, sigma_bound=10.0)
+        assert abs(ens.n_transitions - expected) < 5 * np.sqrt(variance)
+
+    @pytest.mark.parametrize("change", ["dt", "samples"])
+    def test_clocks_redrawn_for_new_dt_or_samples(self, change):
+        # clocks drawn at probability ~0.002 must not set the next step's
+        # count once dt or the samples give ~0.02
+        p = kp(delta=1.0)
+        ens = ParticleEnsemble.from_uniform(100_000, 4.0, 6.0, seed=14)
+        dsmc_step(ens, 5.0, p, UN, dt=1e-4, sigma_bound=10.0)
+        dt = 1e-3 if change == "dt" else 1e-4
+        if change == "samples":
+            ens.samples = ens.samples / 10.0
+        assert_fires_as(ens, lambda: dsmc_step(ens, ens.mean(), p, UN, dt=dt, sigma_bound=10.0),
+                        fire_prob(ens.samples, 1.0, dt, 10.0))
 
 
 class TestInvariants:
