@@ -31,7 +31,7 @@ from .params import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class ParticleEnsemble:
     """Fixed-size population of contact numbers with its random stream.
 

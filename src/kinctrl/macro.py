@@ -62,7 +62,8 @@ class MacroModel:
 
     variant CLASSICAL_SIR uses the homogeneous transmission rate `beta`
     (kept distinct from beta_1, which carries different units).  L1 and L2
-    read beta_1 / beta_2 from `epidemic` and close with `closure`.
+    read beta_1 / beta_2 from `epidemic` and close with `closure`; they
+    reject an `epidemic` with more betas or a beta0 term, which they would drop.
     """
 
     variant: MacroVariant
@@ -76,60 +77,62 @@ class MacroModel:
             if self.beta is None or self.beta < 0:
                 raise ValueError("classical SIR needs a transmission rate beta >= 0")
             return
-        n_betas = self.epidemic.order
-        if self.variant is MacroVariant.L1 and n_betas < 1:
-            raise ValueError("L1 model needs beta_1")
-        if self.variant is MacroVariant.L2 and n_betas < 2:
-            raise ValueError("L2 model needs beta_1 and beta_2")
-        self.closure_ratios  # raises when the profile lacks a moment this order needs
+        order = 1 if self.variant is MacroVariant.L1 else 2
+        _check_incidence(self.epidemic, range(order, order + 1), f"the {self.variant.name} model")
+        self.rate_constants  # raises when the profile lacks a moment this order needs
 
     @cached_property
-    def closure_ratios(self) -> tuple[float, float]:
-        """(c2, c3) = (m2/m^2, m3/m^3) of the closure profile; c3 = 1 (unused) at L1."""
+    def rate_constants(self) -> tuple[float, ...]:
+        """(b1, b2 c2^2, b1 (c2 - 1), b2 c2 (c3 - c2), c2, c3/c2, gamma) of an L1/L2 model.
+
+        c2 = m2/m^2 and c3 = m3/m^3 are the closure profile's ratios; at L1,
+        b2 = 0 and c3 = 1 (unused).  Each constant is the left-hand factor of
+        its product in `rhs`, so every product rounds as if written out.
+        """
+        b1 = self.epidemic.betas[0]
         c2 = closure_moment(self.closure, 2, 1.0, self.kinetic.lam)
-        if self.variant is not MacroVariant.L2:
-            return c2, 1.0
-        return c2, closure_moment(self.closure, 3, 1.0, self.kinetic.lam)
+        b2, c3 = 0.0, 1.0
+        if self.variant is MacroVariant.L2:
+            b2 = self.epidemic.betas[1]
+            c3 = closure_moment(self.closure, 3, 1.0, self.kinetic.lam)
+        return (b1, b2 * c2**2, b1 * (c2 - 1.0), b2 * c2 * (c3 - c2), c2, c3 / c2,
+                self.epidemic.gamma_i)
+
+
+def _check_incidence(epidemic: EpidemicParams, orders: range, system: str) -> None:
+    """Reject an incidence the system would not keep whole: beta0, or betas not in orders."""
+    if epidemic.order not in orders:
+        raise ValueError(f"{system} takes {' or '.join(map(str, orders))} epidemic.betas, "
+                         f"got {epidemic.order}")
+    if epidemic.beta0 > 0:
+        raise ValueError(f"{system} has no beta0 term, got epidemic.beta0 = {epidemic.beta0}")
 
 
 def rhs(model: MacroModel, s: MacroState) -> MacroState:
     """Time derivative of the closed system at state s.
 
     The susceptible mass never increases and the removed mass never
-    decreases; the three mass derivatives cancel exactly.
+    decreases; the three mass derivatives cancel exactly.  Every product
+    keeps the factor order of the model's equations on purpose: regrouping
+    one (say b1 * (rho_s * m_s)) changes its rounding and every trajectory.
     """
-    gamma = model.epidemic.gamma_i
+    rho_s, rho_i, rho_r, m_s, m_i, m_r = s
     if model.variant is MacroVariant.CLASSICAL_SIR:
-        infection = model.beta * s.rho_s * s.rho_i
-        return MacroState(
-            -infection, infection - gamma * s.rho_i, gamma * s.rho_i, 0.0, 0.0, 0.0
-        )
+        gamma = model.epidemic.gamma_i
+        infection = model.beta * rho_s * rho_i
+        return MacroState(-infection, infection - gamma * rho_i, gamma * rho_i, 0.0, 0.0, 0.0)
 
-    c2, c3 = model.closure_ratios
-    b1 = model.epidemic.betas[0]
-    b2 = model.epidemic.betas[1] if model.variant is MacroVariant.L2 else 0.0
-
-    infection = (
-        b1 * s.rho_s * s.m_s * s.rho_i * s.m_i
-        + b2 * c2**2 * s.rho_s * s.m_s**2 * s.rho_i * s.m_i**2
+    b1, b2_c2sq, b1_c2m1, b2_c2_c3mc2, c2, c3_c2, gamma = model.rate_constants
+    m_s2, m_i2 = m_s**2, m_i**2
+    infection = b1 * rho_s * m_s * rho_i * m_i + b2_c2sq * rho_s * m_s2 * rho_i * m_i2
+    d_m_s = -(b1_c2m1 * m_s2 * rho_i * m_i + b2_c2_c3mc2 * m_s**3 * rho_i * m_i2)
+    d_m_i = rho_s * m_s * m_i * (
+        b1 * (c2 * m_s - m_i)
+        + b2_c2sq * (c3_c2 * m_s - m_i) * m_s * m_i
     )
-    d_rho_s = -infection
-    d_rho_i = infection - gamma * s.rho_i
-    d_rho_r = gamma * s.rho_i
-
-    d_m_s = -(
-        b1 * (c2 - 1.0) * s.m_s**2 * s.rho_i * s.m_i
-        + b2 * c2 * (c3 - c2) * s.m_s**3 * s.rho_i * s.m_i**2
-    )
-    d_m_i = s.rho_s * s.m_s * s.m_i * (
-        b1 * (c2 * s.m_s - s.m_i)
-        + b2 * c2**2 * ((c3 / c2) * s.m_s - s.m_i) * s.m_s * s.m_i
-    )
-    if s.rho_r < RHO_R_FLOOR:
-        d_m_r = 0.0
-    else:
-        d_m_r = gamma * (s.rho_i / s.rho_r) * (s.m_i - s.m_r)
-    return MacroState(d_rho_s, d_rho_i, d_rho_r, d_m_s, d_m_i, d_m_r)
+    d_m_r = 0.0 if rho_r < RHO_R_FLOOR else gamma * (rho_i / rho_r) * (m_i - m_r)
+    recovery = gamma * rho_i
+    return MacroState(-infection, infection - recovery, recovery, d_m_s, d_m_i, d_m_r)
 
 
 def peak_contacts(
@@ -169,8 +172,13 @@ class ControlledMacroModel:
     def __post_init__(self):
         if not self.control.active:
             raise ValueError("ControlledMacroModel needs an active control strategy")
-        if self.epidemic.order < 1:
-            raise ValueError("controlled macro system needs at least beta_1")
+        _check_incidence(self.epidemic, range(1, 3), "the controlled macro system")
+
+    @cached_property
+    def rate_constants(self) -> tuple[float, float, float]:
+        """(b1, b2, gamma), with b2 = 0 for a first-order incidence."""
+        betas = self.epidemic.betas
+        return betas[0], betas[1] if len(betas) > 1 else 0.0, self.epidemic.gamma_i
 
     def moments_for_mean(self, m: float) -> tuple[float, float]:
         """(first, second) moment of the controlled steady state at reference mean m."""
@@ -208,19 +216,12 @@ def controlled_rhs(model: ControlledMacroModel, s: MacroState) -> MacroState:
     The incidence moments (m, m2) of S and I come (through the cache) from
     the steady states at the state's current means.
     """
-    m_s, m2_s = model.moments_for_mean(s.m_s)
-    m_i, m2_i = model.moments_for_mean(s.m_i)
-    betas = model.epidemic.betas
-    b1 = betas[0]
-    b2 = betas[1] if len(betas) > 1 else 0.0
-    gamma = model.epidemic.gamma_i
-
-    infection = (
-        b1 * s.rho_s * m_s * s.rho_i * m_i + b2 * s.rho_s * m2_s * s.rho_i * m2_i
-    )
-    return MacroState(
-        -infection, infection - gamma * s.rho_i, gamma * s.rho_i, 0.0, 0.0, 0.0
-    )
+    rho_s, rho_i, _, mean_s, mean_i, _ = s
+    m_s, m2_s = model.moments_for_mean(mean_s)
+    m_i, m2_i = model.moments_for_mean(mean_i)
+    b1, b2, gamma = model.rate_constants
+    infection = b1 * rho_s * m_s * rho_i * m_i + b2 * rho_s * m2_s * rho_i * m2_i
+    return MacroState(-infection, infection - gamma * rho_i, gamma * rho_i, 0.0, 0.0, 0.0)
 
 
 def rk4_integrate(
@@ -232,7 +233,8 @@ def rk4_integrate(
     Returns the time and the state after every step, t = 0 included.  The
     compartment masses must keep summing to their initial total within
     MASS_SUM_TOL at every step; a violation aborts with the last valid state
-    attached to the raised error.
+    attached to the raised error.  The stages are written out component by
+    component: the step's cost is otherwise interpreter overhead.
     """
     n_steps = step_count(t_final, dt)
     f = controlled_rhs if isinstance(model, ControlledMacroModel) else rhs
@@ -242,15 +244,22 @@ def rk4_integrate(
     states = [s0]
     y = s0
     for k in range(1, n_steps + 1):
-        k1 = f(model, y)
-        k2 = f(model, MacroState._make(yi + half * ki for yi, ki in zip(y, k1)))
-        k3 = f(model, MacroState._make(yi + half * ki for yi, ki in zip(y, k2)))
-        k4 = f(model, MacroState._make(yi + dt * ki for yi, ki in zip(y, k3)))
-        y = MacroState._make(
-            yi + sixth * (a + 2.0 * b + 2.0 * c + d)
-            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-        )
-        mass = y.mass_sum()
+        y1, y2, y3, y4, y5, y6 = y
+        a1, a2, a3, a4, a5, a6 = f(model, y)
+        b1, b2, b3, b4, b5, b6 = f(model, (y1 + half * a1, y2 + half * a2, y3 + half * a3,
+                                           y4 + half * a4, y5 + half * a5, y6 + half * a6))
+        c1, c2, c3, c4, c5, c6 = f(model, (y1 + half * b1, y2 + half * b2, y3 + half * b3,
+                                           y4 + half * b4, y5 + half * b5, y6 + half * b6))
+        d1, d2, d3, d4, d5, d6 = f(model, (y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
+                                           y4 + dt * c4, y5 + dt * c5, y6 + dt * c6))
+        rho_s = y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        rho_i = y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        rho_r = y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+        y = MacroState(rho_s, rho_i, rho_r,
+                       y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+                       y5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+                       y6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6))
+        mass = rho_s + rho_i + rho_r
         if not math.isfinite(mass) or abs(mass - target_sum) > MASS_SUM_TOL:
             raise InvariantViolationError(
                 f"compartment masses summed to {mass!r} at t = {k * dt}",

@@ -189,6 +189,28 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "kinetic.delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("beta0", 5.0), ("betas", [0.02, 2e-6, 1e-8])],
+    )
+    def test_consistency_rejects_terms_the_macro_model_drops(self, tmp_path, capsys, field, value):
+        # the kinetic incidence keeps beta0 and every beta_l; the macro
+        # reference closes at beta_2, so it would compare a different model
+        cfg = consistency_config()
+        cfg["epidemic"][field] = value
+        path = tmp_path / "cons.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"epidemic.{field}" in capsys.readouterr().err
+
+    def test_macro_compare_rejects_betas_beyond_the_variant(self, tmp_path, capsys):
+        cfg = json.loads(small_macro_config(tmp_path).read_text())
+        cfg["epidemic"]["betas"] = [1e-3, 1e-6]
+        path = tmp_path / "l1.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "epidemic.betas" in capsys.readouterr().err
+
     def test_controlled_operator_at_other_delta_exits_two(self, tmp_path, capsys):
         cfg = controlled_epidemic_config(tmp_path, set_field("kinetic.delta", 1.0))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2

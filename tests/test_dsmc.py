@@ -104,6 +104,13 @@ class TestStep:
         with pytest.raises(ValueError):
             dsmc_step(ens, 5.0, p, UN, dt=0.0011, sigma_bound=10.0)
 
+    def test_equality_returns_a_bool(self):
+        # ensembles compare by identity: equal samples arrays must not reach
+        # the ambiguous truth value of an array comparison
+        a, b = (ParticleEnsemble.from_uniform(10, 1.0, 2.0, seed=0) for _ in range(2))
+        assert (a == b) is False
+        assert (a == a) is True
+
     def test_particle_count_conserved(self):
         p = kp()
         ens = ParticleEnsemble.from_uniform(5_000, 4.0, 6.0, seed=1)

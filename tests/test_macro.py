@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinctrl import (
@@ -13,6 +13,7 @@ from kinctrl import (
 )
 from kinctrl.errors import InvariantViolationError
 from kinctrl.macro import (
+    RHO_R_FLOOR,
     ControlledMacroModel,
     MacroModel,
     MacroState,
@@ -22,6 +23,7 @@ from kinctrl.macro import (
     rhs,
     rk4_integrate,
 )
+from kinctrl.params import closure_moment
 
 GAMMA_I = 1.0 / 14.0
 
@@ -65,6 +67,137 @@ class TestRhs:
         with pytest.raises(ValueError):
             MacroModel(MacroVariant.L2, ClosureKind.INVERSE_GAMMA,
                        kin(-1.0, lam=2.0), EpidemicParams((0.0, 1e-5), GAMMA_I))
+
+
+class TestIncidenceOrder:
+    # a closed system that would drop part of the kinetic incidence refuses it
+    @pytest.mark.parametrize(
+        "variant, epi",
+        [
+            (MacroVariant.L1, EpidemicParams((1e-3, 1e-6), GAMMA_I)),
+            (MacroVariant.L2, EpidemicParams((2e-2, 2e-6, 1e-8), GAMMA_I)),
+            (MacroVariant.L1, EpidemicParams((1e-3,), GAMMA_I, beta0=5.0)),
+            (MacroVariant.L2, EpidemicParams((2e-2, 2e-6), GAMMA_I, beta0=5.0)),
+        ],
+    )
+    def test_closed_model_rejects_dropped_terms(self, variant, epi):
+        with pytest.raises(ValueError, match="epidemic.beta"):
+            MacroModel(variant, ClosureKind.INVERSE_GAMMA, kin(-1.0), epi)
+
+    @pytest.mark.parametrize(
+        "epi",
+        [EpidemicParams((2e-2, 2e-6, 1e-8), GAMMA_I), EpidemicParams((2e-2,), GAMMA_I, beta0=5.0)],
+    )
+    def test_controlled_model_rejects_dropped_terms(self, epi):
+        with pytest.raises(ValueError, match="epidemic.beta"):
+            ControlledMacroModel(kin(-1.0, tau=1e-5), epi, ControlSpec.additive(1.0, 3.0),
+                                 Grid(200.0, 10000))
+
+    def test_classical_sir_ignores_the_betas(self):
+        epi = EpidemicParams((2e-2, 2e-6, 1e-8), GAMMA_I, beta0=5.0)
+        model = MacroModel(MacroVariant.CLASSICAL_SIR, ClosureKind.DIRAC, kin(-1.0), epi, beta=0.5)
+        assert rhs(model, state(rho_i=0.1)).rho_s == -0.5 * (1.0 - 0.1 - 1e-5) * 0.1
+
+
+def oracle_rhs(model, s):
+    """The closed system's derivative, every product written out in full."""
+    gamma = model.epidemic.gamma_i
+    if model.variant is MacroVariant.CLASSICAL_SIR:
+        infection = model.beta * s.rho_s * s.rho_i
+        return MacroState(
+            -infection, infection - gamma * s.rho_i, gamma * s.rho_i, 0.0, 0.0, 0.0
+        )
+    l2 = model.variant is MacroVariant.L2
+    c2 = closure_moment(model.closure, 2, 1.0, model.kinetic.lam)
+    c3 = closure_moment(model.closure, 3, 1.0, model.kinetic.lam) if l2 else 1.0
+    b1 = model.epidemic.betas[0]
+    b2 = model.epidemic.betas[1] if l2 else 0.0
+    infection = (
+        b1 * s.rho_s * s.m_s * s.rho_i * s.m_i
+        + b2 * c2**2 * s.rho_s * s.m_s**2 * s.rho_i * s.m_i**2
+    )
+    d_m_s = -(
+        b1 * (c2 - 1.0) * s.m_s**2 * s.rho_i * s.m_i
+        + b2 * c2 * (c3 - c2) * s.m_s**3 * s.rho_i * s.m_i**2
+    )
+    d_m_i = s.rho_s * s.m_s * s.m_i * (
+        b1 * (c2 * s.m_s - s.m_i)
+        + b2 * c2**2 * ((c3 / c2) * s.m_s - s.m_i) * s.m_s * s.m_i
+    )
+    if s.rho_r < RHO_R_FLOOR:
+        d_m_r = 0.0
+    else:
+        d_m_r = gamma * (s.rho_i / s.rho_r) * (s.m_i - s.m_r)
+    return MacroState(
+        -infection, infection - gamma * s.rho_i, gamma * s.rho_i, d_m_s, d_m_i, d_m_r
+    )
+
+
+def oracle_controlled_rhs(model, s):
+    m_s, m2_s = model.moments_for_mean(s.m_s)
+    m_i, m2_i = model.moments_for_mean(s.m_i)
+    b1, b2 = model.epidemic.betas[0], model.epidemic.betas[1]
+    gamma = model.epidemic.gamma_i
+    infection = b1 * s.rho_s * m_s * s.rho_i * m_i + b2 * s.rho_s * m2_s * s.rho_i * m2_i
+    return MacroState(
+        -infection, infection - gamma * s.rho_i, gamma * s.rho_i, 0.0, 0.0, 0.0
+    )
+
+
+def oracle_rk4(f, model, s0, dt, n_steps):
+    """RK4 with each stage built from a generator over the components."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    states = [s0]
+    y = s0
+    for _ in range(n_steps):
+        k1 = f(model, y)
+        k2 = f(model, MacroState._make(yi + half * ki for yi, ki in zip(y, k1)))
+        k3 = f(model, MacroState._make(yi + half * ki for yi, ki in zip(y, k2)))
+        k4 = f(model, MacroState._make(yi + dt * ki for yi, ki in zip(y, k3)))
+        y = MacroState._make(
+            yi + sixth * (a + 2.0 * b + 2.0 * c + d)
+            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+        )
+        states.append(y)
+    return states
+
+
+class TestOracle:
+    # rk4_integrate and rhs must reproduce the written-out forms bit for bit
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        variant=st.sampled_from(MacroVariant),
+        closure=st.sampled_from([ClosureKind.GAMMA, ClosureKind.INVERSE_GAMMA]),
+        lam=st.floats(3.0, 10.0),
+        b1=st.floats(1e-4, 2e-2),
+        b2=st.floats(1e-7, 1e-5),
+        gamma_i=st.floats(1e-2, 0.5),
+        rho=st.tuples(st.floats(1e-6, 1.0), st.floats(1e-6, 1.0), st.floats(0.0, 1.0)),
+        means=st.tuples(st.floats(1.0, 10.0), st.floats(1.0, 10.0), st.floats(1.0, 10.0)),
+        dt=st.sampled_from([0.01, 0.05, 0.1]),
+    )
+    @example(MacroVariant.L2, ClosureKind.INVERSE_GAMMA, 5.0, 2e-2, 2e-6, GAMMA_I,
+             (0.9, 0.1, 0.1 * RHO_R_FLOOR), (10.0, 8.0, 3.0), 0.05)
+    def test_closed_models_match_the_oracle(
+        self, variant, closure, lam, b1, b2, gamma_i, rho, means, dt
+    ):
+        delta = -1.0 if closure is ClosureKind.INVERSE_GAMMA else 1.0
+        betas = (b1,) if variant is MacroVariant.L1 else (b1, b2)
+        model = MacroModel(variant, closure, kin(delta, lam=lam),
+                           EpidemicParams(betas, gamma_i), beta=b1 * means[0] ** 2)
+        s0 = MacroState(*rho, *means)
+        times, states = rk4_integrate(model, s0, dt, 200 * dt)
+        assert states == oracle_rk4(oracle_rhs, model, s0, dt, 200)
+        assert rhs(model, s0) == oracle_rhs(model, s0)
+        assert times == [k * dt for k in range(201)]
+
+    def test_controlled_model_matches_the_oracle(self):
+        model = ControlledMacroModel(kin(-1.0, tau=1e-5), EpidemicParams((2e-2, 2e-6), GAMMA_I),
+                                     ControlSpec.additive(1.0, 3.0), Grid(200.0, 10000))
+        s0 = MacroState(0.9, 0.08, 0.02, 5.0, 4.0, 6.0)
+        _, states = rk4_integrate(model, s0, 0.05, 10.0)
+        assert states == oracle_rk4(oracle_controlled_rhs, model, s0, 0.05, 200)
 
 
 class TestPeakContacts:
@@ -129,8 +262,9 @@ class TestIntegration:
         self, variant, closure, lam, b1, b2, gamma_i, rho, mean, dt
     ):
         delta = -1.0 if closure is ClosureKind.INVERSE_GAMMA else 1.0
+        betas = (b1,) if variant is MacroVariant.L1 else (b1, b2)
         model = MacroModel(variant, closure, kin(delta, lam=lam),
-                           EpidemicParams((b1, b2), gamma_i), beta=b1 * mean**2)
+                           EpidemicParams(betas, gamma_i), beta=b1 * mean**2)
         total = sum(rho)
         s0 = MacroState(*(r / total for r in rho), mean, mean, mean)
         _, states = rk4_integrate(model, s0, dt, 200 * dt)
