@@ -38,7 +38,6 @@ from .fp import (
     SpStepper,
     build_operator,
     check_operator_domain,
-    interface_weights,
     sp_step_batch,
     steady_state_solve,
     uniform_density,
@@ -325,20 +324,18 @@ def run_fp_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
     m_ref = _positive(cfg, "fp.mean_reference", required=False)
     f = _build("initial", uniform_density, grid, *_interval(cfg))
     n_steps = step_count(t_final, dt)
+    op = build_operator(p, c, grid)
     if m_ref is not None:
-        op = build_operator(p, c, m_ref)
-        stepper = SpStepper(grid, op, dt, p.tau)
+        stepper = SpStepper(op, m_ref, dt, p.tau)
         vals = f.values
         for _ in range(n_steps):
             vals = stepper.step(vals)
         f = ContactDensity(grid, vals)
     else:
-        weights = interface_weights(grid, p, c)
         for _ in range(n_steps):
-            f = ContactDensity(grid, sp_step_batch(weights, [f.values], [f.mean()], dt, p.tau)[0])
-        op = build_operator(p, c, f.mean())
+            f = ContactDensity(grid, sp_step_batch(op, [f.values], [f.mean()], dt, p.tau)[0])
 
-    steady = steady_state_solve(op, grid)
+    steady = steady_state_solve(op, m_ref or f.mean())
     x = grid.centers()
     write_density(out / density_filename(t_final), x, {"f": f.values})
     write_density(out / "steady_state.csv", x, {"f": steady.values})
@@ -561,11 +558,25 @@ def execute(config_path: Path, out_dir: Path | None = None, seed: int | None = N
 # compare
 
 
+def _read_run_csv(path: Path, axis: str, min_rows: int) -> dict[str, np.ndarray]:
+    """read_csv(path), as a NumericsError naming the file if it is missing,
+    empty or ragged, or has fewer than min_rows values of the axis column."""
+    try:
+        data = read_csv(path)
+    except StopIteration:
+        raise NumericsError(f"{path}: empty file") from None
+    except (OSError, ValueError) as exc:
+        raise NumericsError(f"{path}: {exc}") from exc
+    if len(data.get(axis, ())) < min_rows:
+        raise NumericsError(f"{path}: needs column {axis!r} with at least {min_rows} rows")
+    return data
+
+
 def compare_runs(dir_a: Path, dir_b: Path, metric: str) -> dict:
     """Metric between two run directories; raises on incompatible axes."""
     if metric == "sup_trajectory":
-        ta = read_csv(dir_a / TRAJECTORY_FILE)
-        tb = read_csv(dir_b / TRAJECTORY_FILE)
+        ta = _read_run_csv(dir_a / TRAJECTORY_FILE, "t", 1)
+        tb = _read_run_csv(dir_b / TRAJECTORY_FILE, "t", 1)
         if not np.array_equal(ta["t"], tb["t"]):
             raise NumericsError("trajectories have different time axes")
         shared = [k for k in ta if k != "t" and k in tb]
@@ -581,8 +592,8 @@ def compare_runs(dir_a: Path, dir_b: Path, metric: str) -> dict:
             raise NumericsError("run directories share no density snapshots")
         per_file = {}
         for name in common:
-            da = read_csv(dir_a / name)
-            db = read_csv(dir_b / name)
+            da = _read_run_csv(dir_a / name, "x", 2)
+            db = _read_run_csv(dir_b / name, "x", 2)
             if not np.array_equal(da["x"], db["x"]):
                 raise NumericsError(f"{name}: x grids differ")
             cols = [k for k in da if k != "x" and k in db]

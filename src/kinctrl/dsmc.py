@@ -73,7 +73,7 @@ class ParticleEnsemble:
         return float((self.samples**2).mean())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
     """Probability-density histogram on uniform bins over [0, x_max]."""
 

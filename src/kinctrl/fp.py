@@ -18,8 +18,8 @@ conserved and no cell can go negative for any step size.
 
 Each rule's drift depends on the reference mean m only through one scalar
 s(m), as a polynomial of degree <= 2, so w(m) is the same polynomial in s(m)
-over a basis that interface_weights integrates once per (grid, params,
-control).  sp_step_batch then steps several densities, each at its own mean,
+over a basis that build_operator integrates once per (params, control,
+grid).  sp_step_batch then steps several densities, each at its own mean,
 as the blocks of one tridiagonal system.
 """
 
@@ -121,52 +121,12 @@ def uniform_density(grid: Grid, low: float, high: float) -> ContactDensity:
     return ContactDensity(grid, vals / total)
 
 
-@dataclass(frozen=True)
-class DriftDiffusion:
-    """Drift C(x) and diffusion D(x) of one contact operator.
-
-    The diffusion is (sigma^2/2) x^(2-(1+delta)/2) for every operator; only
-    the drift differs between the uncontrolled and the two controlled rules.
-    """
-
-    drift: Callable[[np.ndarray], np.ndarray]
-    diffusion: Callable[[np.ndarray], np.ndarray]
-
-
 def check_operator_domain(p: KineticParams, c: ControlSpec) -> None:
     """Raise ValueError for a controlled rule away from delta = -1, where it has no operator."""
     if c.active and p.delta != -1.0:
         raise ValueError(
             f"controlled operators require delta = -1, got delta = {p.delta}"
         )
-
-
-def _diffusion(p: KineticParams) -> Callable[[np.ndarray], np.ndarray]:
-    diff_exp = 2.0 - (1.0 + p.delta) / 2.0
-    sig_half = 0.5 * p.sigma2
-
-    def diffusion(x: np.ndarray) -> np.ndarray:
-        return sig_half * np.asarray(x, dtype=float) ** diff_exp
-
-    return diffusion
-
-
-def build_operator(p: KineticParams, c: ControlSpec, m: float) -> DriftDiffusion:
-    """Drift/diffusion pair for the selected transition rule at reference mean m.
-
-    The drift is the rule's row of the strategy table.  Controlled operators
-    are derived at delta = -1 only; requesting one at any other delta is a
-    domain error.
-    """
-    if not m > 0:
-        raise ValueError(f"reference mean must be > 0, got {m}")
-    check_operator_domain(p, c)
-    rule = STRATEGY_RULES[c.strategy]
-
-    def drift(x: np.ndarray) -> np.ndarray:
-        return rule.drift(np.asarray(x, dtype=float), m, p, c)
-
-    return DriftDiffusion(drift, _diffusion(p))
 
 
 def _bernoulli(w: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -190,40 +150,14 @@ def _bernoulli(w: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     return b_w, b_minus
 
 
-def _gauss_points(grid: Grid):
-    """(nodes, weights) of the Gauss-Legendre rule between neighbouring cell
-    centers, one point of the rule at a time (weights include the half-width)."""
-    x = grid.centers()
-    lo, hi = x[:-1], x[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        yield mid + half * node, weight * half
-
-
-def _log_diffusion_jump(diffusion: Callable, grid: Grid) -> np.ndarray:
-    d_centers = diffusion(grid.centers())
-    return np.log(d_centers[1:]) - np.log(d_centers[:-1])
-
-
-def interface_log_ratios(op: DriftDiffusion, grid: Grid) -> np.ndarray:
-    """Log-ratios w_{i+1/2} = -ln(f_{i+1}/f_i) of the zero-flux solution.
-
-    The C/D part is integrated with Gauss-Legendre nodes between neighbouring
-    cell centers; the ln D difference is exact.
-    """
-    quad = sum(wq * (op.drift(xq) / op.diffusion(xq)) for xq, wq in _gauss_points(grid))
-    return quad + _log_diffusion_jump(op.diffusion, grid)
-
-
 @dataclass(frozen=True, eq=False)
 class InterfaceWeights:
-    """Interface log-ratios of one rule on one grid, for any reference mean.
+    """One rule's contact operator on one grid, for any reference mean.
 
     The rule's drift is sum_k s(m)^k term_k(x), so w(m) = sum_k s(m)^k
     basis[k], where row k of the basis is the quadrature of term_k / D and
     row 0 also carries the ln D difference.  The basis is integrated once;
-    each w(m) is then one small matrix product.
+    each w(m) is then one small matrix product (interface_log_ratios).
     """
 
     grid: Grid
@@ -237,26 +171,41 @@ class InterfaceWeights:
             raise ValueError(f"reference mean must be > 0, got {m}")
         return self.scalar(m) ** np.arange(len(self.basis))
 
-    def at(self, m: float) -> np.ndarray:
-        """w_{i+1/2} at mean m, as interface_log_ratios(build_operator(p, c, m), grid)."""
-        return self.powers(m) @ self.basis
-
 
 @functools.lru_cache(maxsize=1)
-def interface_weights(grid: Grid, p: KineticParams, c: ControlSpec) -> InterfaceWeights:
-    """Weight basis of rule c at p on grid, integrated once per (grid, p, c)."""
+def build_operator(p: KineticParams, c: ControlSpec, grid: Grid) -> InterfaceWeights:
+    """Contact operator of rule c at p on grid, integrated once per (p, c, grid).
+
+    The drift is the rule's row of the strategy table; the diffusion is
+    (sigma^2/2) x^(2-(1+delta)/2) for every rule.  Controlled operators are
+    derived at delta = -1 only; requesting one at any other delta is a
+    domain error.
+    """
     check_operator_domain(p, c)
     rule = STRATEGY_RULES[c.strategy]
-    diffusion = _diffusion(p)
-    basis = sum(
-        wq * (np.array(rule.drift_terms(xq, p, c)) / diffusion(xq))
-        for xq, wq in _gauss_points(grid)
-    )
-    basis[0] += _log_diffusion_jump(diffusion, grid)
+    diff_exp = 2.0 - (1.0 + p.delta) / 2.0
+
+    def diffusion(x: np.ndarray) -> np.ndarray:
+        return 0.5 * p.sigma2 * x**diff_exp
+
+    # Gauss-Legendre quadrature of term_k / D between neighbouring cell centers
+    x = grid.centers()
+    half, mid = 0.5 * (x[1:] - x[:-1]), 0.5 * (x[1:] + x[:-1])
+    basis = 0.0
+    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+        xq = mid + half * node
+        basis = basis + weight * half * (np.array(rule.drift_terms(xq, p, c)) / diffusion(xq))
+    d_centers = diffusion(x)
+    basis[0] += np.log(d_centers[1:]) - np.log(d_centers[:-1])
     d_if = diffusion(grid.interior_interfaces())
     basis.flags.writeable = False
     d_if.flags.writeable = False
     return InterfaceWeights(grid, basis, d_if, functools.partial(rule.scalar, p=p))
+
+
+def interface_log_ratios(op: InterfaceWeights, means) -> np.ndarray:
+    """Log-ratios w_{i+1/2} = -ln(f_{i+1}/f_i) of the zero-flux solution, one row per mean."""
+    return np.array([op.powers(m) for m in means]) @ op.basis
 
 
 def _bands(w: np.ndarray, d_if: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -312,54 +261,37 @@ def _step_factor(grid: Grid, dt: float, tau: float) -> float:
 
 
 class SpStepper:
-    """Pre-assembled implicit step for a fixed operator, grid and step size.
+    """Pre-assembled implicit step of one operator at a frozen reference mean m."""
 
-    Reusing the stepper across steps avoids re-integrating the interface
-    weights when the drift does not change (frozen reference mean).
-    """
+    # read by the benchmark tracer (perfbench/spans.py); no operator is degenerate
+    # once sigma2 > 0, since D > 0 at every interface
+    _degenerate = False
 
-    def __init__(self, grid: Grid, op: DriftDiffusion, dt: float, tau: float):
-        c = _step_factor(grid, dt, tau)
-        self.grid = grid
-        self.dt = dt
-        self.tau = tau
-
-        d_if = np.asarray(op.diffusion(grid.interior_interfaces()), dtype=float)
-        self._degenerate = bool(np.all(d_if == 0.0))
-        if self._degenerate:
-            # zero-diffusion operator: only the trivial (zero-drift) case is
-            # representable with these weights; step is the identity
-            if np.any(np.asarray(op.drift(grid.centers()), dtype=float) != 0.0):
-                raise NumericsError(
-                    "operator with zero diffusion but non-zero drift is not "
-                    "representable by the exponential-fitting scheme"
-                )
-            return
-        self._bands = _bands(interface_log_ratios(op, grid), d_if, c)
+    def __init__(self, op: InterfaceWeights, m: float, dt: float, tau: float):
+        c = _step_factor(op.grid, dt, tau)
+        self.grid = op.grid
+        self._bands = _bands(interface_log_ratios(op, [m])[0], op.d_interfaces, c)
 
     def step(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if self._degenerate:
-            return values.copy()
-        return _solve_bands(*self._bands, values, overwrite=False)
+        return _solve_bands(*self._bands, np.asarray(values, dtype=float), overwrite=False)
 
 
 def sp_step_batch(
-    weights: InterfaceWeights, values: np.ndarray, means, dt: float, tau: float
+    op: InterfaceWeights, values: np.ndarray, means, dt: float, tau: float
 ) -> np.ndarray:
     """One implicit step of each row of values, row j at reference mean means[j].
 
     The rows are the blocks of one tridiagonal system, uncoupled at their
     edges (the zero-flux boundary), and are solved in a single call.
     """
-    c = _step_factor(weights.grid, dt, tau)
-    w = np.array([weights.powers(m) for m in means]) @ weights.basis
+    c = _step_factor(op.grid, dt, tau)
+    w = interface_log_ratios(op, means)
     rhs = np.array(values, dtype=float)
-    return _solve_bands(*_bands(w, weights.d_interfaces, c), rhs, overwrite=True)
+    return _solve_bands(*_bands(w, op.d_interfaces, c), rhs, overwrite=True)
 
 
-def steady_state_solve(op: DriftDiffusion, grid: Grid) -> ContactDensity:
-    """Zero-flux solution of C f + d/dx(D f) = 0, unit mass on the grid.
+def steady_state_solve(op: InterfaceWeights, m: float) -> ContactDensity:
+    """Zero-flux solution of C f + d/dx(D f) = 0 at reference mean m, unit mass on the grid.
 
     Built from the same interface log-ratios the implicit scheme uses, so
     the long-time limit of the implicit step matches this density to solver
@@ -368,7 +300,8 @@ def steady_state_solve(op: DriftDiffusion, grid: Grid) -> ContactDensity:
     roundings; a running sum of w would carry the rounding of the whole
     partial sum instead.
     """
-    w = interface_log_ratios(op, grid)
+    grid = op.grid
+    w = interface_log_ratios(op, [m])[0]
     peak = int(np.argmax(np.concatenate([[0.0], -np.cumsum(w)])))
     right = np.cumprod(np.exp(-w[peak:]))
     left = np.cumprod(np.exp(w[:peak][::-1]))[::-1]

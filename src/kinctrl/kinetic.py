@@ -19,8 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import InvariantViolationError
-from .fp import Grid, interface_weights, sp_step_batch
-from .fp import build_operator  # noqa: F401  re-exported as kinetic.build_operator
+from .fp import Grid, build_operator, sp_step_batch
 from .params import ControlSpec, EpidemicParams, KineticParams, output_steps, step_count
 
 # Compartments with less mass than this skip their contact substep (their
@@ -168,7 +167,7 @@ def _contact_substep(
 
     The compartments are the blocks of one tridiagonal solve, with the
     interface weights of the rule integrated once per run
-    (fp.interface_weights).  Compartments with mass at or below MASS_FLOOR
+    (fp.build_operator).  Compartments with mass at or below MASS_FLOOR
     keep their values.  Each stepped compartment is rescaled back to its
     pre-step mass: the scheme conserves mass exactly in exact arithmetic,
     but at stiff dt/tau the tridiagonal solve leaves roundoff at the 1e-9
@@ -183,7 +182,7 @@ def _contact_substep(
     rows = [v for v, ok in zip(state.values, live) if ok]
     means = [float(x @ v) * grid.dx / mass for v, mass in zip(rows, masses[live])]
     # the solve copies the live rows once, and its result is the new state
-    stepped = sp_step_batch(interface_weights(grid, p, c), rows, means, dt, p.tau)
+    stepped = sp_step_batch(build_operator(p, c, grid), rows, means, dt, p.tau)
     stepped *= (masses[live] / (stepped.sum(axis=1) * grid.dx))[:, None]
     if live.all():
         return KineticSIRState(stepped, grid, state.clipped_mass)

@@ -139,8 +139,7 @@ def t1_fp_runs():
     out = {}
     for name, (delta, control, t_final, dt, _) in T1_CASES.items():
         p = kp(delta)
-        op = build_operator(p, control, M_REF)
-        stepper = SpStepper(grid, op, dt, p.tau)
+        stepper = SpStepper(build_operator(p, control, grid), M_REF, dt, p.tau)
         v = uniform_density(grid, 6.0, 8.0).values
         for _ in range(int(round(t_final / dt))):
             v = stepper.step(v)
@@ -296,7 +295,7 @@ def test_criterion_6_conservation_and_monotonicity():
 
         # mesoscopic mass conservation (per step) and positivity
         p = kp(-1.0)
-        stepper = SpStepper(grid, build_operator(p, ControlSpec.uncontrolled(), 7.0), 0.01, 1.0)
+        stepper = SpStepper(build_operator(p, ControlSpec.uncontrolled(), grid), 7.0, 0.01, 1.0)
         v = uniform_density(grid, 6.0, 8.0).values
         for _ in range(100):
             v2 = stepper.step(v)
@@ -315,7 +314,7 @@ def test_criterion_6_conservation_and_monotonicity():
             pd = kp(delta)
             f0 = uniform_density(grid, 6.0, 8.0)
             m0 = f0.mean()
-            st = SpStepper(grid, build_operator(pd, ControlSpec.uncontrolled(), m0), 0.01, 1.0)
+            st = SpStepper(build_operator(pd, ControlSpec.uncontrolled(), grid), m0, 0.01, 1.0)
             v = f0.values
             for _ in range(5000):
                 v = st.step(v)

@@ -312,23 +312,37 @@ class TestRun:
         assert traj["t"][-2] == pytest.approx(4.97)
         assert traj["t"][-1] == 5.0
 
-    def test_fp_run(self, tmp_path):
+    def fp_config(self, tmp_path, **fp):
         cfg = {
             "schema_version": 1,
             "kind": "fp_equilibrium",
             "seed": 0,
             "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": -1.0, "epsilon": 0.01, "tau": 1.0},
             "grid": {"x_max": 100.0, "n_cells": 500},
-            "fp": {"mean_reference": 5.0},
+            "fp": fp,
             "time": {"dt": 0.05, "t_final": 30.0},
             "initial": {"type": "uniform", "low": 6.0, "high": 8.0},
         }
         path = tmp_path / "fp.json"
         path.write_text(json.dumps(cfg))
-        out = execute(path, tmp_path / "out")
+        return path
+
+    def test_fp_run(self, tmp_path):
+        out = execute(self.fp_config(tmp_path, mean_reference=5.0), tmp_path / "out")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["metrics"]["l1_to_equilibrium"] < 0.05
         assert (out / "steady_state.csv").exists()
+
+    def test_fp_run_at_the_running_mean(self, tmp_path):
+        # without fp.mean_reference every step relaxes toward the density's
+        # own mean, and the run ends near the steady state at its final mean
+        # (measured 5.2e-5)
+        out = tmp_path / "out"
+        assert main(["run", str(self.fp_config(tmp_path)), "--out", str(out)]) == 0
+        metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+        assert abs(metrics["final_mass"] - 1.0) <= 1e-10
+        assert "l1_to_equilibrium" not in metrics
+        assert metrics["l1_to_steady_state"] < 1e-4
 
 
 class TestScenarioRunners:
@@ -420,6 +434,30 @@ class TestCompare:
         out_b = execute(small_macro_config(tmp_path, name="m2.json", dt=0.005), tmp_path / "b")
         with pytest.raises(NumericsError):
             compare_runs(out_a, out_b, "sup_trajectory")
+
+    @pytest.mark.parametrize(
+        "metric, name, text",
+        [
+            ("sup_trajectory", None, None),
+            ("sup_trajectory", "trajectory.csv", ""),
+            ("sup_trajectory", "trajectory.csv", "t,rho_S\n0.0,1.0\n0.1\n"),
+            ("L1_density", "density_t1.0.csv", ""),
+            ("L1_density", "density_t1.0.csv", "x,f\n0.5,1.0,2.0\n"),
+            ("L1_density", "density_t1.0.csv", "x,f\n0.5,1.0\n"),
+        ],
+        ids=["trajectory_missing", "trajectory_empty", "trajectory_ragged",
+             "density_empty", "density_ragged", "density_one_row"],
+    )
+    def test_unreadable_csv_is_a_failed_comparison(self, tmp_path, capsys, metric, name, text):
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for d in dirs:
+            d.mkdir()
+            if name is not None:
+                (d / name).write_text(text)
+        assert main(["compare", *map(str, dirs), "--metric", metric]) == 3
+        err = capsys.readouterr().err
+        assert "comparison failed" in err
+        assert (name or "trajectory.csv") in err
 
     def test_threshold_exit_code(self, tmp_path):
         out_a = execute(small_macro_config(tmp_path, name="m1.json"), tmp_path / "a")

@@ -111,6 +111,12 @@ class TestStep:
         assert (a == b) is False
         assert (a == a) is True
 
+    def test_histogram_equality_returns_a_bool(self):
+        # histograms compare by identity, like ensembles
+        a, b = (Histogram.from_samples(np.array([1.0, 2.0, 3.0]), 4, 4.0) for _ in range(2))
+        assert (a == b) is False
+        assert (a == a) is True
+
     def test_particle_count_conserved(self):
         p = kp()
         ens = ParticleEnsemble.from_uniform(5_000, 4.0, 6.0, seed=1)
@@ -228,6 +234,16 @@ class TestInvariants:
             dsmc_step(ens, ens.mean(), p, UN, dt=0.001, sigma_bound=10.0)
         se = ens.samples.std() / np.sqrt(ens.size)
         assert abs(ens.mean() - m0) < 3 * se
+
+    @pytest.mark.parametrize("delta, dt, sigma_bound", [(-1.0, 0.01, 1.0), (1.0, 0.001, 10.0)])
+    def test_run_at_the_ensemble_mean_preserves_it(self, delta, dt, sigma_bound):
+        # m_ref = None steps at the ensemble mean, which conserves it at delta = +/-1:
+        # mean drift below 4 standard errors (a reference mean 2 % off moves it by 5-9)
+        ens = ParticleEnsemble.from_uniform(200_000, 4.0, 6.0, seed=5)
+        m0 = ens.mean()
+        run_to_equilibrium(ens, kp(delta=delta), UN, t_final=1.0, dt=dt, sigma_bound=sigma_bound)
+        se = ens.samples.std() / np.sqrt(ens.size)
+        assert abs(ens.mean() - m0) < 4 * se
 
     def test_second_moment_matches_closure(self):
         # relax to the power-law equilibrium and compare the sample energy

@@ -17,19 +17,22 @@ from kinctrl import (
     uniform_density,
 )
 from kinctrl.errors import NumericsError
-from kinctrl.fp import (
-    DriftDiffusion,
-    SpStepper,
-    _bernoulli,
-    _log_diffusion_jump,
-    interface_log_ratios,
-    interface_weights,
-    sp_step_batch,
-)
+from kinctrl.fp import SpStepper, _bernoulli, interface_log_ratios, sp_step_batch
+from kinctrl.params import STRATEGY_RULES
 
 
 def kp(delta, alpha=1.0, sigma2=0.2, **kw):
     return KineticParams(alpha=alpha, sigma2=sigma2, delta=delta, **kw)
+
+
+def drift(p, c, m, x):
+    """Drift C(x) of rule c at reference mean m."""
+    return STRATEGY_RULES[c.strategy].drift(x, m, p, c)
+
+
+def diffusion(p, x):
+    """Diffusion D(x) = (sigma^2/2) x^(2-(1+delta)/2), shared by every rule."""
+    return 0.5 * p.sigma2 * x ** (2.0 - (1.0 + p.delta) / 2.0)
 
 
 def l1(a, b, dx):
@@ -85,51 +88,62 @@ class TestBernoulli:
 class TestBuildOperator:
     def test_uncontrolled_drift_zero_at_mean(self):
         for delta in (-1.0, 0.0, 1.0):
-            op = build_operator(kp(delta), ControlSpec.uncontrolled(), 7.0)
-            assert abs(op.drift(np.array([7.0]))[0]) < 1e-14
+            c_at_mean = drift(kp(delta), ControlSpec.uncontrolled(), 7.0, np.array([7.0]))
+            assert abs(c_at_mean[0]) < 1e-14
 
     def test_interaction_drift_double_zero(self):
-        op = build_operator(kp(-1.0), ControlSpec.interaction(1.0, 3.0), 10.0)
-        vals = op.drift(np.array([3.0, 10.0]))
+        vals = drift(kp(-1.0), ControlSpec.interaction(1.0, 3.0), 10.0, np.array([3.0, 10.0]))
         assert vals == pytest.approx([0.0, 0.0], abs=1e-14)
 
     def test_additive_large_nu_matches_uncontrolled(self):
         x = np.linspace(0.1, 80.0, 500)
-        un = build_operator(kp(-1.0), ControlSpec.uncontrolled(), 5.0)
-        ctrl = build_operator(kp(-1.0), ControlSpec.additive(1e15, 3.0), 5.0)
-        assert np.max(np.abs(un.drift(x) - ctrl.drift(x))) < 1e-12
-        assert np.max(np.abs(un.diffusion(x) - ctrl.diffusion(x))) == 0.0
+        un = drift(kp(-1.0), ControlSpec.uncontrolled(), 5.0, x)
+        ctrl = drift(kp(-1.0), ControlSpec.additive(1e15, 3.0), 5.0, x)
+        assert np.max(np.abs(un - ctrl)) < 1e-12
+        grid = Grid(80.0, 500)
+        w_un, w_ctrl = (
+            interface_log_ratios(build_operator(kp(-1.0), c, grid), [5.0])
+            for c in (ControlSpec.uncontrolled(), ControlSpec.additive(1e15, 3.0))
+        )
+        assert np.max(np.abs(w_un - w_ctrl)) < 1e-12
 
     def test_diffusion_shared_across_operators(self):
-        x = np.linspace(0.1, 50.0, 100)
+        grid = Grid(50.0, 100)
         ops = [
-            build_operator(kp(-1.0), c, 5.0)
+            build_operator(kp(-1.0), c, grid)
             for c in (
                 ControlSpec.uncontrolled(),
                 ControlSpec.additive(1.0, 3.0),
                 ControlSpec.interaction(1.0, 3.0),
             )
         ]
-        for op in ops[1:]:
-            assert op.diffusion(x) == pytest.approx(ops[0].diffusion(x))
+        d_if = diffusion(kp(-1.0), grid.interior_interfaces())
+        for op in ops:
+            assert op.d_interfaces == pytest.approx(d_if)
 
     def test_controlled_requires_delta_minus_one(self):
         with pytest.raises(ValueError):
-            build_operator(kp(1.0), ControlSpec.additive(1.0, 3.0), 5.0)
+            build_operator(kp(1.0), ControlSpec.additive(1.0, 3.0), Grid(10.0, 50))
+
+    def test_reference_mean_must_be_positive(self):
+        op = build_operator(kp(-1.0), ControlSpec.uncontrolled(), Grid(10.0, 50))
+        for m in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                interface_log_ratios(op, [m])
 
 
 class TestSteadyState:
     def test_matches_inverse_gamma(self):
         grid = Grid(200.0, 10000)  # dx = 0.02
         p = kp(-1.0)
-        ss = steady_state_solve(build_operator(p, ControlSpec.uncontrolled(), 10.0), grid)
+        ss = steady_state_solve(build_operator(p, ControlSpec.uncontrolled(), grid), 10.0)
         eq = EquilibriumDensity(p, 10.0, grid)
         assert l1(ss.values, eq.values, grid.dx) < 1e-6
 
     def test_matches_gamma(self):
         grid = Grid(100.0, 5000)
         p = kp(1.0)
-        ss = steady_state_solve(build_operator(p, ControlSpec.uncontrolled(), 10.0), grid)
+        ss = steady_state_solve(build_operator(p, ControlSpec.uncontrolled(), grid), 10.0)
         eq = EquilibriumDensity(p, 10.0, grid)
         assert l1(ss.values, eq.values, grid.dx) < 1e-6
 
@@ -137,7 +151,7 @@ class TestSteadyState:
         grid = Grid(150.0, 7500)
         p = kp(-1.0)
         c = ControlSpec.additive(1.0, 3.0)
-        ss = steady_state_solve(build_operator(p, c, 5.0), grid)
+        ss = steady_state_solve(build_operator(p, c, grid), 5.0)
         eq = controlled_steady_state(p, c, 5.0, grid)
         assert l1(ss.values, eq.values, grid.dx) < 1e-6
 
@@ -145,7 +159,7 @@ class TestSteadyState:
         grid = Grid(100.0, 5000)
         p = kp(-1.0)
         c = ControlSpec.interaction(1.0, 3.0)
-        ss = steady_state_solve(build_operator(p, c, 5.0), grid)
+        ss = steady_state_solve(build_operator(p, c, grid), 5.0)
         eq = controlled_steady_state(p, c, 5.0, grid)
         assert l1(ss.values, eq.values, grid.dx) < 1e-6
 
@@ -156,35 +170,25 @@ class TestSteadyState:
         # where it is (a running sum of w moved it by about 4e-12)
         grid = Grid(200.0, 600)
         p = kp(-1.0, alpha=1.6, sigma2=0.33)
-        op = build_operator(p, ControlSpec.interaction(0.84, 9.6), 54.0)
-        f = steady_state_solve(op, grid).values
-        out = SpStepper(grid, op, 0.01, 1.0).step(f)
+        op = build_operator(p, ControlSpec.interaction(0.84, 9.6), grid)
+        f = steady_state_solve(op, 54.0).values
+        out = SpStepper(op, 54.0, 0.01, 1.0).step(f)
         assert np.max(np.abs(out - f)) <= 1e-14 * f.max()
 
 
 class TestSpStep:
-    def test_identity_for_zero_operator(self):
-        grid = Grid(10.0, 100)
-        zero_op = DriftDiffusion(
-            drift=lambda x: np.zeros_like(x),
-            diffusion=lambda x: np.zeros_like(x),
-        )
-        f = uniform_density(grid, 2.0, 8.0)
-        out = SpStepper(grid, zero_op, dt=0.5, tau=1.0).step(f.values)
-        assert out == pytest.approx(f.values)
-
     def test_preserves_analytic_equilibrium(self):
         grid = Grid(200.0, 10000)
         p = kp(-1.0)
         eq = EquilibriumDensity(p, 10.0, grid)
-        stepper = SpStepper(grid, build_operator(p, ControlSpec.uncontrolled(), 10.0), 0.01, 1.0)
+        stepper = SpStepper(build_operator(p, ControlSpec.uncontrolled(), grid), 10.0, 0.01, 1.0)
         out = stepper.step(eq.values)
         assert l1(out, eq.values, grid.dx) < 1e-6
 
     def test_mass_conservation_per_step(self):
         grid = Grid(100.0, 1000)
         p = kp(-1.0)
-        stepper = SpStepper(grid, build_operator(p, ControlSpec.uncontrolled(), 7.0), 0.01, 1.0)
+        stepper = SpStepper(build_operator(p, ControlSpec.uncontrolled(), grid), 7.0, 0.01, 1.0)
         v = uniform_density(grid, 6.0, 8.0).values
         for _ in range(200):
             v2 = stepper.step(v)
@@ -196,19 +200,19 @@ class TestSpStep:
         p = kp(-1.0)
         f = uniform_density(grid, 6.0, 8.0)
         for dt in (0.01, 1.0, 100.0):
-            op = build_operator(p, ControlSpec.uncontrolled(), 7.0)
-            out = SpStepper(grid, op, dt, 1.0).step(f.values)
+            op = build_operator(p, ControlSpec.uncontrolled(), grid)
+            out = SpStepper(op, 7.0, dt, 1.0).step(f.values)
             assert out.min() >= 0.0
 
     def test_long_time_limit_equals_steady_state(self):
         grid = Grid(100.0, 1000)
         p = kp(-1.0)
-        op = build_operator(p, ControlSpec.uncontrolled(), 7.0)
-        stepper = SpStepper(grid, op, 0.05, 1.0)
+        op = build_operator(p, ControlSpec.uncontrolled(), grid)
+        stepper = SpStepper(op, 7.0, 0.05, 1.0)
         v = uniform_density(grid, 6.0, 8.0).values
         for _ in range(1500):
             v = stepper.step(v)
-        ss = steady_state_solve(op, grid)
+        ss = steady_state_solve(op, 7.0)
         assert l1(v, ss.values, grid.dx) < 1e-5
 
     def test_mean_preserved_uncontrolled(self):
@@ -218,7 +222,7 @@ class TestSpStep:
             p = kp(delta)
             f = uniform_density(grid, 6.0, 8.0)
             m0 = f.mean()
-            stepper = SpStepper(grid, build_operator(p, ControlSpec.uncontrolled(), m0), dt, 1.0)
+            stepper = SpStepper(build_operator(p, ControlSpec.uncontrolled(), grid), m0, dt, 1.0)
             v = f.values
             for _ in range(int(round(50.0 / dt))):
                 v = stepper.step(v)
@@ -227,11 +231,11 @@ class TestSpStep:
 
     def test_validates_steps(self):
         grid = Grid(10.0, 50)
-        op = build_operator(kp(-1.0), ControlSpec.uncontrolled(), 5.0)
+        op = build_operator(kp(-1.0), ControlSpec.uncontrolled(), grid)
         with pytest.raises(ValueError):
-            SpStepper(grid, op, dt=0.0, tau=1.0)
+            SpStepper(op, 5.0, dt=0.0, tau=1.0)
         with pytest.raises(ValueError):
-            SpStepper(grid, op, dt=0.1, tau=-1.0)
+            SpStepper(op, 5.0, dt=0.1, tau=-1.0)
 
 
 class TestControlledMeanOrdering:
@@ -241,15 +245,15 @@ class TestControlledMeanOrdering:
         p = kp(-1.0, alpha=0.4)
         grid = Grid(200.0, 10000)
         for nu in (0.1, 1.0, 10.0):
-            fa = steady_state_solve(build_operator(p, ControlSpec.additive(nu, 3.0), 10.0), grid)
-            fb = steady_state_solve(build_operator(p, ControlSpec.interaction(nu, 3.0), 10.0), grid)
+            fa = steady_state_solve(build_operator(p, ControlSpec.additive(nu, 3.0), grid), 10.0)
+            fb = steady_state_solve(build_operator(p, ControlSpec.interaction(nu, 3.0), grid), 10.0)
             assert fb.mean() <= fa.mean()
 
     def test_means_approach_target(self):
         p = kp(-1.0, alpha=0.4)
         grid = Grid(50.0, 10000)
         for make in (ControlSpec.additive, ControlSpec.interaction):
-            f = steady_state_solve(build_operator(p, make(1e-3, 3.0), 10.0), grid)
+            f = steady_state_solve(build_operator(p, make(1e-3, 3.0), grid), 10.0)
             assert f.mean() == pytest.approx(3.0, rel=0.05)
 
 
@@ -285,6 +289,22 @@ def discrete_equilibrium(w):
     return f
 
 
+def quadrature_of_the_operator(p, c, m, grid):
+    """(quadrature of C/D, ln D jump) between neighbouring cell centers at mean m.
+
+    Their sum is w, integrated from the drift at m itself with 5-point
+    Gauss-Legendre nodes: an oracle independent of the per-rule basis.
+    """
+    x = grid.centers()
+    half, mid = 0.5 * (x[1:] - x[:-1]), 0.5 * (x[1:] + x[:-1])
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    quad = sum(
+        wq * half * (drift(p, c, m, mid + half * node) / diffusion(p, mid + half * node))
+        for node, wq in zip(nodes, weights)
+    )
+    return quad, np.diff(np.log(diffusion(p, x)))
+
+
 class TestInterfaceWeights:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(rule=rules(), m=st.floats(0.5, 100.0))
@@ -293,12 +313,10 @@ class TestInterfaceWeights:
         # cancel where lam = alpha/sigma2 is close to 1; rounding is measured
         # against the size of those summands
         p, c = rule
-        op = build_operator(p, c, m)
-        ref = interface_log_ratios(op, WEIGHTS_GRID)
-        jump = _log_diffusion_jump(op.diffusion, WEIGHTS_GRID)
-        scale = np.max(np.abs(ref - jump) + np.abs(jump))
-        w = interface_weights(WEIGHTS_GRID, p, c).at(m)
-        assert np.max(np.abs(w - ref)) <= 1e-13 * scale
+        quad, jump = quadrature_of_the_operator(p, c, m, WEIGHTS_GRID)
+        scale = np.max(np.abs(quad) + np.abs(jump))
+        w = interface_log_ratios(build_operator(p, c, WEIGHTS_GRID), [m])[0]
+        assert np.max(np.abs(w - (quad + jump))) <= 1e-13 * scale
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -308,41 +326,41 @@ class TestInterfaceWeights:
     )
     def test_batched_step_keeps_each_equilibrium(self, rule, means, tau):
         p, c = rule
-        weights = interface_weights(WEIGHTS_GRID, p, c)
-        rows = [
-            scale * discrete_equilibrium(weights.at(m)) for scale, m in zip((1.0, 0.3, 1e-4), means)
-        ]
-        out = sp_step_batch(weights, rows, means, 0.01, tau)
+        op = build_operator(p, c, WEIGHTS_GRID)
+        w = interface_log_ratios(op, means)
+        rows = [scale * discrete_equilibrium(w_m) for scale, w_m in zip((1.0, 0.3, 1e-4), w)]
+        out = sp_step_batch(op, rows, means, 0.01, tau)
         for row, new in zip(rows, out):
             assert np.max(np.abs(new - row)) <= 1e-12 * np.max(row)
             assert abs(new.sum() - row.sum()) <= 1e-13 * row.sum()
 
     def test_cached_once_per_rule_and_read_only(self):
         p, c = kp(-1.0), ControlSpec.interaction(1.0, 3.0)
-        weights = interface_weights(WEIGHTS_GRID, p, c)
-        again = interface_weights(Grid(200.0, 600), kp(-1.0), ControlSpec.interaction(1.0, 3.0))
-        assert again is weights
+        op = build_operator(p, c, WEIGHTS_GRID)
+        again = build_operator(kp(-1.0), ControlSpec.interaction(1.0, 3.0), Grid(200.0, 600))
+        assert again is op
         with pytest.raises(ValueError):
-            weights.basis[0, 0] = 0.0
+            op.basis[0, 0] = 0.0
 
     def test_batched_rows_match_single_steppers(self):
         grid = Grid(100.0, 1000)
         p, c = kp(-1.0), ControlSpec.additive(1.0, 3.0)
         rows = [uniform_density(grid, lo, lo + 2.0).values for lo in (2.0, 6.0, 30.0)]
         means = [3.0, 7.0, 31.0]
-        out = sp_step_batch(interface_weights(grid, p, c), rows, means, 0.05, 1.0)
+        op = build_operator(p, c, grid)
+        out = sp_step_batch(op, rows, means, 0.05, 1.0)
         for row, m, new in zip(rows, means, out):
-            alone = SpStepper(grid, build_operator(p, c, m), 0.05, 1.0).step(row)
+            alone = SpStepper(op, m, 0.05, 1.0).step(row)
             assert np.max(np.abs(new - alone)) <= 1e-13 * np.max(alone)
 
     def test_non_finite_step_is_numerics_error(self):
         grid = Grid(10.0, 50)
-        weights = interface_weights(grid, kp(-1.0), ControlSpec.uncontrolled())
+        op = build_operator(kp(-1.0), ControlSpec.uncontrolled(), grid)
         row = uniform_density(grid, 2.0, 8.0).values.copy()
         row[10] = np.nan
         with pytest.raises(NumericsError):
-            sp_step_batch(weights, [row], [5.0], 0.1, 1.0)
+            sp_step_batch(op, [row], [5.0], 0.1, 1.0)
 
     def test_controls_require_delta_minus_one(self):
         with pytest.raises(ValueError):
-            interface_weights(WEIGHTS_GRID, kp(1.0), ControlSpec.additive(1.0, 3.0))
+            build_operator(kp(1.0), ControlSpec.interaction(1.0, 3.0), WEIGHTS_GRID)

@@ -210,7 +210,7 @@ class TestRunScenario:
         res = run_scenario(st, p, ControlSpec.uncontrolled(), e, t_final=50.0, dt=0.05,
                            output_every=1000)
         f_s = row(res.final_state, 0)
-        ss = steady_state_solve(build_operator(p, ControlSpec.uncontrolled(), f_s.mean()), grid)
+        ss = steady_state_solve(build_operator(p, ControlSpec.uncontrolled(), grid), f_s.mean())
         assert np.abs(f_s.values - ss.values).sum() * grid.dx < 0.02
 
     def test_second_moment_columns(self, mixed_state):

@@ -8,14 +8,13 @@ from kinctrl import (
     Grid,
     KineticParams,
     Strategy,
-    build_operator,
     closure_moment,
     collision_kernel,
     growth_rate_times_x,
     moment_ratio,
 )
 from kinctrl.dsmc import _proposed
-from kinctrl.params import closure_kind, output_steps, step_count
+from kinctrl.params import STRATEGY_RULES, closure_kind, output_steps, step_count
 
 
 def kp(alpha=1.0, sigma2=0.2, delta=-1.0, **kw):
@@ -219,7 +218,7 @@ class TestStrategyTable:
         x = np.linspace(0.5, 40.0, 400)
         m = 5.0
         c = ControlSpec(strategy, nu=1.0, x_target=3.0)
-        drift = build_operator(kp(), c, m).drift(x)
+        drift = STRATEGY_RULES[strategy].drift(x, m, kp(), c)
 
         def gap(eps):
             p = kp(epsilon=eps)
@@ -243,7 +242,7 @@ class TestStrategyTable:
             ref = gain * np.log(x / m)
         else:
             ref = gain * np.expm1(delta * np.log(x / m)) / delta
-        drift = build_operator(p, ControlSpec.uncontrolled(), m).drift(x)
+        drift = STRATEGY_RULES[Strategy.UNCONTROLLED].drift(x, m, p, ControlSpec.uncontrolled())
         assert np.max(np.abs(drift - ref)) <= 1e-13 * np.max(np.abs(ref))
         if delta in (-1.0, 1.0):
             direct = growth_rate_times_x(x, m, p) * collision_kernel(x, p)
@@ -253,8 +252,8 @@ class TestStrategyTable:
     def test_controlled_terms_match_factored_drift(self, m):
         p = kp(alpha=0.8)
         x = np.linspace(0.05, 120.0, 400)
-        a = build_operator(p, ControlSpec.additive(0.7, 3.0), m).drift(x)
-        b = build_operator(p, ControlSpec.interaction(0.7, 3.0), m).drift(x)
+        a = STRATEGY_RULES[Strategy.ADDITIVE_A].drift(x, m, p, ControlSpec.additive(0.7, 3.0))
+        b = STRATEGY_RULES[Strategy.INTERACTION_B].drift(x, m, p, ControlSpec.interaction(0.7, 3.0))
         ref_a = 0.5 * p.alpha * (x - m) + (x - 3.0) / 0.7
         ref_b = p.alpha**2 / (4.0 * 0.7) * (m - x) ** 2 * (x - 3.0)
         assert np.max(np.abs(a - ref_a)) <= 1e-13 * np.max(np.abs(ref_a))
