@@ -560,7 +560,8 @@ def execute(config_path: Path, out_dir: Path | None = None, seed: int | None = N
 
 def _read_run_csv(path: Path, axis: str, min_rows: int) -> dict[str, np.ndarray]:
     """read_csv(path), as a NumericsError naming the file if it is missing,
-    empty or ragged, or has fewer than min_rows values of the axis column."""
+    empty or ragged, or has fewer than min_rows values of the axis column,
+    and naming the column too if one holds a NaN or infinite value."""
     try:
         data = read_csv(path)
     except StopIteration:
@@ -569,6 +570,9 @@ def _read_run_csv(path: Path, axis: str, min_rows: int) -> dict[str, np.ndarray]
         raise NumericsError(f"{path}: {exc}") from exc
     if len(data.get(axis, ())) < min_rows:
         raise NumericsError(f"{path}: needs column {axis!r} with at least {min_rows} rows")
+    for name, column in data.items():
+        if not np.isfinite(column).all():
+            raise NumericsError(f"{path}: column {name!r} holds a value that is not finite")
     return data
 
 
@@ -658,6 +662,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "compare":
+        threshold = args.threshold
+        if threshold is not None and not (math.isfinite(threshold) and threshold >= 0):
+            print(f"configuration error: --threshold must be finite and >= 0, got {threshold}",
+                  file=sys.stderr)
+            return 2
         try:
             report = compare_runs(args.dir_a, args.dir_b, args.metric)
         except ConfigError as exc:
@@ -669,9 +678,9 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
         report_path = args.dir_b / "compare_report.json"
         write_manifest(report_path, report)
-        if args.threshold is not None and report["value"] > args.threshold:
+        if threshold is not None and report["value"] > threshold:
             print(
-                f"metric {report['value']:.6g} exceeds threshold {args.threshold:.6g}",
+                f"metric {report['value']:.6g} exceeds threshold {threshold:.6g}",
                 file=sys.stderr,
             )
             return 1

@@ -6,8 +6,8 @@ interaction kernel (1 at delta = -1); the compartment mean in the growth term
 is frozen at step start.  That probability depends only on x, which moves only
 when the particle fires, so each particle keeps a countdown clock with
 Geometric gaps, and a step moves only the particles whose clock is due, or the
-whole array in place when every probability is 1.  All randomness flows
-through one seedable generator: runs repeat bit for bit.
+whole array in place, block by block, when every probability is 1.  All
+randomness flows through one seedable generator: runs repeat bit for bit.
 
 The deterministic part of every transition is mean-reverting: contacts relax
 toward the reference mean (uncontrolled) or toward a blend of mean and target
@@ -122,6 +122,13 @@ def _proposed(x: np.ndarray, m: float, p: KineticParams, c: ControlSpec, eta) ->
     return x + STRATEGY_RULES[c.strategy].shift(x, drift_x, p.epsilon, c) + x * eta
 
 
+# Particles per block of the dense step.  Each float temporary of a block is
+# 256 KiB: it stays in L2 cache between the elementwise passes, and malloc
+# reuses heap memory for it.  At twice the size a fresh process maps every
+# temporary anew and page-faults it in, as it does for 1M-particle arrays.
+_BLOCK = 32_768
+
+
 def check_step_size(dt: float, epsilon: float, sigma_bound: float) -> None:
     """Raise ValueError unless dt <= epsilon / sigma_bound, the largest step at
     which one particle step is still a convex combination."""
@@ -147,14 +154,17 @@ def dsmc_step(
     Each particle transitions with probability min(B(x), sigma_bound) dt /
     epsilon, with the compartment mean m frozen for the whole step: the
     particles whose clock is due move and draw a Geometric gap to their next
-    firing, or, when every probability is 1, all move in place with no clocks.
+    firing, or, when every probability is 1, all move in place with no clocks,
+    in blocks of _BLOCK particles (the same draws as one pass over all).
     The particle count is conserved exactly.
     """
     check_step_size(dt, p.epsilon, sigma_bound)
     x = ens.samples
     if p.delta == -1.0 and _fire_prob(1.0, p, dt, sigma_bound) == 1.0:
         ens.clock_law = None  # the moved samples outdate any clocks
-        np.maximum(_fired(ens, x, m, p, c), 0.0, out=x)
+        for start in range(0, x.size, _BLOCK):
+            block = x[start : start + _BLOCK]
+            np.maximum(_fired(ens, block, m, p, c), 0.0, out=block)
     else:
         law = (dt, p.epsilon, p.delta, sigma_bound)
         if ens.clock_law != law or ens.clock_samples is not x:

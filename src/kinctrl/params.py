@@ -183,9 +183,9 @@ def growth_rate_times_x(x, m: float, p: KineticParams):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = 0.5 * p.alpha * np.where(x_arr > 0, x_arr * np.log(x_arr / m), 0.0)
     else:
-        out = (p.alpha / (2.0 * p.delta)) * (
-            x_arr ** (1.0 + p.delta) / m**p.delta - x_arr
-        )
+        # x**0.0 is exactly 1.0 for every x, so delta = -1 skips the power
+        power = 1.0 if p.delta == -1.0 else x_arr ** (1.0 + p.delta)
+        out = (p.alpha / (2.0 * p.delta)) * (power / m**p.delta - x_arr)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out

@@ -459,6 +459,38 @@ class TestCompare:
         assert "comparison failed" in err
         assert (name or "trajectory.csv") in err
 
+    @pytest.mark.parametrize(
+        "metric, name, text, column",
+        [
+            ("sup_trajectory", "trajectory.csv", "t,rho_S,rho_I\n0.0,0.9,{}\n0.1,0.8,0.2\n", "rho_I"),
+            ("L1_density", "density_t1.0.csv", "x,f\n0.5,{}\n1.5,0.5\n", "f"),
+        ],
+        ids=["trajectory", "density"],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_is_a_failed_comparison(
+        self, tmp_path, capsys, metric, name, text, column, value
+    ):
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for d, v in zip(dirs, ["0.1", value]):
+            d.mkdir()
+            (d / name).write_text(text.format(v))
+        assert main(["compare", *map(str, dirs), "--metric", metric]) == 3
+        err = capsys.readouterr().err
+        assert "comparison failed" in err
+        assert str(dirs[1] / name) in err and repr(column) in err
+        assert not (dirs[1] / "compare_report.json").exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-1e-9"])
+    def test_threshold_must_be_finite_and_non_negative(self, tmp_path, capsys, threshold):
+        # identical runs: a nan threshold used to pass them and a negative one to fail them
+        path = small_macro_config(tmp_path)
+        runs = [str(execute(path, tmp_path / d)) for d in "ab"]
+        args = ["compare", *runs, "--metric", "sup_trajectory"]
+        assert main([*args, f"--threshold={threshold}"]) == 2
+        assert "--threshold" in capsys.readouterr().err
+        assert main([*args, "--threshold=0"]) == 0
+
     def test_threshold_exit_code(self, tmp_path):
         out_a = execute(small_macro_config(tmp_path, name="m1.json"), tmp_path / "a")
         out_b = execute(small_macro_config(tmp_path, name="m2.json", beta1=2e-3), tmp_path / "b")

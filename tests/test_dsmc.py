@@ -18,7 +18,7 @@ from kinctrl import (
     run_to_equilibrium,
     sample_noise,
 )
-from kinctrl.dsmc import _proposed
+from kinctrl.dsmc import _BLOCK, _proposed
 
 
 def kp(delta=-1.0, alpha=1.0, sigma2=0.2, epsilon=0.01):
@@ -167,6 +167,46 @@ class TestStep:
                     dsmc_step(ens, ens.mean(), p, UN, dt=dt, sigma_bound=bound)
                 runs.append(ens.samples.copy())
             assert np.array_equal(runs[0], runs[1]), delta
+
+
+def one_pass_dense_step(ens, m, p, c):
+    """The dense step as one pass over all particles: the oracle of its blocks."""
+    x = ens.samples
+    raw = _proposed(x, m, p, c, sample_noise(p, ens.rng, size=x.size))
+    ens.n_transitions += x.size
+    ens.n_clamped += int(np.count_nonzero(raw < 0))
+    np.maximum(raw, 0.0, out=x)
+
+
+DENSE_CASES = {
+    "uncontrolled": (kp(), UN),
+    "additive_a": (kp(), ControlSpec.additive(1.0, 3.0).micro_scaled(0.01)),
+    "interaction_b": (kp(), ControlSpec.interaction(1.0, 3.0).micro_scaled(0.01)),
+    # an exaggerated step steers onto x_target = 0, so about half the proposals clamp
+    "clamped": (kp(epsilon=0.5), ControlSpec.additive(1e-9, 0.0)),
+}
+
+
+class TestDenseBlocks:
+    # at delta = -1 and dt = epsilon every particle fires, and dsmc_step moves
+    # them in blocks of _BLOCK; the result must match one pass bit for bit
+
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
+    @pytest.mark.parametrize("case", DENSE_CASES)
+    def test_blocks_match_one_pass(self, case, n):
+        p, c = DENSE_CASES[case]
+        ens, oracle = (ParticleEnsemble.from_uniform(n, 9.0, 11.0, seed=n) for _ in range(2))
+        samples = ens.samples
+        for _ in range(2):
+            dsmc_step(ens, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
+            one_pass_dense_step(oracle, 5.0, p, c)
+        assert ens.samples is samples
+        assert np.array_equal(ens.samples, oracle.samples)
+        assert (ens.n_clamped, ens.n_transitions) == (oracle.n_clamped, oracle.n_transitions)
+        assert ens.n_transitions == 2 * n
+        assert ens.rng.bit_generator.state == oracle.rng.bit_generator.state
+        if case == "clamped" and n > 1:
+            assert ens.n_clamped > 0
 
 
 def fire_prob(x, delta, dt, bound, epsilon=0.01):

@@ -98,6 +98,13 @@ class TestGrowthRate:
         assert growth_rate_times_x(20.0, 10.0, kp(delta=-1.0)) == pytest.approx(0.25 * 20.0)
         assert growth_rate_times_x(20.0, 10.0, kp(delta=1.0)) == pytest.approx(0.5 * 20.0)
 
+    def test_delta_minus_one_equals_the_power_form_bit_for_bit(self):
+        # at delta = -1 the power x^0 is skipped; it is exactly 1.0, also at x = 0
+        p = kp(delta=-1.0)
+        x = np.concatenate([[0.0], np.random.default_rng(4).uniform(0.0, 50.0, 1000)])
+        power_form = (p.alpha / (2.0 * p.delta)) * (x ** (1.0 + p.delta) / 7.3**p.delta - x)
+        assert np.array_equal(growth_rate_times_x(x, 7.3, p), power_form)
+
     def test_log_limit(self):
         tiny = kp(delta=1e-13)
         assert growth_rate_times_x(20.0, 10.0, tiny) == pytest.approx(10.0 * np.log(2.0))
