@@ -77,6 +77,27 @@ NUMERICAL_FAILURES = (
     FloatingPointError,
 )
 
+
+class PhaseClock:
+    """Seconds of a run's consecutive phases, read from one time.perf_counter clock.
+
+    The clock starts in phase "setup_s"; enter(name) ends the current phase
+    and starts the next, so the phases cover the run without gaps.
+    """
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self._phase = "setup_s"
+        self._start = self._lap = time.perf_counter()
+
+    def enter(self, phase: str | None) -> float:
+        """End the current phase and start phase (None: stop); returns the
+        seconds since the clock started."""
+        now = time.perf_counter()
+        self.seconds[self._phase] = now - self._lap
+        self._phase, self._lap = phase, now
+        return now - self._start
+
 # ---------------------------------------------------------------------------
 # config parsing
 
@@ -276,7 +297,7 @@ def _reference_density(
     return eq.values.reshape(n_bins, refine).mean(axis=1)
 
 
-def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
+def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> dict:
     p = _kinetic_params(cfg)
     c = _control_spec(cfg)
     n = _count(cfg, "dsmc.n_particles")
@@ -294,10 +315,12 @@ def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
     _build("time.dt", check_step_size, dt, p.epsilon, bound)
 
     ens = ParticleEnsemble.from_uniform(n, low, high, seed)
+    clock.enter("steps_s")
     hist = run_to_equilibrium(
         ens, p, c.micro_scaled(p.epsilon), t_final, dt, bound,
         m_ref=m_ref, x_max=x_max, n_bins=n_bins,
     )
+    clock.enter("output_s")
     write_density(out / density_filename(t_final), hist.centers, {"f": hist.density})
 
     metrics = {
@@ -315,7 +338,7 @@ def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
     return metrics
 
 
-def run_fp_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
+def run_fp_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> dict:
     p = _kinetic_params(cfg)
     c = _control_spec(cfg)
     _build("kinetic.delta", check_operator_domain, p, c)
@@ -325,6 +348,7 @@ def run_fp_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
     f = _build("initial", uniform_density, grid, *_interval(cfg))
     n_steps = step_count(t_final, dt)
     op = build_operator(p, c, grid)
+    clock.enter("steps_s")
     if m_ref is not None:
         stepper = SpStepper(op, m_ref, dt, p.tau)
         vals = f.values
@@ -335,6 +359,7 @@ def run_fp_equilibrium(cfg: dict, out: Path, seed: int) -> dict:
         for _ in range(n_steps):
             f = ContactDensity(grid, sp_step_batch(op, [f.values], [f.mean()], dt, p.tau)[0])
 
+    clock.enter("output_s")
     steady = steady_state_solve(op, m_ref or f.mean())
     x = grid.centers()
     write_density(out / density_filename(t_final), x, {"f": f.values})
@@ -362,7 +387,7 @@ def _tail(f: ContactDensity, window: tuple[float, float]) -> dict:
     return {"kind": tc.kind.value, "exponent": tc.exponent}
 
 
-def run_tail_sweep(cfg: dict, out: Path, seed: int) -> dict:
+def run_tail_sweep(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> dict:
     p = _kinetic_params(cfg)
     grid = _grid(cfg)
     m_ref = _positive(cfg, "fp.mean_reference")
@@ -377,6 +402,7 @@ def run_tail_sweep(cfg: dict, out: Path, seed: int) -> dict:
     if p.delta != -1.0:
         raise ConfigError("field 'kinetic.delta': tail_sweep requires delta = -1")
 
+    clock.enter("steps_s")
     u = EquilibriumDensity(p, m_ref, grid)
     rows = [("uncontrolled", 0.0, u.raw_moment(1), u.raw_moment(2))]
     tails: dict[str, dict] = {"additive_a": {}, "interaction_b": {}}
@@ -390,6 +416,7 @@ def run_tail_sweep(cfg: dict, out: Path, seed: int) -> dict:
             rows.append((strategy, float(nu), f.raw_moment(1), f.raw_moment(2)))
             tails[strategy][str(nu)] = {**_tail(f, window), "window": list(window)}
 
+    clock.enter("output_s")
     sweep_path = out / "sweep.csv"
     sweep_path.parent.mkdir(parents=True, exist_ok=True)
     with open(sweep_path, "w", newline="") as fh:
@@ -423,11 +450,13 @@ def _output_every(cfg: dict) -> int:
     return _count(cfg, "time.output_every", required=False, default=1)
 
 
-def run_macro_compare(cfg: dict, out: Path, seed: int) -> dict:
+def run_macro_compare(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> dict:
     model = _macro_model(cfg)
     s0 = _macro_initial(cfg)
     dt, t_final = _time(cfg)
+    clock.enter("steps_s")
     times, states = rk4_integrate(model, s0, dt, t_final)
+    clock.enter("output_s")
     steps = output_steps(len(states) - 1, _output_every(cfg))
     table = np.array([states[k] for k in steps])
     _write_trajectory(out / TRAJECTORY_FILE, np.array([times[k] for k in steps]), table)
@@ -451,7 +480,7 @@ def _kinetic_pieces(cfg: dict):
     return p, e, c, grid, ic
 
 
-def run_kinetic_macro_consistency(cfg: dict, out: Path, seed: int) -> dict:
+def run_kinetic_macro_consistency(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> dict:
     p, e, c, grid, ic = _kinetic_pieces(cfg)
     if c.active:
         raise ConfigError("field 'control': consistency scenario is uncontrolled")
@@ -461,11 +490,13 @@ def run_kinetic_macro_consistency(cfg: dict, out: Path, seed: int) -> dict:
     variant = MacroVariant.L2 if e.order >= 2 else MacroVariant.L1
     model = _build("kinetic/epidemic", MacroModel, variant, closure, p, e)
 
+    clock.enter("steps_s")
     result = run_scenario(ic, p, c, e, t_final, dt, output_every=every)
-    _write_trajectory(out / TRAJECTORY_FILE, result.times, result.observables)
-
     s0 = MacroState(*result.observables[0, :6].tolist())
     times, states = rk4_integrate(model, s0, dt, t_final)
+
+    clock.enter("output_s")
+    _write_trajectory(out / TRAJECTORY_FILE, result.times, result.observables)
     steps = output_steps(len(states) - 1, every)
     ref = np.array([states[k] for k in steps])
     _write_trajectory(out / "trajectory_macro.csv", np.array([times[k] for k in steps]), ref)
@@ -482,11 +513,15 @@ def run_kinetic_macro_consistency(cfg: dict, out: Path, seed: int) -> dict:
     }
 
 
-def run_controlled_epidemic(cfg: dict, out: Path, seed: int) -> dict:
+def run_controlled_epidemic(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> dict:
     p, e, c, grid, ic = _kinetic_pieces(cfg)
     dt, t_final = _time(cfg)
+    every = _output_every(cfg)
+    window = _window(cfg, "tail_window", required=False)
 
-    result = run_scenario(ic, p, c, e, t_final, dt, output_every=_output_every(cfg))
+    clock.enter("steps_s")
+    result = run_scenario(ic, p, c, e, t_final, dt, output_every=every)
+    clock.enter("output_s")
     _write_trajectory(out / TRAJECTORY_FILE, result.times, result.observables)
 
     final = result.final_state
@@ -497,7 +532,6 @@ def run_controlled_epidemic(cfg: dict, out: Path, seed: int) -> dict:
         "final_m_s": float(result.column("m_S")[-1]),
         "clipped_mass": final.clipped_mass,
     }
-    window = _window(cfg, "tail_window", required=False)
     if window is not None:
         metrics["final_s_tail"] = _tail(ContactDensity(grid, final.values[0]), window)
     return metrics
@@ -526,9 +560,9 @@ def execute(config_path: Path, out_dir: Path | None = None, seed: int | None = N
     out = resolve_out_dir(str(out_dir) if out_dir else None, config_out, config_path.stem)
     out.mkdir(parents=True, exist_ok=True)
 
-    start = time.perf_counter()
-    metrics = RUNNERS[kind](cfg, out, eff_seed)
-    elapsed = time.perf_counter() - start
+    clock = PhaseClock()
+    metrics = RUNNERS[kind](cfg, out, eff_seed, clock)
+    elapsed = clock.enter(None)
 
     p = _kinetic_params(cfg) if "kinetic" in cfg else None
     derived = {}
@@ -548,6 +582,7 @@ def execute(config_path: Path, out_dir: Path | None = None, seed: int | None = N
             "derived": derived,
             "seed": eff_seed,
             "wall_clock_s": elapsed,
+            "timings": clock.seconds,
             "metrics": metrics,
         },
     )

@@ -19,8 +19,8 @@ conserved and no cell can go negative for any step size.
 Each rule's drift depends on the reference mean m only through one scalar
 s(m), as a polynomial of degree <= 2, so w(m) is the same polynomial in s(m)
 over a basis that build_operator integrates once per (params, control,
-grid).  sp_step_batch then steps several densities, each at its own mean,
-as the blocks of one tridiagonal system.
+grid).  sp_step_batch then steps several densities, each at its own mean
+and each solved only as far as its non-zero support and its step reach.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from numbers import Integral
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import NumericsError
 from .params import STRATEGY_RULES, ControlSpec, KineticParams, check_finite
@@ -129,7 +129,7 @@ def check_operator_domain(p: KineticParams, c: ControlSpec) -> None:
         )
 
 
-def _bernoulli(w: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+def _bernoulli(w: np.ndarray, out=None, scratch=None) -> tuple[np.ndarray, np.ndarray]:
     """(B(w), B(-w)) with B(w) = w / (exp(w) - 1), both from one |w|.
 
     With a = |w|: B(a) = a / expm1(a), which is 0 once expm1 overflows, and
@@ -137,14 +137,15 @@ def _bernoulli(w: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     max(w, 0).  Every sum adds non-negative terms, so no digits cancel, one
     transcendental pass serves both, and the sign needs no branch.  a is
     floored at the smallest normal float, where a / expm1(a) is exactly 1.
-    out, a pair of arrays shaped like w, receives the result.
+    out, a pair of arrays shaped like w, receives the result; scratch, one
+    more, holds a.
     """
     w = np.asarray(w, dtype=float)
     b_w, b_minus = out if out is not None else (np.empty_like(w), np.empty_like(w))
-    b = np.abs(w)
+    b = np.abs(w, out=scratch)
     np.maximum(b, _TINY, out=b)
     with np.errstate(over="ignore"):
-        np.divide(b, np.expm1(b), out=b)
+        np.divide(b, np.expm1(b, out=b_w), out=b)
     np.add(b, np.maximum(w, 0.0, out=b_minus), out=b_minus)
     np.add(b, np.maximum(np.negative(w, out=b_w), 0.0, out=b_w), out=b_w)
     return b_w, b_minus
@@ -208,48 +209,50 @@ def interface_log_ratios(op: InterfaceWeights, means) -> np.ndarray:
     return np.array([op.powers(m) for m in means]) @ op.basis
 
 
-def _bands(w: np.ndarray, d_if: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bands (lower, diag, upper) of the implicit step, one block per row of w.
+def support_end(row: np.ndarray) -> int:
+    """Length of row's shortest prefix past which every value is +0.0, bit for bit.
 
-    Interface k carries the flux c D_k (B(w_k) f_k - B(-w_k) f_{k+1}).
-    lower[k] and upper[k] are the matrix entries (k+1, k) and (k, k+1); the
-    last entry of each row is 0, the zero-flux edge, so stacked rows form
-    one block-diagonal tridiagonal system.
+    A last cell that is not +0.0 answers in O(1), without a scan.
     """
-    shape = w.shape[:-1] + (w.shape[-1] + 1,)
-    lower = np.zeros(shape)
-    upper = np.zeros(shape)
-    left, right = _bernoulli(w, out=(lower[..., :-1], upper[..., :-1]))
-    scale = -c * d_if
-    left *= scale    # cell k+1 gains flux k from f_k
-    right *= scale   # cell k gains flux k back from f_{k+1}
-    diag = np.ones(shape)
-    diag[..., :-1] -= left    # outflow through the right interface
-    diag[..., 1:] -= right    # outflow through the left interface
+    bits = row.view(np.int64)
+    if bits[-1]:
+        return row.size
+    nonzero = np.flatnonzero(bits != 0)
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+@functools.lru_cache(maxsize=1)
+def _workspace(n_cells: int) -> np.ndarray:
+    """Rows lower, upper and diag for one row's bands, reused from step to step."""
+    return np.empty((3, n_cells))
+
+
+def _bands(
+    w: np.ndarray, d_if: np.ndarray, c: float, ws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bands (lower, diag, upper) of the implicit step on the len(w) + 1 cells around w, in ws.
+
+    Interface k carries the flux c D_k (B(w_k) f_k - B(-w_k) f_{k+1});
+    lower[k] and upper[k] are the matrix entries (k+1, k) and (k, k+1).
+    """
+    k = w.size
+    lower, upper, diag = ws[0, :k], ws[1, :k], ws[2, : k + 1]
+    scratch = diag[:k]  # until diag itself is written
+    _bernoulli(w, out=(lower, upper), scratch=scratch)
+    np.multiply(-c, d_if[:k], out=scratch)
+    lower *= scratch    # cell k+1 gains flux k from f_k
+    upper *= scratch    # cell k gains flux k back from f_{k+1}
+    np.subtract(1.0, lower, out=diag[:-1])   # outflow through the right interface
+    diag[-1] = 1.0
+    diag[1:] -= upper                        # outflow through the left interface
     return lower, diag, upper
 
 
-def _solve_bands(
-    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray, overwrite: bool
-) -> np.ndarray:
-    """Solve the (stacked) tridiagonal system in one LAPACK gtsv call.
-
-    overwrite lets LAPACK work in the band and rhs arrays themselves.
-    """
-    flat = diag.size
-    *_, out, info = dgtsv(
-        lower.reshape(flat)[:-1],
-        diag.reshape(flat),
-        upper.reshape(flat)[:-1],
-        rhs.reshape(flat, 1),
-        overwrite, overwrite, overwrite, overwrite,
-    )
+def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> None:
+    """Solve the tridiagonal system in place: LAPACK gtsv overwrites the bands and rhs."""
+    *_, info = dgtsv(lower, diag, upper, rhs.reshape(-1, 1), 1, 1, 1, 1)
     if info != 0:
         raise NumericsError(f"tridiagonal solve failed: LAPACK gtsv info = {info}")
-    out = out.reshape(diag.shape)
-    if not np.all(np.isfinite(out)):
-        raise NumericsError("implicit contact step produced non-finite values")
-    return out
 
 
 def _step_factor(grid: Grid, dt: float, tau: float) -> float:
@@ -261,7 +264,7 @@ def _step_factor(grid: Grid, dt: float, tau: float) -> float:
 
 
 class SpStepper:
-    """Pre-assembled implicit step of one operator at a frozen reference mean m."""
+    """Implicit step of one operator at a frozen reference mean m, LU-factored once."""
 
     # read by the benchmark tracer (perfbench/spans.py); no operator is degenerate
     # once sigma2 > 0, since D > 0 at every interface
@@ -270,10 +273,56 @@ class SpStepper:
     def __init__(self, op: InterfaceWeights, m: float, dt: float, tau: float):
         c = _step_factor(op.grid, dt, tau)
         self.grid = op.grid
-        self._bands = _bands(interface_log_ratios(op, [m])[0], op.d_interfaces, c)
+        w = interface_log_ratios(op, [m])[0]
+        *factors, info = dgttrf(*_bands(w, op.d_interfaces, c, _workspace(op.grid.n_cells)))
+        if info != 0:
+            raise NumericsError(f"tridiagonal factorization failed: LAPACK gttrf info = {info}")
+        self._factors = factors
 
     def step(self, values: np.ndarray) -> np.ndarray:
-        return _solve_bands(*self._bands, np.asarray(values, dtype=float), overwrite=False)
+        rhs = np.asarray(values, dtype=float).reshape(-1, 1)
+        out, info = dgttrs(*self._factors, rhs)
+        if info != 0:
+            raise NumericsError(f"tridiagonal solve failed: LAPACK gttrs info = {info}")
+        out = out.reshape(-1)
+        if not np.all(np.isfinite(out)):
+            raise NumericsError("implicit contact step produced non-finite values")
+        return out
+
+
+# Cells past a row's support that a trimmed solve first takes on; doubled
+# while the forward sweep has not underflowed to 0 by the trimmed edge.
+_MARGIN = 64
+
+
+def _solve_row(v: np.ndarray, w: np.ndarray, d_if: np.ndarray, c: float, out: np.ndarray) -> None:
+    """One implicit step of the row v into out, solving only as far as v's step can reach.
+
+    Past v's support the forward sweep of gtsv carries v's mass on as
+    b_{i+1} = -l_i b_i, and once b underflows to 0 it stays 0, as does the
+    solution from there on.  The matrix is a column-dominant M-matrix, so
+    gtsv never pivots, and every cell before that point is solved bit for
+    bit as in the full system.  The trimmed system keeps the first k rows of
+    the full one plus a closing cell k with unit diagonal and no coupling
+    back, whose solution is exactly the sweep's b_k: the trim is accepted
+    when that is 0, and widened otherwise, up to the full row.
+    """
+    n = v.size
+    end = support_end(v)
+    k = end + _MARGIN
+    ws = _workspace(n)
+    while k < n - 1:
+        lower, diag, upper = _bands(w[:k], d_if, c, ws)
+        diag[k] = 1.0
+        upper[k - 1] = 0.0
+        out[: k + 1] = v[: k + 1]
+        _gtsv(lower, diag, upper, out[: k + 1])
+        if out[k] == 0.0:
+            out[k:] = 0.0
+            return
+        k = end + 2 * (k - end)
+    out[:] = v
+    _gtsv(*_bands(w, d_if, c, ws), out)
 
 
 def sp_step_batch(
@@ -281,13 +330,19 @@ def sp_step_batch(
 ) -> np.ndarray:
     """One implicit step of each row of values, row j at reference mean means[j].
 
-    The rows are the blocks of one tridiagonal system, uncoupled at their
-    edges (the zero-flux boundary), and are solved in a single call.
+    The rows are uncoupled (each has its own zero-flux boundary) and are
+    solved one after the other, each on its support plus the cells its step
+    reaches (_solve_row); values is not modified.
     """
     c = _step_factor(op.grid, dt, tau)
     w = interface_log_ratios(op, means)
-    rhs = np.array(values, dtype=float)
-    return _solve_bands(*_bands(w, op.d_interfaces, c), rhs, overwrite=True)
+    values = np.asarray(values, dtype=float)
+    out = np.empty(values.shape)
+    for v, w_row, new in zip(values, w, out):
+        _solve_row(v, w_row, op.d_interfaces, c, new)
+    if not np.all(np.isfinite(out)):
+        raise NumericsError("implicit contact step produced non-finite values")
+    return out
 
 
 def steady_state_solve(op: InterfaceWeights, m: float) -> ContactDensity:

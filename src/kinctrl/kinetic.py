@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import InvariantViolationError
-from .fp import Grid, build_operator, sp_step_batch
+from .fp import Grid, build_operator, sp_step_batch, support_end
 from .params import ControlSpec, EpidemicParams, KineticParams, output_steps, step_count
 
 # Compartments with less mass than this skip their contact substep (their
@@ -100,6 +100,14 @@ def contact_powers(x: np.ndarray, order: int) -> np.ndarray:
     return x ** np.arange(1, order + 1)[:, None]
 
 
+@functools.lru_cache(maxsize=1)
+def center_powers(grid: Grid, order: int) -> np.ndarray:
+    """contact_powers at the cell centers, computed once per (grid, order); read-only."""
+    x_pows = contact_powers(grid.centers(), order)
+    x_pows.flags.writeable = False
+    return x_pows
+
+
 def exchange_rate(
     vs: np.ndarray, vi: np.ndarray, x_pows: np.ndarray, dx: float, e: EpidemicParams
 ) -> np.ndarray:
@@ -108,14 +116,16 @@ def exchange_rate(
     K(x) = f_S(x) [beta0 rho_I + sum_l beta_l x^l (rho_I m_{l,I})] >= 0 is the
     local infection rate; x_pows = contact_powers(x, e.order) at the cell
     centers, and the infected moments rho_I m_{l,I} are taken from vi itself
-    by midpoint quadrature with cell width dx.
+    by midpoint quadrature with cell width dx.  vs may cover only the first
+    cells, and the rows returned cover the same cells; vi is the whole row.
     """
-    rate = (np.asarray(e.betas) * ((x_pows @ vi) * dx)) @ x_pows
+    n = vs.shape[-1]
+    rate = ((np.asarray(e.betas) * ((x_pows @ vi) * dx)) @ x_pows)[:n]
     if e.beta0 > 0:
         rate += e.beta0 * vi.sum() * dx
-    out = np.empty((3,) + vs.shape)
+    out = np.empty((3, n))
     np.multiply(vs, rate, out=out[0])
-    np.multiply(e.gamma_i, vi, out=out[2])
+    np.multiply(e.gamma_i, vi[:n], out=out[2])
     np.subtract(out[0], out[2], out=out[1])
     np.negative(out[0], out=out[0])
     return out
@@ -128,22 +138,32 @@ def epidemic_substep(state: KineticSIRState, e: EpidemicParams, dt: float) -> Ki
     stage.  Total mass is conserved pointwise; cells that land below zero
     are clipped (warned about when below the -1e-12 threshold) and the
     clipped amount accumulates in the state diagnostics.
+
+    Past the compartments' common support every value is +0.0, and so is
+    every stage and the result there, so the pointwise arithmetic runs on
+    the support only; the moments are still summed over whole rows.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     grid = state.grid
-    x_pows = contact_powers(grid.centers(), e.order)
-    vs, vi, _ = state.values
+    x_pows = center_powers(grid, e.order)
+    n = max(support_end(v) for v in state.values)
+    values = state.values[:, :n]
+    vs, vi, _ = values
+    stage_i = np.empty(grid.n_cells)  # whole-row f_I stage for the moments
+    stage_i[n:] = 0.0
 
     def deriv(h, k):
         # the rates do not depend on f_R, so its stage values are never formed
-        return exchange_rate(vs + h * k[0], vi + h * k[1], x_pows, grid.dx, e)
+        np.add(vi, h * k[1], out=stage_i[:n])
+        return exchange_rate(vs + h * k[0], stage_i, x_pows, grid.dx, e)
 
-    k1 = exchange_rate(vs, vi, x_pows, grid.dx, e)
+    k1 = exchange_rate(vs, state.values[1], x_pows, grid.dx, e)
     k2 = deriv(0.5 * dt, k1)
     k3 = deriv(0.5 * dt, k2)
     k4 = deriv(dt, k3)
-    new = state.values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    new = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    new += values
 
     clipped = state.clipped_mass
     neg = new < 0
@@ -157,6 +177,9 @@ def epidemic_substep(state: KineticSIRState, e: EpidemicParams, dt: float) -> Ki
             )
         clipped -= float(lost.sum() * grid.dx)
         new[neg] = 0.0
+    if n < grid.n_cells:
+        new, support = np.zeros_like(state.values), new
+        new[:, :n] = support
     return KineticSIRState(new, grid, clipped)
 
 
@@ -165,7 +188,7 @@ def _contact_substep(
 ) -> KineticSIRState:
     """Implicit contact relaxation of each compartment at its own current mean.
 
-    The compartments are the blocks of one tridiagonal solve, with the
+    The compartments are stepped in one fp.sp_step_batch call, with the
     interface weights of the rule integrated once per run
     (fp.build_operator).  Compartments with mass at or below MASS_FLOOR
     keep their values.  Each stepped compartment is rescaled back to its
@@ -179,9 +202,9 @@ def _contact_substep(
     if not live.any():
         return state
     x = grid.centers()
-    rows = [v for v, ok in zip(state.values, live) if ok]
+    rows = state.values if live.all() else state.values[live]
     means = [float(x @ v) * grid.dx / mass for v, mass in zip(rows, masses[live])]
-    # the solve copies the live rows once, and its result is the new state
+    # the solve writes a new array, which becomes the new state
     stepped = sp_step_batch(build_operator(p, c, grid), rows, means, dt, p.tau)
     stepped *= (masses[live] / (stepped.sum(axis=1) * grid.dx))[:, None]
     if live.all():

@@ -246,6 +246,39 @@ class TestRun:
         assert manifest["derived"]["moment_ratio"] == pytest.approx(1.25)
         assert manifest["code_version"]
 
+    @pytest.mark.parametrize(
+        "name, t_final",
+        [("test4_control_b", 0.05), ("test1_fp_control_b", 0.1), ("closure_l1_gamma", 5.0),
+         ("test2_nu_sweep", None), ("test3_consistency", 0.05)],
+    )
+    def test_manifest_timings_cover_the_run(self, tmp_path, name, t_final):
+        cfg = load_config(bundled_config_path(name + ".json"))
+        if t_final is not None:
+            cfg["time"]["t_final"] = t_final
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        manifest = json.loads((execute(path, tmp_path / "out") / "manifest.json").read_text())
+        timings = manifest["timings"]
+        assert set(timings) == {"setup_s", "steps_s", "output_s"}
+        assert all(t >= 0.0 for t in timings.values())
+        total = sum(timings.values())
+        assert 0.95 * manifest["wall_clock_s"] <= total <= manifest["wall_clock_s"] * (1 + 1e-9)
+
+    def test_dsmc_manifest_timings(self, tmp_path):
+        out = execute(small_dsmc_config(tmp_path), tmp_path / "out")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["timings"]) == {"setup_s", "steps_s", "output_s"}
+        assert sum(manifest["timings"].values()) >= 0.95 * manifest["wall_clock_s"]
+
+    def test_bad_tail_window_fails_before_the_run(self, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the scenario ran before its config was checked")
+
+        monkeypatch.setattr("kinctrl.cli.run_scenario", never)
+        cfg = controlled_epidemic_config(tmp_path, set_field("tail_window", [10.0, 5.0]))
+        with pytest.raises(ConfigError, match="tail_window"):
+            execute(cfg, tmp_path / "out")
+
     @pytest.mark.parametrize("delta, dt, bound", [(-1.0, 0.01, 1.0), (1.0, 0.001, 10.0)])
     def test_dsmc_manifest_accept_ratio(self, tmp_path, delta, dt, bound):
         # transitions / (particles x steps): every particle fires each step at

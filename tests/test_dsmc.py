@@ -45,6 +45,17 @@ class TestNoise:
         assert eta.min() > -1.0
         assert eta.max() < 1.0
 
+    @pytest.mark.parametrize("size", [None, 1, 7, 100_003])
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.01, 0.3])
+    def test_same_draws_as_uniform(self, size, epsilon):
+        p = kp(epsilon=epsilon)
+        a = np.sqrt(3.0 * p.epsilon * p.sigma2)
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        eta, expected = sample_noise(p, ours, size=size), theirs.uniform(-a, a, size=size)
+        assert np.shape(eta) == np.shape(expected)
+        assert np.array_equal(eta, expected)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
 
 class TestTransition:
     # _proposed(x, m, p, c, eta) is one transition before dsmc_step's clamp at 0

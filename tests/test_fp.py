@@ -16,6 +16,9 @@ from kinctrl import (
     steady_state_solve,
     uniform_density,
 )
+from scipy.linalg.lapack import dgtsv
+
+from kinctrl import fp
 from kinctrl.errors import NumericsError
 from kinctrl.fp import SpStepper, _bernoulli, interface_log_ratios, sp_step_batch
 from kinctrl.params import STRATEGY_RULES
@@ -364,3 +367,147 @@ class TestInterfaceWeights:
     def test_controls_require_delta_minus_one(self):
         with pytest.raises(ValueError):
             build_operator(kp(1.0), ControlSpec.interaction(1.0, 3.0), WEIGHTS_GRID)
+
+
+# The implicit step solves each row on its support plus the cells its step
+# reaches, which must equal the whole system bit for bit.
+TRIM_GRID = Grid(100.0, 1000)
+
+
+def stacked_step(op, values, means, dt, tau):
+    """Every row in full, as the blocks of one tridiagonal gtsv solve: the
+    oracle of the trimmed per-row solves and of the factored SpStepper."""
+    c = dt / (tau * op.grid.dx * op.grid.dx)
+    w = interface_log_ratios(op, means)
+    shape = (w.shape[0], w.shape[1] + 1)
+    lower, upper = np.zeros(shape), np.zeros(shape)
+    left, right = _bernoulli(w, out=(lower[:, :-1], upper[:, :-1]))
+    scale = -c * op.d_interfaces
+    left *= scale
+    right *= scale
+    diag = np.ones(shape)
+    diag[:, :-1] -= left
+    diag[:, 1:] -= right
+    rhs = np.array(values, dtype=float).reshape(-1, 1)
+    *_, out, info = dgtsv(lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1], rhs)
+    assert info == 0
+    return out.reshape(shape)
+
+
+def assert_same_bits(a, b):
+    """Equal to the last bit, the sign of zero included."""
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def cut(values, end):
+    """values with every cell from end on set to 0.0."""
+    out = np.array(values, dtype=float)
+    out[end:] = 0.0
+    return out
+
+
+class TestTrimmedStep:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        nu=st.floats(0.1, 10.0),
+        x_target=st.floats(0.0, 10.0),
+        means=st.lists(st.floats(0.5, 20.0), min_size=1, max_size=3),
+        ends=st.lists(st.integers(1, TRIM_GRID.n_cells), min_size=3, max_size=3),
+        log_tau=st.floats(-5.0, 1.0),
+    )
+    def test_control_b_rows_with_zero_tails(self, nu, x_target, means, ends, log_tau):
+        op = build_operator(kp(-1.0), ControlSpec.interaction(nu, x_target), TRIM_GRID)
+        rows = [cut(steady_state_solve(op, m).values, end) for m, end in zip(means, ends)]
+        tau = 10.0 ** log_tau
+        out = sp_step_batch(op, rows, means, 0.01, tau)
+        assert_same_bits(out, stacked_step(op, rows, means, 0.01, tau))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        rule=rules(),
+        means=st.lists(st.floats(0.5, 100.0), min_size=1, max_size=3),
+        log_tau=st.floats(-5.0, 1.0),
+    )
+    def test_full_support_rows(self, rule, means, log_tau):
+        p, c = rule
+        op = build_operator(p, c, WEIGHTS_GRID)
+        rows = [0.5 + np.cos(np.arange(WEIGHTS_GRID.n_cells) * m) ** 2 for m in means]
+        tau = 10.0 ** log_tau
+        out = sp_step_batch(op, rows, means, 0.01, tau)
+        assert_same_bits(out, stacked_step(op, rows, means, 0.01, tau))
+
+    @pytest.mark.parametrize("tau", [1e-5, 1e-2, 1.0])
+    def test_a_step_reaching_past_the_margin_widens(self, tau, monkeypatch):
+        # the uncontrolled tail is fat, so the sweep decays slowly past the support
+        op = build_operator(kp(-1.0), ControlSpec.uncontrolled(), TRIM_GRID)
+        row = cut(steady_state_solve(op, 7.0).values, 300)
+        sizes = []
+        solve = fp._gtsv
+
+        def recorded(lower, diag, upper, rhs):
+            sizes.append(diag.size)
+            solve(lower, diag, upper, rhs)
+
+        monkeypatch.setattr(fp, "_gtsv", recorded)
+        out = sp_step_batch(op, [row], [7.0], 0.01, tau)
+        assert_same_bits(out, stacked_step(op, [row], [7.0], 0.01, tau))
+        assert len(sizes) >= 2  # the first trim was rejected
+        assert sizes[0] == 300 + fp._MARGIN + 1
+        assert out[0, 300 + fp._MARGIN] > 0.0
+
+    def test_empty_row_in_a_batch(self):
+        op = build_operator(kp(-1.0), ControlSpec.interaction(1.0, 3.0), TRIM_GRID)
+        rows = [steady_state_solve(op, 3.0).values, np.zeros(TRIM_GRID.n_cells)]
+        out = sp_step_batch(op, rows, [3.0, 3.0], 0.01, 1e-5)
+        assert_same_bits(out, stacked_step(op, rows, [3.0, 3.0], 0.01, 1e-5))
+        assert not out[1].any()
+
+    def test_partially_live_state(self):
+        from kinctrl.kinetic import MASS_FLOOR, KineticSIRState, _contact_substep
+
+        p, c = kp(-1.0, tau=1e-5), ControlSpec.interaction(1.0, 3.0)
+        op = build_operator(p, c, TRIM_GRID)
+        values = np.zeros((3, TRIM_GRID.n_cells))
+        values[0] = cut(steady_state_solve(op, 4.0).values, 400)
+        values[2] = 0.3 * steady_state_solve(op, 2.0).values
+        state = KineticSIRState(values, TRIM_GRID)
+        new = _contact_substep(state, p, c, 0.01)
+
+        live = values[[0, 2]]
+        masses = live.sum(axis=1) * TRIM_GRID.dx
+        means = [float(TRIM_GRID.centers() @ v) * TRIM_GRID.dx / m for v, m in zip(live, masses)]
+        expected = stacked_step(op, live, means, 0.01, p.tau)
+        expected *= (masses / (expected.sum(axis=1) * TRIM_GRID.dx))[:, None]
+        assert masses.min() > MASS_FLOOR
+        assert_same_bits(new.values[[0, 2]], expected)
+        assert_same_bits(new.values[1], values[1])
+
+    def test_workspace_alternates_grids_and_operators(self):
+        grids = (TRIM_GRID, Grid(60.0, 700))
+        controls = (ControlSpec.interaction(1.0, 3.0), ControlSpec.uncontrolled())
+        for round_ in range(3):
+            for grid in grids:
+                for c in controls:
+                    op = build_operator(kp(-1.0), c, grid)
+                    end = 150 + 200 * round_
+                    rows = [cut(steady_state_solve(op, m).values, end) for m in (2.0, 5.0)]
+                    out = sp_step_batch(op, rows, [2.0, 5.0], 0.01, 1e-3)
+                    assert_same_bits(out, stacked_step(op, rows, [2.0, 5.0], 0.01, 1e-3))
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            ControlSpec.uncontrolled(),
+            ControlSpec.additive(1.0, 3.0),
+            ControlSpec.interaction(1.0, 3.0),
+        ],
+    )
+    def test_factored_stepper_equals_gtsv(self, c):
+        op = build_operator(kp(-1.0), c, TRIM_GRID)
+        stepper = SpStepper(op, 5.0, 0.05, 1.0)
+        v = uniform_density(TRIM_GRID, 4.0, 6.0).values
+        for _ in range(20):
+            new = stepper.step(v)
+            assert_same_bits(new, stacked_step(op, [v], [5.0], 0.05, 1.0)[0])
+            v = new

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from kinctrl.kinetic import (
     OBSERVABLES,
     KineticSIRState,
     _contact_substep,
+    center_powers,
     contact_powers,
     epidemic_substep,
     exchange_rate,
@@ -145,6 +148,57 @@ class TestEpidemicSubstep:
         assert out.clipped_mass > 0.0
         gained = out.total_mass() - state.total_mass()
         assert gained == pytest.approx(out.clipped_mass, rel=1e-9)
+
+
+def full_row_epidemic_substep(state, e, dt):
+    """The RK4 exchange over every cell of every row: the oracle of the
+    support-only epidemic_substep."""
+    x_pows = contact_powers(state.grid.centers(), e.order)
+    vs, vi, _ = state.values
+
+    def deriv(h, k):
+        return exchange_rate(vs + h * k[0], vi + h * k[1], x_pows, state.grid.dx, e)
+
+    k1 = exchange_rate(vs, vi, x_pows, state.grid.dx, e)
+    k2 = deriv(0.5 * dt, k1)
+    k3 = deriv(0.5 * dt, k2)
+    k4 = deriv(dt, k3)
+    new = state.values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    neg = new < 0
+    clipped = state.clipped_mass
+    if neg.any():
+        clipped -= float(new[neg].sum() * state.grid.dx)
+    new[neg] = 0.0
+    return new, clipped
+
+
+class TestSupportOnlyEpidemicSubstep:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        ends=st.lists(st.integers(0, 1000), min_size=3, max_size=3),
+        rho=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        betas=st.lists(st.floats(0.0, 2.0), min_size=0, max_size=2),
+        beta0=st.sampled_from([0.0, 0.3]),
+        dt=st.sampled_from([1e-3, 0.1, 1.0]),
+    )
+    def test_equals_the_full_row_update_bit_for_bit(self, ends, rho, betas, beta0, dt):
+        state = gamma_profile_state(Grid(100.0, 1000), 5.0, 3.0, tuple(rho))
+        for values, end in zip(state.values, ends):
+            values[end:] = 0.0
+        e = EpidemicParams(tuple(betas), GAMMA_I, beta0=beta0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            out = epidemic_substep(state, e, dt)
+            expected, clipped = full_row_epidemic_substep(state, e, dt)
+        assert np.array_equal(out.values.view(np.int64), expected.view(np.int64))
+        assert out.clipped_mass == clipped
+
+    def test_x_powers_are_cached_read_only(self, grid):
+        x_pows = center_powers(grid, 2)
+        assert center_powers(grid, 2) is x_pows
+        assert np.array_equal(x_pows, contact_powers(grid.centers(), 2))
+        with pytest.raises(ValueError):
+            x_pows[0, 0] = 1.0
 
 
 class TestSplitStep:
