@@ -53,7 +53,7 @@ from .io import (
     write_trajectory,
 )
 from .kinetic import OBSERVABLES, gamma_profile_state, run_scenario
-from .macro import MacroModel, MacroState, MacroVariant, rk4_integrate
+from .macro import MacroModel, MacroState, MacroVariant, controlled_sir, rk4_integrate
 from .params import (
     ClosureKind,
     ControlSpec,
@@ -184,13 +184,15 @@ def _initial_profile(cfg: dict, name: str) -> None:
         raise ConfigError(f"field 'initial.type': this scenario starts from {name!r}, got {kind!r}")
 
 
-def _interval(cfg: dict) -> tuple[float, float]:
-    """(initial.low, initial.high) of the uniform initial profile, with 0 <= low < high."""
+def _interval(cfg: dict, x_max: float) -> tuple[float, float]:
+    """(initial.low, initial.high) of the uniform initial profile, with 0 <= low < high <= x_max."""
     _initial_profile(cfg, "uniform")
     low = _get(cfg, "initial.low", float)
     high = _get(cfg, "initial.high", float)
-    if not 0 <= low < high:
-        raise ConfigError(f"field 'initial': need 0 <= low < high, got [{low}, {high}]")
+    if not 0 <= low < high <= x_max:
+        raise ConfigError(
+            f"field 'initial': need 0 <= low < high <= grid.x_max = {x_max}, got [{low}, {high}]"
+        )
     return low, high
 
 
@@ -307,7 +309,7 @@ def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> 
     if t_final == 0:
         raise ConfigError("field 'time.t_final': particle runs need t_final > 0")
     m_ref = _positive(cfg, "dsmc.mean_reference", required=False)
-    low, high = _interval(cfg)
+    low, high = _interval(cfg, x_max)
 
     bound = _positive(cfg, "dsmc.kernel_bound", required=False)
     if bound is None:
@@ -345,7 +347,7 @@ def run_fp_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> di
     grid = _grid(cfg)
     dt, t_final = _time(cfg)
     m_ref = _positive(cfg, "fp.mean_reference", required=False)
-    f = _build("initial", uniform_density, grid, *_interval(cfg))
+    f = _build("initial", uniform_density, grid, *_interval(cfg, grid.x_max))
     n_steps = step_count(t_final, dt)
     op = build_operator(p, c, grid)
     clock.enter("steps_s")
@@ -481,18 +483,23 @@ def _kinetic_pieces(cfg: dict):
 
 
 def run_kinetic_macro_consistency(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> dict:
+    """Kinetic run against its macro reference: the closed L1/L2 system, or
+    under a control classical SIR at the derived beta, started at m*."""
     p, e, c, grid, ic = _kinetic_pieces(cfg)
-    if c.active:
-        raise ConfigError("field 'control': consistency scenario is uncontrolled")
     dt, t_final = _time(cfg)
     every = _output_every(cfg)
-    closure = _build("kinetic.delta", closure_kind, p.delta)
-    variant = MacroVariant.L2 if e.order >= 2 else MacroVariant.L1
-    model = _build("kinetic/epidemic", MacroModel, variant, closure, p, e)
+    if c.active:
+        model, m_star = _build("epidemic", controlled_sir, p, e, c, grid,
+                               _get(cfg, "initial.mean", float))
+    else:
+        closure = _build("kinetic.delta", closure_kind, p.delta)
+        variant = MacroVariant.L2 if e.order >= 2 else MacroVariant.L1
+        model = _build("kinetic/epidemic", MacroModel, variant, closure, p, e)
 
     clock.enter("steps_s")
     result = run_scenario(ic, p, c, e, t_final, dt, output_every=every)
-    s0 = MacroState(*result.observables[0, :6].tolist())
+    row0 = result.observables[0, :6].tolist()
+    s0 = MacroState(*row0[:3], m_star, m_star, m_star) if c.active else MacroState(*row0)
     times, states = rk4_integrate(model, s0, dt, t_final)
 
     clock.enter("output_s")
@@ -502,10 +509,14 @@ def run_kinetic_macro_consistency(cfg: dict, out: Path, seed: int, clock: PhaseC
     _write_trajectory(out / "trajectory_macro.csv", np.array([times[k] for k in steps]), ref)
 
     # the means' gaps are relative where the reference mean is non-zero
-    # (an empty compartment has mean 0) and absolute where it is 0
+    # (an empty compartment has mean 0) and absolute where it is 0; a
+    # controlled run's t = 0 row holds the gamma profile at initial.mean,
+    # not m*, so it is left out of the mean gaps
     gaps = np.abs(result.observables[:, :6] - ref)
     means = np.abs(ref[:, 3:])
     np.divide(gaps[:, 3:], means, out=gaps[:, 3:], where=means != 0)
+    if c.active:
+        gaps[0, 3:] = 0.0
     names = [*OBSERVABLES[:3], *(name + "_rel" for name in OBSERVABLES[3:6])]
     return {
         "sup_gaps": dict(zip(names, gaps.max(axis=0).tolist())),

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericsError, TailInconclusiveError
+from .errors import InvariantViolationError, NumericsError, TailInconclusiveError
 from .fp import ContactDensity, Grid
 from .params import ControlSpec, EquilibriumKind, KineticParams
 
@@ -142,6 +142,28 @@ def controlled_steady_state(
     density = EquilibriumDensity(p, m, grid, control=c)
     _check_tail_resolved(density.values, grid)
     return density
+
+
+def self_consistent_mean(p: KineticParams, c: ControlSpec, grid: Grid, m0: float) -> float:
+    """Fixed point m* of m -> mean(controlled steady state at m), from initial guess m0.
+
+    Secant steps on the residual r(m) = mean(m) - m, started by one plain
+    fixed-point step; stops once |r(m)| <= 1e-12 max(1, |m|) and returns
+    that m.  At stiff scale separation every compartment mean sits at m*.
+    """
+    def residual(m: float) -> float:
+        return controlled_steady_state(p, c, m, grid).raw_moment(1) - m
+
+    m_prev, r_prev = m0, residual(m0)
+    m = m0 + r_prev
+    for _ in range(50):
+        r = residual(m)
+        if abs(r) <= 1e-12 * max(1.0, abs(m)):
+            return m
+        if r == r_prev:
+            break
+        m, m_prev, r_prev = m - r * (m - m_prev) / (r - r_prev), m, r
+    raise InvariantViolationError(f"self-consistent mean did not converge from m0 = {m0}")
 
 
 class TailKind(Enum):

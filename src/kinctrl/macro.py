@@ -1,23 +1,23 @@
-"""Closed macroscopic systems: classical SIR, moment-closed models, controlled variants.
+"""Closed macroscopic systems: classical SIR, moment-closed models, controlled SIR.
 
 The moment-closed systems replace second and third contact moments by moments
 of the local equilibrium profile, which reduces to multiplying powers of the
-mean by the ratios c2 = m2/m^2 and c3 = m3/m^3 of the closure family.  The
-controlled systems evolve compartment masses only: at stiff scale separation
-the compartment means sit at the self-consistent fixed point of the
-controlled steady state, and the incidence moments follow from quadrature
-over that steady state.
+mean by the ratios c2 = m2/m^2 and c3 = m3/m^3 of the closure family.  Under a
+control, at stiff scale separation every compartment mean sits at the
+self-consistent mean m* of the controlled steady state, so the incidence is
+rho_S rho_I times one constant: the controlled system is classical SIR at
+beta = b1 M1^2 + b2 M2^2, with M1, M2 the steady state's moments at m*.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .equilibria import controlled_steady_state
+from .equilibria import controlled_steady_state, self_consistent_mean
 from .errors import InvariantViolationError
 from .fp import Grid
 from .params import (
@@ -151,85 +151,29 @@ def peak_contacts(
     raise ValueError(f"peak bound defined for L1/L2 only, got {order}")
 
 
-@dataclass
-class ControlledMacroModel:
-    """Mass-exchange system closed over the controlled steady state.
+def controlled_sir(
+    p: KineticParams, e: EpidemicParams, c: ControlSpec, grid: Grid, m0: float
+) -> tuple[MacroModel, float]:
+    """The controlled macro system, as classical SIR, and its self-consistent mean m*.
 
-    Moments (m, m2) per compartment come from quadrature over the controlled
-    steady state evaluated at the compartment's current mean; results are
-    cached on the exact mean, which stays constant over an RK4 step because
-    the means do not evolve.  Compartment means themselves are
-    pinned by the stiff contact dynamics, so their macroscopic derivative is
-    zero and trajectories should start from the self-consistent mean.
+    m* is found from the initial guess m0; beta = b1 M1^2 + b2 M2^2 from the
+    first and second moments of the controlled steady state at m* (b2 = 0 at
+    first order).  Trajectories start from means m*, which this system
+    holds fixed.  Rejects an incidence with beta0 or more than two betas.
     """
-
-    kinetic: KineticParams
-    epidemic: EpidemicParams
-    control: ControlSpec
-    grid: Grid
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if not self.control.active:
-            raise ValueError("ControlledMacroModel needs an active control strategy")
-        _check_incidence(self.epidemic, range(1, 3), "the controlled macro system")
-
-    @cached_property
-    def rate_constants(self) -> tuple[float, float, float]:
-        """(b1, b2, gamma), with b2 = 0 for a first-order incidence."""
-        betas = self.epidemic.betas
-        return betas[0], betas[1] if len(betas) > 1 else 0.0, self.epidemic.gamma_i
-
-    def moments_for_mean(self, m: float) -> tuple[float, float]:
-        """(first, second) moment of the controlled steady state at reference mean m."""
-        hit = self._cache.get(m)
-        if hit is None:
-            f = controlled_steady_state(self.kinetic, self.control, m, self.grid)
-            hit = self._cache[m] = (f.raw_moment(1), f.raw_moment(2))
-        return hit
-
-    def self_consistent_mean(self, m0: float, tol: float = 1e-12, max_iter: int = 50) -> float:
-        """Fixed point m* of m -> mean(steady state at m), from initial guess m0.
-
-        Secant steps on the residual r(m) = mean(m) - m, started by one plain
-        fixed-point step; stops once |r(m)| <= tol max(1, |m|) and returns
-        that m.
-        """
-        m_prev = m0
-        r_prev = self.moments_for_mean(m0)[0] - m0
-        m = m0 + r_prev
-        for _ in range(max_iter):
-            r = self.moments_for_mean(m)[0] - m
-            if abs(r) <= tol * max(1.0, abs(m)):
-                return m
-            if r == r_prev:
-                break
-            m, m_prev, r_prev = m - r * (m - m_prev) / (r - r_prev), m, r
-        raise InvariantViolationError(
-            f"self-consistent mean did not converge from m0 = {m0}"
-        )
-
-
-def controlled_rhs(model: ControlledMacroModel, s: MacroState) -> MacroState:
-    """Mass derivatives of the controlled system at state s.
-
-    The incidence moments (m, m2) of S and I come (through the cache) from
-    the steady states at the state's current means.
-    """
-    rho_s, rho_i, _, mean_s, mean_i, _ = s
-    m_s, m2_s = model.moments_for_mean(mean_s)
-    m_i, m2_i = model.moments_for_mean(mean_i)
-    b1, b2, gamma = model.rate_constants
-    infection = b1 * rho_s * m_s * rho_i * m_i + b2 * rho_s * m2_s * rho_i * m2_i
-    return MacroState(-infection, infection - gamma * rho_i, gamma * rho_i, 0.0, 0.0, 0.0)
+    _check_incidence(e, range(1, 3), "the controlled macro system")
+    m_star = self_consistent_mean(p, c, grid, m0)
+    f = controlled_steady_state(p, c, m_star, grid)
+    b2 = e.betas[1] if e.order > 1 else 0.0
+    beta = e.betas[0] * f.raw_moment(1) ** 2 + b2 * f.raw_moment(2) ** 2
+    return MacroModel(MacroVariant.CLASSICAL_SIR, ClosureKind.DIRAC, p, e, beta=beta), m_star
 
 
 def rk4_integrate(
-    model, s0: MacroState, dt: float, t_final: float
+    model: MacroModel, s0: MacroState, dt: float, t_final: float
 ) -> tuple[list[float], list[MacroState]]:
-    """Classical fourth-order Runge-Kutta integration with a fixed step.
+    """Classical fourth-order Runge-Kutta integration of rhs with a fixed step.
 
-    Works for both MacroModel (closed systems) and ControlledMacroModel.
     Returns the time and the state after every step, t = 0 included.  The
     compartment masses must keep summing to their initial total within
     MASS_SUM_TOL at every step; a violation aborts with the last valid state
@@ -237,7 +181,6 @@ def rk4_integrate(
     component: the step's cost is otherwise interpreter overhead.
     """
     n_steps = step_count(t_final, dt)
-    f = controlled_rhs if isinstance(model, ControlledMacroModel) else rhs
     half, sixth = 0.5 * dt, dt / 6.0
     target_sum = s0.mass_sum()
     times = [0.0]
@@ -245,13 +188,13 @@ def rk4_integrate(
     y = s0
     for k in range(1, n_steps + 1):
         y1, y2, y3, y4, y5, y6 = y
-        a1, a2, a3, a4, a5, a6 = f(model, y)
-        b1, b2, b3, b4, b5, b6 = f(model, (y1 + half * a1, y2 + half * a2, y3 + half * a3,
-                                           y4 + half * a4, y5 + half * a5, y6 + half * a6))
-        c1, c2, c3, c4, c5, c6 = f(model, (y1 + half * b1, y2 + half * b2, y3 + half * b3,
-                                           y4 + half * b4, y5 + half * b5, y6 + half * b6))
-        d1, d2, d3, d4, d5, d6 = f(model, (y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
-                                           y4 + dt * c4, y5 + dt * c5, y6 + dt * c6))
+        a1, a2, a3, a4, a5, a6 = rhs(model, y)
+        b1, b2, b3, b4, b5, b6 = rhs(model, (y1 + half * a1, y2 + half * a2, y3 + half * a3,
+                                             y4 + half * a4, y5 + half * a5, y6 + half * a6))
+        c1, c2, c3, c4, c5, c6 = rhs(model, (y1 + half * b1, y2 + half * b2, y3 + half * b3,
+                                             y4 + half * b4, y5 + half * b5, y6 + half * b6))
+        d1, d2, d3, d4, d5, d6 = rhs(model, (y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
+                                             y4 + dt * c4, y5 + dt * c5, y6 + dt * c6))
         rho_s = y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
         rho_i = y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
         rho_r = y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)

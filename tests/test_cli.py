@@ -181,6 +181,19 @@ class TestExitCodes:
 
         execute(controlled_epidemic_config(tmp_path, edit), tmp_path / "out")
 
+    @pytest.mark.parametrize("kind", ["dsmc_equilibrium", "fp_equilibrium"])
+    def test_uniform_profile_beyond_the_grid_exits_two(self, tmp_path, capsys, kind):
+        # particles past x_max would fall outside the histogram, which would
+        # then be renormalised over the rest
+        cfg = json.loads(small_dsmc_config(tmp_path).read_text())
+        cfg["kind"] = kind
+        cfg["grid"]["x_max"] = 10.0
+        cfg["initial"] = {"type": "uniform", "low": 6.0, "high": 30.0}
+        path = tmp_path / "beyond.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "field 'initial'" in capsys.readouterr().err
+
     def test_consistency_closure_needs_delta_plus_or_minus_one(self, tmp_path, capsys):
         cfg = consistency_config()
         cfg["kinetic"]["delta"] = 0.5
@@ -190,14 +203,24 @@ class TestExitCodes:
         assert "kinetic.delta" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("beta0", 5.0), ("betas", [0.02, 2e-6, 1e-8])],
+        "field, value, control",
+        [
+            pytest.param("beta0", 5.0, None, id="beta0-5.0"),
+            pytest.param("betas", [0.02, 2e-6, 1e-8], None, id="betas-value1"),
+            pytest.param("betas", [0.02, 2e-6, 1e-8],
+                         {"strategy": "additive_a", "nu": 1.0, "x_target": 3.0},
+                         id="betas-controlled"),
+        ],
     )
-    def test_consistency_rejects_terms_the_macro_model_drops(self, tmp_path, capsys, field, value):
+    def test_consistency_rejects_terms_the_macro_model_drops(
+        self, tmp_path, capsys, field, value, control
+    ):
         # the kinetic incidence keeps beta0 and every beta_l; the macro
         # reference closes at beta_2, so it would compare a different model
         cfg = consistency_config()
         cfg["epidemic"][field] = value
+        if control is not None:
+            cfg["control"] = control
         path = tmp_path / "cons.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -249,7 +272,8 @@ class TestRun:
     @pytest.mark.parametrize(
         "name, t_final",
         [("test4_control_b", 0.05), ("test1_fp_control_b", 0.1), ("closure_l1_gamma", 5.0),
-         ("test2_nu_sweep", None), ("test3_consistency", 0.05)],
+         ("test2_nu_sweep", None), ("test3_consistency", 0.05),
+         ("test3_consistency_control_b", 0.05)],
     )
     def test_manifest_timings_cover_the_run(self, tmp_path, name, t_final):
         cfg = load_config(bundled_config_path(name + ".json"))
@@ -407,6 +431,28 @@ class TestScenarioRunners:
         assert (out / "trajectory_macro.csv").exists()
         gaps = json.loads((out / "manifest.json").read_text())["metrics"]["sup_gaps"]
         assert gaps["rho_I"] < 1e-2
+
+    @pytest.mark.parametrize("t_final", [0.0, 0.5])
+    def test_controlled_consistency_against_classical_sir(self, tmp_path, t_final):
+        # the reference is classical SIR at the derived beta, started at m*:
+        # its means stay at m*, and the kinetic t = 0 row (the gamma profile
+        # at initial.mean) is left out of the mean gaps
+        cfg = consistency_config()
+        cfg["control"] = {"strategy": "interaction_b", "nu": 1.0, "x_target": 3.0}
+        cfg["time"]["t_final"] = t_final
+        path = tmp_path / "cons.json"
+        path.write_text(json.dumps(cfg))
+        out = execute(path, tmp_path / "out")
+        macro = read_csv(out / "trajectory_macro.csv")
+        kinetic = read_csv(out / "trajectory.csv")
+        assert (macro["rho_S"][0], macro["rho_I"][0]) == (kinetic["rho_S"][0], kinetic["rho_I"][0])
+        assert len(set(macro["m_S"])) == 1 and macro["m_S"][0] < 3.0
+        gaps = json.loads((out / "manifest.json").read_text())["metrics"]["sup_gaps"]
+        if t_final == 0.0:
+            assert gaps["m_S_rel"] == gaps["m_I_rel"] == 0.0
+        else:
+            assert 0.0 < gaps["m_S_rel"] < 0.1
+            assert gaps["rho_I"] < 1e-3
 
     def test_consistency_with_an_empty_compartment_writes_strict_json(self, tmp_path):
         # rho_R = 0 at t = 0 gives m_R = 0 in both models there; that gap is

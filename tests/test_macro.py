@@ -14,11 +14,10 @@ from kinctrl import (
 from kinctrl.errors import InvariantViolationError
 from kinctrl.macro import (
     RHO_R_FLOOR,
-    ControlledMacroModel,
     MacroModel,
     MacroState,
     MacroVariant,
-    controlled_rhs,
+    controlled_sir,
     peak_contacts,
     rhs,
     rk4_integrate,
@@ -90,8 +89,8 @@ class TestIncidenceOrder:
     )
     def test_controlled_model_rejects_dropped_terms(self, epi):
         with pytest.raises(ValueError, match="epidemic.beta"):
-            ControlledMacroModel(kin(-1.0, tau=1e-5), epi, ControlSpec.additive(1.0, 3.0),
-                                 Grid(200.0, 10000))
+            controlled_sir(kin(-1.0, tau=1e-5), epi, ControlSpec.additive(1.0, 3.0),
+                           Grid(200.0, 10000), 10.0)
 
     def test_classical_sir_ignores_the_betas(self):
         epi = EpidemicParams((2e-2, 2e-6, 1e-8), GAMMA_I, beta0=5.0)
@@ -133,15 +132,23 @@ def oracle_rhs(model, s):
     )
 
 
-def oracle_controlled_rhs(model, s):
-    m_s, m2_s = model.moments_for_mean(s.m_s)
-    m_i, m2_i = model.moments_for_mean(s.m_i)
-    b1, b2 = model.epidemic.betas[0], model.epidemic.betas[1]
-    gamma = model.epidemic.gamma_i
-    infection = b1 * s.rho_s * m_s * s.rho_i * m_i + b2 * s.rho_s * m2_s * s.rho_i * m2_i
-    return MacroState(
-        -infection, infection - gamma * s.rho_i, gamma * s.rho_i, 0.0, 0.0, 0.0
-    )
+def controlled_oracle(kinetic, epidemic, control, grid, m_star):
+    """The mass system closed over the controlled steady state at m*, every
+    product written out in full; the incidence takes the first and second
+    moments of S and of I from the steady state at their means, both m*."""
+    f = controlled_steady_state(kinetic, control, m_star, grid)
+    m_s = m_i = f.raw_moment(1)
+    m2_s = m2_i = f.raw_moment(2)
+    b1, b2 = epidemic.betas
+    gamma = epidemic.gamma_i
+
+    def oracle_controlled_rhs(_model, s):
+        infection = b1 * s.rho_s * m_s * s.rho_i * m_i + b2 * s.rho_s * m2_s * s.rho_i * m2_i
+        return MacroState(
+            -infection, infection - gamma * s.rho_i, gamma * s.rho_i, 0.0, 0.0, 0.0
+        )
+
+    return oracle_controlled_rhs
 
 
 def oracle_rk4(f, model, s0, dt, n_steps):
@@ -193,11 +200,20 @@ class TestOracle:
         assert times == [k * dt for k in range(201)]
 
     def test_controlled_model_matches_the_oracle(self):
-        model = ControlledMacroModel(kin(-1.0, tau=1e-5), EpidemicParams((2e-2, 2e-6), GAMMA_I),
-                                     ControlSpec.additive(1.0, 3.0), Grid(200.0, 10000))
-        s0 = MacroState(0.9, 0.08, 0.02, 5.0, 4.0, 6.0)
-        _, states = rk4_integrate(model, s0, 0.05, 10.0)
-        assert states == oracle_rk4(oracle_controlled_rhs, model, s0, 0.05, 200)
+        # classical SIR at the derived beta follows the mass system closed
+        # over the steady state's moments to rounding, on the test4_control_*
+        # settings over 2 000 steps
+        kinetic = KineticParams(alpha=1.0, sigma2=0.2, delta=-1.0, tau=1e-5)
+        epi = EpidemicParams((2e-2, 2e-6), GAMMA_I)
+        grid = Grid(500.0, 25000)
+        for control in (ControlSpec.additive(1.0, 3.0), ControlSpec.interaction(1.0, 3.0)):
+            model, m_star = controlled_sir(kinetic, epi, control, grid, 10.0)
+            s0 = MacroState(0.98, 0.01, 0.01, m_star, m_star, m_star)
+            _, states = rk4_integrate(model, s0, 0.01, 20.0)
+            oracle = oracle_rk4(controlled_oracle(kinetic, epi, control, grid, m_star),
+                                None, s0, 0.01, 2000)
+            gap = max(abs(a - b) for s, o in zip(states, oracle) for a, b in zip(s, o))
+            assert gap <= 1e-15, (control.strategy, gap)
 
 
 class TestPeakContacts:
@@ -318,25 +334,43 @@ class TestControlledMacro:
         return Grid(200.0, 10000)
 
     def test_zero_infected_freezes_masses(self):
-        model = ControlledMacroModel(kin(-1.0, tau=1e-5), EpidemicParams((2e-2, 2e-6), GAMMA_I),
-                                     ControlSpec.additive(1.0, 3.0), self.grid())
-        d = controlled_rhs(model, MacroState(0.7, 0.0, 0.3, 5.0, 5.0, 5.0))
+        model, m_star = controlled_sir(kin(-1.0, tau=1e-5), EpidemicParams((2e-2, 2e-6), GAMMA_I),
+                                       ControlSpec.additive(1.0, 3.0), self.grid(), 10.0)
+        d = rhs(model, MacroState(0.7, 0.0, 0.3, m_star, m_star, m_star))
         assert (d.rho_s, d.rho_i, d.rho_r) == (0.0, 0.0, 0.0)
 
     def test_large_nu_mass_rhs_matches_uncontrolled_l2(self):
         kinetic = kin(-1.0, tau=1e-5)
         epi = EpidemicParams((2e-2, 2e-6), GAMMA_I)
-        model = ControlledMacroModel(kinetic, epi, ControlSpec.additive(1e9, 3.0), Grid(3000.0, 60000))
-        s = state(rho_i=0.05, rho_r=0.02)
-        d_ctrl = controlled_rhs(model, s)
+        model, m_star = controlled_sir(kinetic, epi, ControlSpec.additive(1e9, 3.0),
+                                       Grid(3000.0, 60000), 10.0)
+        s = MacroState(1.0 - 0.05 - 0.02, 0.05, 0.02, m_star, m_star, m_star)
+        d_ctrl = rhs(model, s)
         d_unc = rhs(MacroModel(MacroVariant.L2, ClosureKind.INVERSE_GAMMA, kinetic, epi), s)
         assert d_ctrl.rho_s == pytest.approx(d_unc.rho_s, rel=1e-6)
         assert d_ctrl.rho_i == pytest.approx(d_unc.rho_i, rel=1e-6)
 
     def test_additive_fixed_point_is_target(self):
-        model = ControlledMacroModel(kin(-1.0, tau=1e-5), EpidemicParams((2e-2, 2e-6), GAMMA_I),
-                                     ControlSpec.additive(1.0, 3.0), self.grid())
-        assert model.self_consistent_mean(10.0) == pytest.approx(3.0, rel=1e-6)
+        _, m_star = controlled_sir(kin(-1.0, tau=1e-5), EpidemicParams((2e-2, 2e-6), GAMMA_I),
+                                   ControlSpec.additive(1.0, 3.0), self.grid(), 10.0)
+        assert m_star == pytest.approx(3.0, rel=1e-6)
+
+    def test_additive_closed_form(self):
+        # control A's steady state is inverse gamma with shape a = lam + 1 + k
+        # and scale b = lam m + k x_T, k = 2/(sigma2 nu): m* = x_T and
+        # M2 = b^2/((a - 1)(a - 2)); the test4_control_a settings
+        kinetic = KineticParams(alpha=1.0, sigma2=0.2, delta=-1.0, tau=1e-5)
+        epi = EpidemicParams((2e-2, 2e-6), GAMMA_I)
+        nu, x_t = 1.0, 3.0
+        model, m_star = controlled_sir(kinetic, epi, ControlSpec.additive(nu, x_t),
+                                       Grid(500.0, 25000), 10.0)
+        k = 2.0 / (kinetic.sigma2 * nu)
+        a, b = kinetic.lam + 1.0 + k, kinetic.lam * x_t + k * x_t
+        m2 = b**2 / ((a - 1.0) * (a - 2.0))
+        beta = 2e-2 * x_t**2 + 2e-6 * m2**2
+        assert abs(m_star - x_t) <= 1e-14 * x_t
+        assert abs(model.beta - beta) <= 1e-14 * beta
+        assert 0.18018596938775 <= beta < 0.18018596938776
 
     def test_interaction_control_lowers_peak(self):
         kinetic = kin(-1.0, tau=1e-5)
@@ -345,20 +379,11 @@ class TestControlledMacro:
         _, unc = rk4_integrate(
             MacroModel(MacroVariant.L2, ClosureKind.INVERSE_GAMMA, kinetic, epi), s0u, 0.01, 20.0
         )
-        model = ControlledMacroModel(kinetic, epi, ControlSpec.interaction(1.0, 3.0), self.grid())
-        m_star = model.self_consistent_mean(10.0)
+        model, m_star = controlled_sir(kinetic, epi, ControlSpec.interaction(1.0, 3.0),
+                                       self.grid(), 10.0)
         s0c = MacroState(1 - 2e-2, 1e-2, 1e-2, m_star, m_star, m_star)
         _, ctrl = rk4_integrate(model, s0c, 0.01, 20.0)
         assert max(s.rho_i for s in ctrl) < max(s.rho_i for s in unc)
-
-    def test_moment_cache(self):
-        # keyed on the exact mean: a repeated mean hits, a nearby one does not
-        model = ControlledMacroModel(kin(-1.0, tau=1e-5), EpidemicParams((2e-2,), GAMMA_I),
-                                     ControlSpec.additive(1.0, 3.0), self.grid())
-        a = model.moments_for_mean(5.0)
-        assert model.moments_for_mean(5.0) is a
-        assert model.moments_for_mean(5.0 + 1e-9) != a
-        assert len(model._cache) == 2
 
     def test_self_consistent_means_solve_the_fixed_point(self):
         # the bundled test4_control_* settings; control A's steady-state mean
@@ -366,9 +391,9 @@ class TestControlledMacro:
         kinetic = kin(-1.0, tau=1e-5)
         epi = EpidemicParams((2e-2, 2e-6), GAMMA_I)
         grid = Grid(500.0, 25000)
-        a = ControlledMacroModel(kinetic, epi, ControlSpec.additive(1.0, 3.0), grid)
-        assert a.self_consistent_mean(10.0) == pytest.approx(3.0, rel=1e-12)
+        _, m_a = controlled_sir(kinetic, epi, ControlSpec.additive(1.0, 3.0), grid, 10.0)
+        assert m_a == pytest.approx(3.0, rel=1e-12)
         c = ControlSpec.interaction(1.0, 3.0)
-        m_star = ControlledMacroModel(kinetic, epi, c, grid).self_consistent_mean(10.0)
+        _, m_star = controlled_sir(kinetic, epi, c, grid, 10.0)
         residual = controlled_steady_state(kinetic, c, m_star, grid).raw_moment(1) - m_star
         assert abs(residual) <= 1e-12
