@@ -299,7 +299,7 @@ def _reference_density(
     return eq.values.reshape(n_bins, refine).mean(axis=1)
 
 
-def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> dict:
+def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tuple[dict, dict]:
     p = _kinetic_params(cfg)
     c = _control_spec(cfg)
     n = _count(cfg, "dsmc.n_particles")
@@ -337,10 +337,10 @@ def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> 
         ref = _reference_density(p, c, m_ref, hist.bin_edges)
         metrics["l1_to_equilibrium"] = hist.l1_distance(ref)
         metrics["equilibrium_kind"] = eq_kind.value
-    return metrics
+    return metrics, {"steps": ens.n_steps, "threads": ens.threads}
 
 
-def run_fp_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> dict:
+def run_fp_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tuple[dict, dict]:
     p = _kinetic_params(cfg)
     c = _control_spec(cfg)
     _build("kinetic.delta", check_operator_domain, p, c)
@@ -377,7 +377,7 @@ def run_fp_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> di
         eq = EquilibriumDensity(p, m_ref, grid, control=c)
         metrics["l1_to_equilibrium"] = float(np.abs(f.values - eq.values).sum() * grid.dx)
         metrics["equilibrium_kind"] = eq_kind.value
-    return metrics
+    return metrics, {}
 
 
 def _tail(f: ContactDensity, window: tuple[float, float]) -> dict:
@@ -389,7 +389,7 @@ def _tail(f: ContactDensity, window: tuple[float, float]) -> dict:
     return {"kind": tc.kind.value, "exponent": tc.exponent}
 
 
-def run_tail_sweep(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> dict:
+def run_tail_sweep(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tuple[dict, dict]:
     p = _kinetic_params(cfg)
     grid = _grid(cfg)
     m_ref = _positive(cfg, "fp.mean_reference")
@@ -426,7 +426,7 @@ def run_tail_sweep(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> dict:
         writer.writerow(["strategy", "nu", "m_inf", "m2_inf"])
         for strategy, nu, m1, m2 in rows:
             writer.writerow([strategy, *(repr(float(v)) for v in (nu, m1, m2))])
-    return {"tails": tails}
+    return {"tails": tails}, {}
 
 
 def _macro_model(cfg: dict) -> MacroModel:
@@ -452,7 +452,7 @@ def _output_every(cfg: dict) -> int:
     return _count(cfg, "time.output_every", required=False, default=1)
 
 
-def run_macro_compare(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> dict:
+def run_macro_compare(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tuple[dict, dict]:
     model = _macro_model(cfg)
     s0 = _macro_initial(cfg)
     dt, t_final = _time(cfg)
@@ -465,7 +465,7 @@ def run_macro_compare(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> dic
     return {
         "peak_rho_i": float(table[:, 1].max()),
         "peak_m_i": float(table[:, 4].max()),
-    }
+    }, {}
 
 
 def _kinetic_pieces(cfg: dict):
@@ -482,7 +482,9 @@ def _kinetic_pieces(cfg: dict):
     return p, e, c, grid, ic
 
 
-def run_kinetic_macro_consistency(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> dict:
+def run_kinetic_macro_consistency(
+    cfg: dict, out: Path, seed: int, clock: PhaseClock
+) -> tuple[dict, dict]:
     """Kinetic run against its macro reference: the closed L1/L2 system, or
     under a control classical SIR at the derived beta, started at m*."""
     p, e, c, grid, ic = _kinetic_pieces(cfg)
@@ -521,10 +523,12 @@ def run_kinetic_macro_consistency(cfg: dict, out: Path, seed: int, clock: PhaseC
     return {
         "sup_gaps": dict(zip(names, gaps.max(axis=0).tolist())),
         "clipped_mass": result.final_state.clipped_mass,
-    }
+    }, {}
 
 
-def run_controlled_epidemic(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> dict:
+def run_controlled_epidemic(
+    cfg: dict, out: Path, seed: int, clock: PhaseClock
+) -> tuple[dict, dict]:
     p, e, c, grid, ic = _kinetic_pieces(cfg)
     dt, t_final = _time(cfg)
     every = _output_every(cfg)
@@ -545,9 +549,11 @@ def run_controlled_epidemic(cfg: dict, out: Path, seed: int, clock: PhaseClock) 
     }
     if window is not None:
         metrics["final_s_tail"] = _tail(ContactDensity(grid, final.values[0]), window)
-    return metrics
+    return metrics, {}
 
 
+# Each runner writes its outputs under out and returns the manifest's
+# (metrics, diagnostics).
 RUNNERS = {
     "dsmc_equilibrium": run_dsmc_equilibrium,
     "fp_equilibrium": run_fp_equilibrium,
@@ -572,7 +578,7 @@ def execute(config_path: Path, out_dir: Path | None = None, seed: int | None = N
     out.mkdir(parents=True, exist_ok=True)
 
     clock = PhaseClock()
-    metrics = RUNNERS[kind](cfg, out, eff_seed, clock)
+    metrics, diagnostics = RUNNERS[kind](cfg, out, eff_seed, clock)
     elapsed = clock.enter(None)
 
     p = _kinetic_params(cfg) if "kinetic" in cfg else None
@@ -595,6 +601,7 @@ def execute(config_path: Path, out_dir: Path | None = None, seed: int | None = N
             "wall_clock_s": elapsed,
             "timings": clock.seconds,
             "metrics": metrics,
+            "diagnostics": diagnostics,
         },
     )
     return out

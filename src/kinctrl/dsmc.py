@@ -6,8 +6,12 @@ interaction kernel (1 at delta = -1); the compartment mean in the growth term
 is frozen at step start.  That probability depends only on x, which moves only
 when the particle fires, so each particle keeps a countdown clock with
 Geometric gaps, and a step moves only the particles whose clock is due, or the
-whole array in place, block by block, when every probability is 1.  All
-randomness flows through one seedable generator: runs repeat bit for bit.
+whole array in place, block by block, when every probability is 1; that
+dense step splits the blocks across the usable CPUs, each chunk drawing from
+a copy of the generator jumped ahead to its first particle and computing in
+buffers the ensemble keeps, so no block allocates.  All randomness is the
+stream of one seedable generator: runs repeat bit for bit on any number of
+CPUs.
 
 The deterministic part of every transition is mean-reverting: contacts relax
 toward the reference mean (uncontrolled) or toward a blend of mean and target
@@ -17,6 +21,9 @@ toward the reference mean (uncontrolled) or toward a blend of mean and target
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,9 +43,11 @@ class ParticleEnsemble:
     """Fixed-size population of contact numbers with its random stream.
 
     n_clamped accumulates how many proposed transitions had to be clipped at
-    zero to keep contacts admissible.  Particle i next fires at step clocks[i]
-    of n_steps; dsmc_step redraws all clocks (exact: Geometric gaps are
-    memoryless) when their step law or samples array is no longer current.
+    zero to keep contacts admissible; threads is how many chunks the last
+    step ran in (1 on the clock path), and scratch holds each chunk's block
+    buffers for the dense step.  Particle i next fires at step
+    clocks[i] of n_steps; dsmc_step redraws all clocks (exact: Geometric gaps
+    are memoryless) when their step law or samples array is no longer current.
     """
 
     samples: np.ndarray
@@ -46,9 +55,11 @@ class ParticleEnsemble:
     n_clamped: int = 0
     n_transitions: int = 0
     n_steps: int = 0
+    threads: int = field(default=1, init=False)
     clocks: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     clock_law: Optional[tuple] = field(default=None, init=False)
     clock_samples: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    scratch: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -105,16 +116,16 @@ class Histogram:
         return float(np.abs(self.density - reference).sum() * self.bin_width)
 
 
-def sample_noise(p: KineticParams, rng: np.random.Generator, size=None):
+def sample_noise(p: KineticParams, rng: np.random.Generator, size=None, out=None):
     """Multiplicative-noise draws: mean 0, variance epsilon * sigma2.
 
     Uniform on [-a, a] with a = sqrt(3 epsilon sigma2); the compact support
     keeps x(1 + eta) >= 0 whenever a <= 1.  The draws are those of
     rng.uniform(-a, a, size), low + (high - low) * u, with the scaling done
-    in place: about half the cost per draw.
+    in place: about half the cost per draw.  With out, the draws fill it.
     """
     a = np.sqrt(3.0 * p.epsilon * p.sigma2)
-    u = rng.random(size)
+    u = rng.random(size, out=out)
     u *= a - (-a)
     u += -a
     return u
@@ -123,15 +134,18 @@ def sample_noise(p: KineticParams, rng: np.random.Generator, size=None):
 def _proposed(x: np.ndarray, m: float, p: KineticParams, c: ControlSpec, eta) -> np.ndarray:
     """Post-transition contacts before the admissibility clamp."""
     x = np.asarray(x, dtype=float)
-    drift_x = growth_rate_times_x(x, m, p)  # psi(x/m) * x
-    return x + STRATEGY_RULES[c.strategy].shift(x, drift_x, p.epsilon, c) + x * eta
+    shift = np.asarray(growth_rate_times_x(x, m, p), dtype=float)  # psi(x/m) * x
+    STRATEGY_RULES[c.strategy].shift_into(x, shift, np.empty_like(shift), p.epsilon, c)
+    return x + shift + x * eta
 
 
-# Particles per block of the dense step.  Each float temporary of a block is
-# 256 KiB: it stays in L2 cache between the elementwise passes, and malloc
-# reuses heap memory for it.  At twice the size a fresh process maps every
-# temporary anew and page-faults it in, as it does for 1M-particle arrays.
-_BLOCK = 32_768
+# Particles per block of the dense step.  Each block is computed in three
+# buffers of this length that its chunk reuses every step (two float, one
+# bool: 2.1 MiB), so no block allocates, and the per-block cost in Python,
+# where threads hold the GIL, is spread over 128 Ki particles.  Smaller blocks
+# hand the GIL between chunk threads more often, and each handoff that makes a
+# thread sleep costs a wake-up whose latency varies with the host.
+_BLOCK = 131_072
 
 
 def check_step_size(dt: float, epsilon: float, sigma_bound: float) -> None:
@@ -160,27 +174,127 @@ def dsmc_step(
     epsilon, with the compartment mean m frozen for the whole step: the
     particles whose clock is due move and draw a Geometric gap to their next
     firing, or, when every probability is 1, all move in place with no clocks,
-    in blocks of _BLOCK particles (the same draws as one pass over all).
-    The particle count is conserved exactly.
+    in blocks of _BLOCK particles.  Those blocks are cut into one contiguous
+    chunk per usable CPU (at most one per block); the first chunk runs on the
+    calling thread with ens.rng, every other one on a shared thread pool with
+    a PCG64 copy of ens.rng advanced to the chunk's first particle.  Every
+    particle draws the value one pass over all would have drawn, and ens.rng
+    ends in that pass's state.  Another bit generator, which cannot be
+    advanced exactly, runs as one chunk.  Each chunk computes its blocks in
+    the buffers of ens.scratch, the same operations as one pass.  The
+    particle count is conserved exactly.
     """
     check_step_size(dt, p.epsilon, sigma_bound)
+    if not m > 0:
+        raise ValueError(f"reference mean must be > 0, got {m}")
     x = ens.samples
     if p.delta == -1.0 and _fire_prob(1.0, p, dt, sigma_bound) == 1.0:
         ens.clock_law = None  # the moved samples outdate any clocks
-        for start in range(0, x.size, _BLOCK):
-            block = x[start : start + _BLOCK]
-            np.maximum(_fired(ens, block, m, p, c), 0.0, out=block)
+        starts = _chunk_starts(x.size, ens.rng)
+        scratch = _scratch(ens, len(starts) - 1)
+        # the copies must be taken before the first chunk draws from ens.rng
+        rngs = [_advanced(ens.rng, a) for a in starts[1:-1]]
+        futures = [
+            _pool(os.getpid()).submit(_move_blocks, x[a:b], rng, m, p, c, buf)
+            for a, b, rng, buf in zip(starts[1:-1], starts[2:], rngs, scratch[1:])
+        ]
+        try:
+            clamped = _move_blocks(x[: starts[1]], ens.rng, m, p, c, scratch[0])
+        finally:
+            wait(futures)
+        clamped += sum(f.result() for f in futures)
+        if rngs:
+            state = ens.rng.bit_generator.state  # keeps the buffered uint32
+            state["state"] = rngs[-1].bit_generator.state["state"]
+            ens.rng.bit_generator.state = state
+        ens.n_transitions += x.size
+        ens.threads = len(starts) - 1
     else:
         law = (dt, p.epsilon, p.delta, sigma_bound)
         if ens.clock_law != law or ens.clock_samples is not x:
             ens.clocks = ens.n_steps - 1 + ens.rng.geometric(_fire_prob(x, p, dt, sigma_bound))
             ens.clock_law, ens.clock_samples = law, x
         fire = np.flatnonzero(ens.clocks == ens.n_steps)
-        x[fire] = new = np.maximum(_fired(ens, x[fire], m, p, c), 0.0)
+        new = x[fire]
+        clamped = _move(new, ens.rng, m, p, c)
+        x[fire] = new
         # a gap saturated at the int64 maximum wraps negative and never fires
         ens.clocks[fire] = ens.n_steps + ens.rng.geometric(_fire_prob(new, p, dt, sigma_bound))
+        ens.n_transitions += fire.size
+        ens.threads = 1
+    ens.n_clamped += clamped
     ens.n_steps += 1
     return ens
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_starts(n: int, rng: np.random.Generator) -> list[int]:
+    """Chunk boundaries of the dense step, 0 first and n last: whole blocks
+    of _BLOCK particles, one chunk per usable CPU and at most one per block."""
+    n_blocks = -(-n // _BLOCK)
+    k = min(_usable_cpus(), n_blocks) if type(rng.bit_generator) is np.random.PCG64 else 1
+    return [i * n_blocks // k * _BLOCK for i in range(k)] + [n]
+
+
+def _advanced(rng: np.random.Generator, start: int) -> np.random.Generator:
+    """A PCG64 generator whose doubles are those rng draws after its first start."""
+    bits = np.random.PCG64()
+    bits.state = rng.bit_generator.state
+    bits.advance(start)  # one 64-bit output per double
+    return np.random.Generator(bits)
+
+
+@functools.cache
+def _pool(pid: int) -> ThreadPoolExecutor:
+    """The pool that runs every dense chunk but the first, started on first
+    use in process pid: a forked child has none of its parent's threads."""
+    return ThreadPoolExecutor(thread_name_prefix="kinctrl-dsmc")
+
+
+def _scratch(ens: ParticleEnsemble, k: int) -> list[tuple]:
+    """Block buffers for k chunks, kept on ens: two float and one bool each."""
+    n = min(_BLOCK, ens.size)
+    if len(ens.scratch) < k or ens.scratch[0][0].size != n:
+        ens.scratch = [(np.empty(n), np.empty(n), np.empty(n, dtype=bool)) for _ in range(k)]
+    return ens.scratch
+
+
+def _move_blocks(
+    x: np.ndarray,
+    rng: np.random.Generator,
+    m: float,
+    p: KineticParams,
+    c: ControlSpec,
+    buffers: tuple,
+) -> int:
+    """_move at delta = -1 over x in blocks of _BLOCK, computed in buffers.
+
+    The operations are those of _proposed, in its order, so each value
+    matches one pass bit for bit; the draws are those of one pass too.
+    """
+    g, tmp, neg = buffers
+    shift_into = STRATEGY_RULES[c.strategy].shift_into
+    # growth_rate_times_x at delta = -1, where its power x**0 is 1.0
+    level, rate = 1.0 / m**p.delta, p.alpha / (2.0 * p.delta)
+    clamped = 0
+    for a in range(0, x.size, _BLOCK):
+        xb = x[a : a + _BLOCK]
+        gb, tb, nb = g[: xb.size], tmp[: xb.size], neg[: xb.size]
+        np.subtract(level, xb, out=gb)
+        np.multiply(rate, gb, out=gb)
+        shift_into(xb, gb, tb, p.epsilon, c)
+        np.add(xb, gb, out=gb)
+        np.multiply(xb, sample_noise(p, rng, out=tb), out=tb)
+        np.add(gb, tb, out=gb)  # x + shift + x * eta
+        clamped += int(np.count_nonzero(np.less(gb, 0.0, out=nb)))
+        np.maximum(gb, 0.0, out=xb)
+    return clamped
 
 
 def _fire_prob(x, p: KineticParams, dt: float, sigma_bound: float):
@@ -190,12 +304,14 @@ def _fire_prob(x, p: KineticParams, dt: float, sigma_bound: float):
     return np.minimum(np.minimum(kernel, sigma_bound) * (dt / p.epsilon), 1.0)
 
 
-def _fired(ens: ParticleEnsemble, x: np.ndarray, m: float, p: KineticParams, c: ControlSpec):
-    """Unclamped transitions of the firing particles x, counted on ens."""
-    raw = _proposed(x, m, p, c, sample_noise(p, ens.rng, size=x.size))
-    ens.n_transitions += x.size
-    ens.n_clamped += int(np.count_nonzero(raw < 0))
-    return raw
+def _move(
+    x: np.ndarray, rng: np.random.Generator, m: float, p: KineticParams, c: ControlSpec
+) -> int:
+    """Apply one transition to every particle of x in place, clamped at zero,
+    with noise drawn from rng; returns how many proposals were clamped."""
+    raw = _proposed(x, m, p, c, sample_noise(p, rng, size=x.size))
+    np.maximum(raw, 0.0, out=x)
+    return int(np.count_nonzero(raw < 0))
 
 
 def run_to_equilibrium(
@@ -221,4 +337,5 @@ def run_to_equilibrium(
     for _ in range(step_count(t_final, dt)):
         m = ens.mean() if m_ref is None else m_ref
         dsmc_step(ens, m, p, c, dt, sigma_bound)
+    ens.scratch = []  # the steps are done: free their block buffers
     return Histogram.from_samples(ens.samples, n_bins, x_max)

@@ -245,18 +245,33 @@ def _scalar_mean(m, p):
     return m
 
 
-def _shift_uncontrolled(x, g, eps, c):
-    return -eps * g
+# The shifts overwrite g in place, with tmp (shaped like g) as scratch, so a
+# caller that owns both buffers allocates nothing.
 
 
-def _shift_additive(x, g, eps, c):
+def _shift_uncontrolled(x, g, tmp, eps, c):
+    # -eps g
+    np.multiply(-eps, g, out=g)
+
+
+def _shift_additive(x, g, tmp, eps, c):
+    # -(nu eps / denom) g + (eps^2 / denom) (x_T - x), denom = nu + eps^2
     denom = c.nu + eps**2
-    return -(c.nu * eps / denom) * g + (eps**2 / denom) * (c.x_target - x)
+    np.multiply(-(c.nu * eps / denom), g, out=g)
+    np.subtract(c.x_target, x, out=tmp)
+    np.multiply(eps**2 / denom, tmp, out=tmp)
+    np.add(g, tmp, out=g)
 
 
-def _shift_interaction(x, g, eps, c):
-    q = (eps * g) ** 2
-    return -q / (c.nu + q) * (x - c.x_target)
+def _shift_interaction(x, g, tmp, eps, c):
+    # -q / (nu + q) (x - x_T), q = (eps g)^2
+    np.multiply(eps, g, out=g)
+    np.square(g, out=g)
+    np.add(c.nu, g, out=tmp)
+    np.negative(g, out=g)
+    np.divide(g, tmp, out=g)
+    np.subtract(x, c.x_target, out=tmp)
+    np.multiply(g, tmp, out=g)
 
 
 @dataclass(frozen=True)
@@ -267,8 +282,10 @@ class StrategyRule:
                            drift-diffusion operator at mean m is
                            sum_k scalar(m, p)^k term_k(x)
     scalar(m, p)         : the one number through which the drift depends on m
-    shift(x, g, eps, c)  : deterministic part of one particle transition,
-                           x' - x - x eta, given g = growth_rate_times_x(x, m, p)
+    shift_into(x, g, tmp, eps, c)
+                         : deterministic part of one particle transition,
+                           x' - x - x eta, written over the float array
+                           g = growth_rate_times_x(x, m, p); tmp is scratch
     steady_states        : closed-form steady-state kind, keyed by delta
 
     With c.micro_scaled(eps), shift / eps tends to -drift as eps -> 0 at
@@ -277,7 +294,7 @@ class StrategyRule:
 
     drift_terms: Callable
     scalar: Callable
-    shift: Callable
+    shift_into: Callable
     steady_states: Mapping[float, EquilibriumKind]
 
     def drift(self, x, m: float, p: KineticParams, c: ControlSpec):

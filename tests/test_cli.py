@@ -314,11 +314,14 @@ class TestRun:
         path = tmp_path / "ratio.json"
         path.write_text(json.dumps(cfg))
         out = execute(path, tmp_path / "out")
-        ratio = json.loads((out / "manifest.json").read_text())["metrics"]["accept_ratio"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        ratio = manifest["metrics"]["accept_ratio"]
         if delta == -1.0:
             assert ratio == 1.0
         else:
             assert 0.0 < ratio < 1.0
+        # 3 000 particles fill one block, so the dense step runs as one chunk too
+        assert manifest["diagnostics"] == {"steps": round(0.1 / dt), "threads": 1}
 
     def test_byte_identical_reruns(self, tmp_path):
         path = small_dsmc_config(tmp_path)

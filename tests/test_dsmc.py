@@ -1,3 +1,6 @@
+import json
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from kinctrl import (
     run_to_equilibrium,
     sample_noise,
 )
+from kinctrl import cli, dsmc
 from kinctrl.dsmc import _BLOCK, _proposed
 
 
@@ -187,6 +191,7 @@ def one_pass_dense_step(ens, m, p, c):
     ens.n_transitions += x.size
     ens.n_clamped += int(np.count_nonzero(raw < 0))
     np.maximum(raw, 0.0, out=x)
+    ens.n_steps += 1
 
 
 DENSE_CASES = {
@@ -200,9 +205,11 @@ DENSE_CASES = {
 
 class TestDenseBlocks:
     # at delta = -1 and dt = epsilon every particle fires, and dsmc_step moves
-    # them in blocks of _BLOCK; the result must match one pass bit for bit
+    # them in blocks of _BLOCK; the result must match one pass bit for bit,
+    # for part of a block (the sizes around 32 768) and across block edges
 
-    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
+    @pytest.mark.parametrize(
+        "n", [1, 32_767, 32_768, 32_769, 65_543, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
     @pytest.mark.parametrize("case", DENSE_CASES)
     def test_blocks_match_one_pass(self, case, n):
         p, c = DENSE_CASES[case]
@@ -218,6 +225,121 @@ class TestDenseBlocks:
         assert ens.rng.bit_generator.state == oracle.rng.bit_generator.state
         if case == "clamped" and n > 1:
             assert ens.n_clamped > 0
+
+
+def assert_same_ensemble(ens, oracle):
+    assert np.array_equal(ens.samples, oracle.samples)
+    assert (ens.n_clamped, ens.n_transitions, ens.n_steps) == (
+        oracle.n_clamped, oracle.n_transitions, oracle.n_steps)
+    np.testing.assert_equal(ens.rng.bit_generator.state, oracle.rng.bit_generator.state)
+
+
+def dense_steps(n_steps):
+    p, c = DENSE_CASES["uncontrolled"]
+    ens = ParticleEnsemble.from_uniform(3 * _BLOCK, 9.0, 11.0, seed=8)
+    for _ in range(n_steps):
+        dsmc_step(ens, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
+    assert ens.threads == 2
+
+
+class TestDenseChunks:
+    # the dense step splits its blocks into one chunk per usable CPU, each
+    # drawing from a copy of the generator advanced to its first particle;
+    # any CPU count must give the one-pass result bit for bit
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 64])
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7, 5 * _BLOCK + 3])
+    @pytest.mark.parametrize("case", DENSE_CASES)
+    def test_chunks_match_one_pass(self, monkeypatch, case, n, workers):
+        monkeypatch.setattr(dsmc, "_usable_cpus", lambda: workers)
+        p, c = DENSE_CASES[case]
+        ens, oracle = (ParticleEnsemble.from_uniform(n, 9.0, 11.0, seed=n) for _ in range(2))
+        for _ in range(2):
+            dsmc_step(ens, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
+            one_pass_dense_step(oracle, 5.0, p, c)
+        assert_same_ensemble(ens, oracle)
+        assert ens.threads == min(workers, -(-n // _BLOCK))
+
+    def test_buffered_uint32_survives_the_split(self, monkeypatch):
+        monkeypatch.setattr(dsmc, "_usable_cpus", lambda: 3)
+        p, c = DENSE_CASES["interaction_b"]
+        ens, oracle = (ParticleEnsemble.from_uniform(3 * _BLOCK, 9.0, 11.0, seed=4) for _ in range(2))
+        for e in (ens, oracle):
+            e.rng.integers(0, 2**32, dtype=np.uint32)
+        assert ens.rng.bit_generator.state["has_uint32"] == 1
+        dsmc_step(ens, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
+        one_pass_dense_step(oracle, 5.0, p, c)
+        assert ens.threads == 3
+        assert_same_ensemble(ens, oracle)
+        assert ens.rng.integers(0, 2**32, dtype=np.uint32) == oracle.rng.integers(0, 2**32, dtype=np.uint32)
+
+    def test_generator_without_exact_advance_runs_as_one_chunk(self, monkeypatch):
+        monkeypatch.setattr(dsmc, "_usable_cpus", lambda: 3)
+        p, c = DENSE_CASES["additive_a"]
+        samples = np.random.default_rng(5).uniform(9.0, 11.0, 3 * _BLOCK)
+        ens, oracle = (ParticleEnsemble(samples.copy(), np.random.Generator(np.random.MT19937(5)))
+                       for _ in range(2))
+        dsmc_step(ens, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
+        one_pass_dense_step(oracle, 5.0, p, c)
+        assert ens.threads == 1
+        assert_same_ensemble(ens, oracle)
+
+    @pytest.mark.parametrize("m", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("delta, dt, bound", [(-1.0, 0.01, 1.0), (1.0, 0.001, 10.0)])
+    def test_bad_mean_raises_before_any_particle_moves(self, monkeypatch, m, delta, dt, bound):
+        monkeypatch.setattr(dsmc, "_usable_cpus", lambda: 2)
+        ens = ParticleEnsemble.from_uniform(2 * _BLOCK, 9.0, 11.0, seed=6)
+        samples, state = ens.samples.copy(), ens.rng.bit_generator.state
+        with pytest.raises(ValueError, match="mean"):
+            dsmc_step(ens, m, kp(delta=delta), UN, dt=dt, sigma_bound=bound)
+        assert np.array_equal(ens.samples, samples)
+        assert ens.rng.bit_generator.state == state
+        assert (ens.n_clamped, ens.n_transitions, ens.n_steps) == (0, 0, 0)
+
+    def test_block_buffers_are_kept_between_steps_and_freed_after_a_run(self, monkeypatch):
+        # each chunk computes its blocks in buffers the ensemble keeps, so a
+        # step allocates no block arrays; a finished run lets them go
+        monkeypatch.setattr(dsmc, "_usable_cpus", lambda: 2)
+        p, c = DENSE_CASES["interaction_b"]
+        ens = ParticleEnsemble.from_uniform(3 * _BLOCK, 9.0, 11.0, seed=9)
+        dsmc_step(ens, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
+        buffers = [b for chunk in ens.scratch for b in chunk]
+        assert len(ens.scratch) == ens.threads == 2
+        assert {b.size for b in buffers} == {_BLOCK}
+        dsmc_step(ens, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
+        assert all(b is kept for b, kept in zip(buffers, (b for chunk in ens.scratch for b in chunk)))
+        run_to_equilibrium(ens, p, c, t_final=2 * p.epsilon, dt=p.epsilon, sigma_bound=1.0, m_ref=5.0)
+        assert ens.scratch == []
+
+    def test_forked_child_runs_the_dense_step(self, monkeypatch):
+        # a child forked after the pool started has none of its threads
+        monkeypatch.setattr(dsmc, "_usable_cpus", lambda: 2)
+        dense_steps(3)
+        child = multiprocessing.get_context("fork").Process(target=dense_steps, args=(3,))
+        child.start()
+        child.join(timeout=60)
+        alive = child.is_alive()
+        if alive:
+            child.kill()
+            child.join()
+        assert not alive
+        assert child.exitcode == 0
+
+    def test_cli_run_is_identical_on_one_and_two_workers(self, tmp_path, monkeypatch):
+        cfg = cli.load_config(cli.bundled_config_path("test1_control_b.json"))
+        cfg["time"]["t_final"] = 0.05
+        path = tmp_path / "test1_control_b.json"
+        path.write_text(json.dumps(cfg))
+        manifests, densities = [], []
+        for workers in (1, 2):
+            monkeypatch.setattr(dsmc, "_usable_cpus", lambda: workers)
+            out = cli.execute(path, tmp_path / f"w{workers}")
+            manifests.append(json.loads((out / cli.MANIFEST_FILE).read_text()))
+            densities.append((out / cli.density_filename(0.05)).read_bytes())
+        assert densities[0] == densities[1]
+        assert manifests[0]["metrics"] == manifests[1]["metrics"]
+        assert [m["diagnostics"] for m in manifests] == [
+            {"steps": 5, "threads": 1}, {"steps": 5, "threads": 2}]
 
 
 def fire_prob(x, delta, dt, bound, epsilon=0.01):

@@ -237,6 +237,24 @@ class TestStrategyTable:
         if strategy is not Strategy.UNCONTROLLED:
             assert fine < coarse / 50.0
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_shift_into_matches_the_rule_formulas(self, strategy):
+        # the in-place shifts evaluate these expressions, in this order, bit for bit
+        x = np.linspace(0.0, 40.0, 401)
+        g = growth_rate_times_x(x, 5.0, kp())
+        eps, c = 0.01, ControlSpec(strategy, nu=0.7, x_target=3.0)
+        if strategy is Strategy.UNCONTROLLED:
+            expected = -eps * g
+        elif strategy is Strategy.ADDITIVE_A:
+            denom = c.nu + eps**2
+            expected = -(c.nu * eps / denom) * g + (eps**2 / denom) * (c.x_target - x)
+        else:
+            q = (eps * g) ** 2
+            expected = -q / (c.nu + q) * (x - c.x_target)
+        shift, tmp = g.copy(), np.empty_like(g)
+        STRATEGY_RULES[strategy].shift_into(x, shift, tmp, eps, c)
+        assert np.array_equal(shift, expected)
+
     @pytest.mark.parametrize("delta", [-1.0, -0.4, -1e-7, -1e-11, 0.0, 1e-12, 1e-4, 0.5, 1.0])
     def test_uncontrolled_terms_match_growth_law(self, delta):
         # B(x) psi(x/m) x = (alpha/2) x^((1-delta)/2) ((x/m)^delta - 1) / delta,
