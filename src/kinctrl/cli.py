@@ -302,6 +302,7 @@ def _reference_density(
 def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tuple[dict, dict]:
     p = _kinetic_params(cfg)
     c = _control_spec(cfg)
+    _build("kinetic.delta", check_operator_domain, p, c)
     n = _count(cfg, "dsmc.n_particles")
     n_bins = _count(cfg, "dsmc.n_bins", required=False, default=400)
     x_max = _positive(cfg, "grid.x_max")
@@ -377,7 +378,7 @@ def run_fp_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tu
         eq = EquilibriumDensity(p, m_ref, grid, control=c)
         metrics["l1_to_equilibrium"] = float(np.abs(f.values - eq.values).sum() * grid.dx)
         metrics["equilibrium_kind"] = eq_kind.value
-    return metrics, {}
+    return metrics, {"steps": n_steps}
 
 
 def _tail(f: ContactDensity, window: tuple[float, float]) -> dict:
@@ -523,7 +524,7 @@ def run_kinetic_macro_consistency(
     return {
         "sup_gaps": dict(zip(names, gaps.max(axis=0).tolist())),
         "clipped_mass": result.final_state.clipped_mass,
-    }, {}
+    }, {"steps": step_count(t_final, dt)}
 
 
 def run_controlled_epidemic(
@@ -549,7 +550,7 @@ def run_controlled_epidemic(
     }
     if window is not None:
         metrics["final_s_tail"] = _tail(ContactDensity(grid, final.values[0]), window)
-    return metrics, {}
+    return metrics, {"steps": step_count(t_final, dt)}
 
 
 # Each runner writes its outputs under out and returns the manifest's

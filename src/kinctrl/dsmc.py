@@ -6,12 +6,12 @@ interaction kernel (1 at delta = -1); the compartment mean in the growth term
 is frozen at step start.  That probability depends only on x, which moves only
 when the particle fires, so each particle keeps a countdown clock with
 Geometric gaps, and a step moves only the particles whose clock is due, or the
-whole array in place, block by block, when every probability is 1; that
-dense step splits the blocks across the usable CPUs, each chunk drawing from
-a copy of the generator jumped ahead to its first particle and computing in
-buffers the ensemble keeps, so no block allocates.  All randomness is the
-stream of one seedable generator: runs repeat bit for bit on any number of
-CPUs.
+whole array in place when every probability is 1.  Both paths apply the one
+transition _move, block by block in three buffers; the dense step splits the
+blocks across the usable CPUs, each chunk drawing from a copy of the
+generator jumped ahead to its first particle and computing in buffers the
+ensemble keeps, so no block allocates.  All randomness is the stream of one
+seedable generator: runs repeat bit for bit on any number of CPUs.
 
 The deterministic part of every transition is mean-reverting: contacts relax
 toward the reference mean (uncontrolled) or toward a blend of mean and target
@@ -131,17 +131,9 @@ def sample_noise(p: KineticParams, rng: np.random.Generator, size=None, out=None
     return u
 
 
-def _proposed(x: np.ndarray, m: float, p: KineticParams, c: ControlSpec, eta) -> np.ndarray:
-    """Post-transition contacts before the admissibility clamp."""
-    x = np.asarray(x, dtype=float)
-    shift = np.asarray(growth_rate_times_x(x, m, p), dtype=float)  # psi(x/m) * x
-    STRATEGY_RULES[c.strategy].shift_into(x, shift, np.empty_like(shift), p.epsilon, c)
-    return x + shift + x * eta
-
-
-# Particles per block of the dense step.  Each block is computed in three
-# buffers of this length that its chunk reuses every step (two float, one
-# bool: 2.1 MiB), so no block allocates, and the per-block cost in Python,
+# Particles per block of _move.  Each block is computed in three buffers of
+# this length, which each chunk of the dense step reuses every step (two float,
+# one bool: 2.1 MiB), so no block allocates, and the per-block cost in Python,
 # where threads hold the GIL, is spread over 128 Ki particles.  Smaller blocks
 # hand the GIL between chunk threads more often, and each handoff that makes a
 # thread sleep costs a wake-up whose latency varies with the host.
@@ -181,8 +173,9 @@ def dsmc_step(
     particle draws the value one pass over all would have drawn, and ens.rng
     ends in that pass's state.  Another bit generator, which cannot be
     advanced exactly, runs as one chunk.  Each chunk computes its blocks in
-    the buffers of ens.scratch, the same operations as one pass.  The
-    particle count is conserved exactly.
+    the buffers of ens.scratch; the clock path gathers the due particles and
+    moves them with buffers made for the step.  The particle count is
+    conserved exactly.
     """
     check_step_size(dt, p.epsilon, sigma_bound)
     if not m > 0:
@@ -195,11 +188,11 @@ def dsmc_step(
         # the copies must be taken before the first chunk draws from ens.rng
         rngs = [_advanced(ens.rng, a) for a in starts[1:-1]]
         futures = [
-            _pool(os.getpid()).submit(_move_blocks, x[a:b], rng, m, p, c, buf)
+            _pool(os.getpid()).submit(_move, x[a:b], rng, m, p, c, buf)
             for a, b, rng, buf in zip(starts[1:-1], starts[2:], rngs, scratch[1:])
         ]
         try:
-            clamped = _move_blocks(x[: starts[1]], ens.rng, m, p, c, scratch[0])
+            clamped = _move(x[: starts[1]], ens.rng, m, p, c, scratch[0])
         finally:
             wait(futures)
         clamped += sum(f.result() for f in futures)
@@ -216,7 +209,7 @@ def dsmc_step(
             ens.clock_law, ens.clock_samples = law, x
         fire = np.flatnonzero(ens.clocks == ens.n_steps)
         new = x[fire]
-        clamped = _move(new, ens.rng, m, p, c)
+        clamped = _move(new, ens.rng, m, p, c, _buffers(new.size))
         x[fire] = new
         # a gap saturated at the int64 maximum wraps negative and never fires
         ens.clocks[fire] = ens.n_steps + ens.rng.geometric(_fire_prob(new, p, dt, sigma_bound))
@@ -257,37 +250,36 @@ def _pool(pid: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(thread_name_prefix="kinctrl-dsmc")
 
 
+def _buffers(n: int) -> tuple:
+    """Block buffers for n particles at most: two float and one bool."""
+    n = min(_BLOCK, n)
+    return np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+
+
 def _scratch(ens: ParticleEnsemble, k: int) -> list[tuple]:
-    """Block buffers for k chunks, kept on ens: two float and one bool each."""
-    n = min(_BLOCK, ens.size)
-    if len(ens.scratch) < k or ens.scratch[0][0].size != n:
-        ens.scratch = [(np.empty(n), np.empty(n), np.empty(n, dtype=bool)) for _ in range(k)]
+    """_buffers for k chunks of the dense step, kept on ens between steps."""
+    if len(ens.scratch) < k or ens.scratch[0][0].size != min(_BLOCK, ens.size):
+        ens.scratch = [_buffers(ens.size) for _ in range(k)]
     return ens.scratch
 
 
-def _move_blocks(
-    x: np.ndarray,
-    rng: np.random.Generator,
-    m: float,
-    p: KineticParams,
-    c: ControlSpec,
-    buffers: tuple,
+def _move(
+    x: np.ndarray, rng: np.random.Generator, m: float, p: KineticParams, c: ControlSpec, buffers
 ) -> int:
-    """_move at delta = -1 over x in blocks of _BLOCK, computed in buffers.
+    """Apply one transition to every particle of x in place, clamped at zero,
+    with noise drawn from rng; returns how many proposals were clamped.
 
-    The operations are those of _proposed, in its order, so each value
-    matches one pass bit for bit; the draws are those of one pass too.
+    The transition is x + shift + x eta, shift the rule's shift_into of the
+    growth law.  It runs over x in blocks of _BLOCK, computed in buffers
+    (from _buffers); each value, and each draw, is that of one pass over x.
     """
     g, tmp, neg = buffers
     shift_into = STRATEGY_RULES[c.strategy].shift_into
-    # growth_rate_times_x at delta = -1, where its power x**0 is 1.0
-    level, rate = 1.0 / m**p.delta, p.alpha / (2.0 * p.delta)
     clamped = 0
     for a in range(0, x.size, _BLOCK):
         xb = x[a : a + _BLOCK]
         gb, tb, nb = g[: xb.size], tmp[: xb.size], neg[: xb.size]
-        np.subtract(level, xb, out=gb)
-        np.multiply(rate, gb, out=gb)
+        growth_rate_times_x(xb, m, p, out=gb)
         shift_into(xb, gb, tb, p.epsilon, c)
         np.add(xb, gb, out=gb)
         np.multiply(xb, sample_noise(p, rng, out=tb), out=tb)
@@ -302,16 +294,6 @@ def _fire_prob(x, p: KineticParams, dt: float, sigma_bound: float):
     with np.errstate(divide="ignore"):  # B(0) = inf for delta > -1
         kernel = x ** (-(1.0 + p.delta) / 2.0)
     return np.minimum(np.minimum(kernel, sigma_bound) * (dt / p.epsilon), 1.0)
-
-
-def _move(
-    x: np.ndarray, rng: np.random.Generator, m: float, p: KineticParams, c: ControlSpec
-) -> int:
-    """Apply one transition to every particle of x in place, clamped at zero,
-    with noise drawn from rng; returns how many proposals were clamped."""
-    raw = _proposed(x, m, p, c, sample_noise(p, rng, size=x.size))
-    np.maximum(raw, 0.0, out=x)
-    return int(np.count_nonzero(raw < 0))
 
 
 def run_to_equilibrium(

@@ -167,28 +167,40 @@ class ControlSpec:
         return replace(self, nu=self.nu * epsilon)
 
 
-def growth_rate_times_x(x, m: float, p: KineticParams):
+def growth_rate_times_x(x, m: float, p: KineticParams, out=None):
     """Growth law times x: (alpha / (2 delta)) ((x/m)^delta - 1) x.
 
     In the |delta| -> 0 limit the rate becomes the logarithmic law
     (alpha/2) ln(x/m).  The rate is strictly increasing in x and zero at
     x = m.  For delta < 0 it diverges as x -> 0, but the product with x
     stays finite, so this fused form is safe on particle arrays that may
-    contain zeros.
+    contain zeros.  With out, a float array shaped like x, the result is
+    written there and out is returned; away from the logarithmic law that
+    allocates nothing, and at delta = -1 it is one subtract and one
+    multiply.  A scalar x without out gives a float.
     """
     if not m > 0:
         raise ValueError(f"reference mean must be > 0, got {m}")
     x_arr = np.asarray(x, dtype=float)
+    g = np.empty_like(x_arr) if out is None else out
     if abs(p.delta) < GOMPERTZ_DELTA_EPS:
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = 0.5 * p.alpha * np.where(x_arr > 0, x_arr * np.log(x_arr / m), 0.0)
+            np.divide(x_arr, m, out=g)
+            np.log(g, out=g)
+            np.multiply(x_arr, g, out=g)
+        g[~(x_arr > 0)] = 0.0
+        np.multiply(0.5 * p.alpha, g, out=g)
     else:
-        # x**0.0 is exactly 1.0 for every x, so delta = -1 skips the power
-        power = 1.0 if p.delta == -1.0 else x_arr ** (1.0 + p.delta)
-        out = (p.alpha / (2.0 * p.delta)) * (power / m**p.delta - x_arr)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+        if p.delta == -1.0:  # x**0.0 is exactly 1.0 for every x: skip the power
+            np.subtract(1.0 / m**p.delta, x_arr, out=g)
+        else:
+            np.power(x_arr, 1.0 + p.delta, out=g)
+            np.divide(g, m**p.delta, out=g)
+            np.subtract(g, x_arr, out=g)
+        np.multiply(p.alpha / (2.0 * p.delta), g, out=g)
+    if out is None and np.ndim(x) == 0:
+        return float(g)
+    return g
 
 
 def collision_kernel(x, p: KineticParams):

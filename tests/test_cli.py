@@ -234,9 +234,20 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "epidemic.betas" in capsys.readouterr().err
 
-    def test_controlled_operator_at_other_delta_exits_two(self, tmp_path, capsys):
-        cfg = controlled_epidemic_config(tmp_path, set_field("kinetic.delta", 1.0))
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    @pytest.mark.parametrize("kind", ["dsmc_equilibrium", "fp_equilibrium", "controlled_epidemic"])
+    def test_controlled_operator_at_other_delta_exits_two(self, tmp_path, capsys, kind):
+        # the controlled rules are derived at delta = -1 only, at every level
+        if kind == "controlled_epidemic":
+            cfg = json.loads(controlled_epidemic_config(tmp_path).read_text())
+        else:
+            cfg = json.loads(small_dsmc_config(tmp_path).read_text())
+            cfg.update(kind=kind, control={"strategy": "interaction_b", "nu": 1.0, "x_target": 3.0})
+            cfg["time"] = {"dt": 0.001, "t_final": 0.01}  # a valid particle step at delta = +1
+            cfg["dsmc"]["kernel_bound"] = 10.0
+        cfg["kinetic"]["delta"] = 1.0
+        path = tmp_path / "delta.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "kinetic.delta" in capsys.readouterr().err
 
     def test_numerical_failure_exits_three(self, tmp_path, monkeypatch, capsys):
@@ -287,6 +298,8 @@ class TestRun:
         assert all(t >= 0.0 for t in timings.values())
         total = sum(timings.values())
         assert 0.95 * manifest["wall_clock_s"] <= total <= manifest["wall_clock_s"] * (1 + 1e-9)
+        stepped = cfg["kind"] not in ("macro_compare", "tail_sweep")
+        assert manifest["diagnostics"] == ({"steps": round(t_final / cfg["time"]["dt"])} if stepped else {})
 
     def test_dsmc_manifest_timings(self, tmp_path):
         out = execute(small_dsmc_config(tmp_path), tmp_path / "out")

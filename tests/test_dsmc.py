@@ -18,15 +18,25 @@ from kinctrl import (
     closure_moment,
     collision_kernel,
     dsmc_step,
+    growth_rate_times_x,
     run_to_equilibrium,
     sample_noise,
 )
 from kinctrl import cli, dsmc
-from kinctrl.dsmc import _BLOCK, _proposed
+from kinctrl.dsmc import _BLOCK, _move
+from kinctrl.params import STRATEGY_RULES
 
 
 def kp(delta=-1.0, alpha=1.0, sigma2=0.2, epsilon=0.01):
     return KineticParams(alpha=alpha, sigma2=sigma2, delta=delta, epsilon=epsilon)
+
+
+def proposed(x, m, p, c, eta):
+    """One transition before the clamp at 0, written out: the oracle of _move."""
+    x = np.asarray(x, dtype=float)
+    shift = np.asarray(growth_rate_times_x(x, m, p), dtype=float)  # psi(x/m) * x
+    STRATEGY_RULES[c.strategy].shift_into(x, shift, np.empty_like(shift), p.epsilon, c)
+    return x + shift + x * eta
 
 
 UN = ControlSpec.uncontrolled()
@@ -62,29 +72,29 @@ class TestNoise:
 
 
 class TestTransition:
-    # _proposed(x, m, p, c, eta) is one transition before dsmc_step's clamp at 0
+    # proposed(x, m, p, c, eta) is one transition before dsmc_step's clamp at 0
 
     def test_fixed_point_at_mean(self):
-        assert _proposed(5.0, 5.0, kp(), UN, 0.0) == pytest.approx(5.0)
+        assert proposed(5.0, 5.0, kp(), UN, 0.0) == pytest.approx(5.0)
 
     def test_interaction_inactive_at_mean(self):
         c = ControlSpec.interaction(1.0, 3.0)
-        assert _proposed(5.0, 5.0, kp(), c, 0.0) == pytest.approx(5.0)
+        assert proposed(5.0, 5.0, kp(), c, 0.0) == pytest.approx(5.0)
 
     def test_additive_instantaneous_steering(self):
         c = ControlSpec.additive(1e-12, 3.0)
-        assert _proposed(8.0, 5.0, kp(), c, 0.0) == pytest.approx(3.0, abs=1e-6)
+        assert proposed(8.0, 5.0, kp(), c, 0.0) == pytest.approx(3.0, abs=1e-6)
 
     def test_mean_reverting_sign(self):
         # above the reference mean contacts shrink, below they grow
         p = kp()
-        assert _proposed(8.0, 5.0, p, UN, 0.0) < 8.0
-        assert _proposed(2.0, 5.0, p, UN, 0.0) > 2.0
+        assert proposed(8.0, 5.0, p, UN, 0.0) < 8.0
+        assert proposed(2.0, 5.0, p, UN, 0.0) > 2.0
 
     def test_clamped_at_zero(self):
         p = kp(epsilon=0.5)  # exaggerated step so proposals go negative
         c = ControlSpec.additive(1e-9, 0.0)
-        assert _proposed(10.0, 5.0, p, c, -0.99) < 0.0
+        assert proposed(10.0, 5.0, p, c, -0.99) < 0.0
         ens = ParticleEnsemble.from_uniform(1_000, 9.0, 11.0, seed=3)
         dsmc_step(ens, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
         assert ens.n_clamped > 0
@@ -92,7 +102,7 @@ class TestTransition:
 
     def test_requires_mean(self):
         with pytest.raises(ValueError):
-            _proposed(1.0, 0.0, kp(), UN, 0.0)
+            proposed(1.0, 0.0, kp(), UN, 0.0)
 
 
 class TestStep:
@@ -187,7 +197,7 @@ class TestStep:
 def one_pass_dense_step(ens, m, p, c):
     """The dense step as one pass over all particles: the oracle of its blocks."""
     x = ens.samples
-    raw = _proposed(x, m, p, c, sample_noise(p, ens.rng, size=x.size))
+    raw = proposed(x, m, p, c, sample_noise(p, ens.rng, size=x.size))
     ens.n_transitions += x.size
     ens.n_clamped += int(np.count_nonzero(raw < 0))
     np.maximum(raw, 0.0, out=x)
@@ -201,6 +211,50 @@ DENSE_CASES = {
     # an exaggerated step steers onto x_target = 0, so about half the proposals clamp
     "clamped": (kp(epsilon=0.5), ControlSpec.additive(1e-9, 0.0)),
 }
+
+
+def assert_move_matches_oracle(n, m, p, c, seed):
+    """_move, in blocks and buffers, against one pass of the written-out
+    transition: samples, clamp count and generator state, bit for bit."""
+    x = np.random.default_rng(seed).uniform(0.0, 3.0 * m, n)
+    x[::97] = 0.0
+    moved, ours, theirs = x.copy(), np.random.default_rng(seed), np.random.default_rng(seed)
+    clamped = _move(moved, ours, m, p, c, dsmc._buffers(n))
+    raw = proposed(x, m, p, c, sample_noise(p, theirs, size=n))
+    assert np.array_equal(moved, np.maximum(raw, 0.0))
+    assert clamped == np.count_nonzero(raw < 0)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+# the dense cases, and the logarithmic growth law, where x = 0 gives 0
+MOVE_CASES = {**DENSE_CASES, **{f"delta={d:g}": (kp(delta=d), UN) for d in (0.0, 1e-12, -1e-12)}}
+
+
+class TestMove:
+    # _move is the one transition of both paths: the dense step runs it on
+    # the whole array, the clock path on the particles that fire
+
+    @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
+    @pytest.mark.parametrize("case", MOVE_CASES)
+    def test_matches_the_written_out_transition(self, case, n):
+        p, c = MOVE_CASES[case]
+        assert_move_matches_oracle(n, 5.0, p, c, seed=n)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        strategy=st.sampled_from(Strategy),
+        delta=st.floats(-1.0, 1.0),
+        epsilon=st.floats(1e-3, 0.5),
+        m=st.floats(0.5, 50.0),
+        n=st.integers(1, 2 * _BLOCK + 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_written_out_transition_over_random_parameters(
+        self, strategy, delta, epsilon, m, n, seed
+    ):
+        p = kp(delta=delta, epsilon=epsilon)
+        c = ControlSpec(strategy, nu=1.0, x_target=3.0).micro_scaled(epsilon)
+        assert_move_matches_oracle(n, m, p, c, seed)
 
 
 class TestDenseBlocks:

@@ -13,7 +13,6 @@ from kinctrl import (
     growth_rate_times_x,
     moment_ratio,
 )
-from kinctrl.dsmc import _proposed
 from kinctrl.params import STRATEGY_RULES, closure_kind, output_steps, step_count
 
 
@@ -104,6 +103,25 @@ class TestGrowthRate:
         x = np.concatenate([[0.0], np.random.default_rng(4).uniform(0.0, 50.0, 1000)])
         power_form = (p.alpha / (2.0 * p.delta)) * (x ** (1.0 + p.delta) / 7.3**p.delta - x)
         assert np.array_equal(growth_rate_times_x(x, 7.3, p), power_form)
+
+    @pytest.mark.parametrize("delta", [-1.0, -0.4, -1e-12, 0.0, 1e-12, 0.5, 1.0])
+    def test_out_form_matches_the_written_out_law_bit_for_bit(self, delta):
+        # the law as it reads, 0 at x = 0 in the logarithmic limit; out receives it
+        p, m = kp(delta=delta), 7.3
+        x = np.concatenate([[0.0], np.random.default_rng(4).uniform(0.0, 50.0, 1000)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if abs(delta) < 1e-10:
+                law = 0.5 * p.alpha * np.where(x > 0, x * np.log(x / m), 0.0)
+            else:
+                law = (p.alpha / (2.0 * delta)) * (x ** (1.0 + delta) / m**delta - x)
+        g = np.full_like(x, np.nan)
+        assert growth_rate_times_x(x, m, p, out=g) is g
+        assert np.array_equal(g, law)
+        assert np.array_equal(growth_rate_times_x(x, m, p), law)
+        for x0 in (0.0, 3.0):
+            value = growth_rate_times_x(x0, m, p)
+            assert type(value) is float
+            assert value == growth_rate_times_x(np.array([x0]), m, p)[0]
 
     def test_log_limit(self):
         tiny = kp(delta=1e-13)
@@ -228,8 +246,8 @@ class TestStrategyTable:
         drift = STRATEGY_RULES[strategy].drift(x, m, kp(), c)
 
         def gap(eps):
-            p = kp(epsilon=eps)
-            shift = _proposed(x, m, p, c.micro_scaled(eps), 0.0) - x
+            shift = growth_rate_times_x(x, m, kp(epsilon=eps))
+            STRATEGY_RULES[strategy].shift_into(x, shift, np.empty_like(x), eps, c.micro_scaled(eps))
             return np.max(np.abs(shift / eps + drift)) / np.max(np.abs(drift))
 
         coarse, fine = gap(1e-4), gap(1e-6)
