@@ -13,7 +13,6 @@ Any other exception is a bug and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.resources
 import json
 import math
@@ -37,7 +36,6 @@ from .fp import (
     Grid,
     SpStepper,
     build_operator,
-    check_operator_domain,
     sp_step_batch,
     steady_state_solve,
     uniform_density,
@@ -48,6 +46,7 @@ from .io import (
     density_filename,
     read_csv,
     resolve_out_dir,
+    write_csv,
     write_density,
     write_manifest,
     write_trajectory,
@@ -60,6 +59,7 @@ from .params import (
     EpidemicParams,
     KineticParams,
     Strategy,
+    check_operator_domain,
     closure_kind,
     collision_kernel,
     moment_ratio,
@@ -252,10 +252,8 @@ def _grid(cfg: dict) -> Grid:
 
 def _time(cfg: dict) -> tuple[float, float]:
     """(dt, t_final); t_final must be a whole number of steps."""
-    dt = _get(cfg, "time.dt", float)
+    dt = _positive(cfg, "time.dt")
     t_final = _get(cfg, "time.t_final", float)
-    if not dt > 0:
-        raise ConfigError(f"field 'time.dt': must be > 0, got {dt}")
     _build("time.t_final", step_count, t_final, dt)
     return dt, t_final
 
@@ -320,7 +318,7 @@ def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> 
     ens = ParticleEnsemble.from_uniform(n, low, high, seed)
     clock.enter("steps_s")
     hist = run_to_equilibrium(
-        ens, p, c.micro_scaled(p.epsilon), t_final, dt, bound,
+        ens, p, c, t_final, dt, bound,
         m_ref=m_ref, x_max=x_max, n_bins=n_bins,
     )
     clock.enter("output_s")
@@ -420,13 +418,7 @@ def run_tail_sweep(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tuple[
             tails[strategy][str(nu)] = {**_tail(f, window), "window": list(window)}
 
     clock.enter("output_s")
-    sweep_path = out / "sweep.csv"
-    sweep_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(sweep_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "nu", "m_inf", "m2_inf"])
-        for strategy, nu, m1, m2 in rows:
-            writer.writerow([strategy, *(repr(float(v)) for v in (nu, m1, m2))])
+    write_csv(out / "sweep.csv", ["strategy", "nu", "m_inf", "m2_inf"], list(zip(*rows)))
     return {"tails": tails}, {}
 
 

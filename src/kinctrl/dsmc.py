@@ -15,8 +15,9 @@ seedable generator: runs repeat bit for bit on any number of CPUs.
 
 The deterministic part of every transition is mean-reverting: contacts relax
 toward the reference mean (uncontrolled) or toward a blend of mean and target
-(controlled rules).  To match a mesoscopic penalization nu, pass
-``control.micro_scaled(epsilon)`` — see ControlSpec.
+(controlled rules).  The control is the one the operators take: its
+mesoscopic penalization nu enters each transition as epsilon nu, and a
+controlled rule runs at delta = -1 only, the one delta it is derived at.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .params import (
     STRATEGY_RULES,
     ControlSpec,
     KineticParams,
+    check_operator_domain,
+    collision_kernel,
     growth_rate_times_x,
     step_count,
 )
@@ -175,9 +178,11 @@ def dsmc_step(
     advanced exactly, runs as one chunk.  Each chunk computes its blocks in
     the buffers of ens.scratch; the clock path gathers the due particles and
     moves them with buffers made for the step.  The particle count is
-    conserved exactly.
+    conserved exactly.  A controlled c at delta != -1 raises ValueError
+    before any draw.
     """
     check_step_size(dt, p.epsilon, sigma_bound)
+    check_operator_domain(p, c)
     if not m > 0:
         raise ValueError(f"reference mean must be > 0, got {m}")
     x = ens.samples
@@ -291,9 +296,7 @@ def _move(
 
 def _fire_prob(x, p: KineticParams, dt: float, sigma_bound: float):
     """Per-step probability min(B(x), sigma_bound) dt / epsilon, at most 1."""
-    with np.errstate(divide="ignore"):  # B(0) = inf for delta > -1
-        kernel = x ** (-(1.0 + p.delta) / 2.0)
-    return np.minimum(np.minimum(kernel, sigma_bound) * (dt / p.epsilon), 1.0)
+    return np.minimum(np.minimum(collision_kernel(x, p), sigma_bound) * (dt / p.epsilon), 1.0)
 
 
 def run_to_equilibrium(

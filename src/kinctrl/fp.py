@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import NumericsError
-from .params import STRATEGY_RULES, ControlSpec, KineticParams, check_finite
+from .params import STRATEGY_RULES, ControlSpec, KineticParams, check_finite, check_operator_domain
 
 # Gauss-Legendre nodes/weights on [-1, 1] used for the per-interface
 # quadrature of C/D; 5 points keep the discrete equilibrium within roundoff
@@ -119,14 +119,6 @@ def uniform_density(grid: Grid, low: float, high: float) -> ContactDensity:
     if total <= 0:
         raise ValueError("uniform window does not cover any cell center")
     return ContactDensity(grid, vals / total)
-
-
-def check_operator_domain(p: KineticParams, c: ControlSpec) -> None:
-    """Raise ValueError for a controlled rule away from delta = -1, where it has no operator."""
-    if c.active and p.delta != -1.0:
-        raise ValueError(
-            f"controlled operators require delta = -1, got delta = {p.delta}"
-        )
 
 
 def _bernoulli(w: np.ndarray, out=None, scratch=None) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,8 @@
 """Deterministic output artifacts: trajectory CSV, density CSV, run manifest.
 
-Floats are written with repr (shortest round-trip decimal), so re-running a
-scenario with the same seed reproduces files byte for byte.
+Floats are written with repr (shortest round-trip decimal) and string cells as
+they are, so re-running a scenario with the same seed reproduces files byte
+for byte.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ MANIFEST_FILE = "manifest.json"
 OUT_DIR_ENV = "KINCTRL_OUT_DIR"
 
 
-def fmt(value: float) -> str:
-    return repr(float(value))
+def fmt(value: float | str) -> str:
+    return value if isinstance(value, str) else repr(float(value))
 
 
 def density_filename(t: float) -> str:

@@ -63,7 +63,8 @@ class MacroModel:
     variant CLASSICAL_SIR uses the homogeneous transmission rate `beta`
     (kept distinct from beta_1, which carries different units).  L1 and L2
     read beta_1 / beta_2 from `epidemic` and close with `closure`; they
-    reject an `epidemic` with more betas or a beta0 term, which they would drop.
+    reject a `beta`, and an `epidemic` with more betas or a beta0 term, all of
+    which they would drop.
     """
 
     variant: MacroVariant
@@ -77,6 +78,9 @@ class MacroModel:
             if self.beta is None or self.beta < 0:
                 raise ValueError("classical SIR needs a transmission rate beta >= 0")
             return
+        if self.beta is not None:
+            raise ValueError(f"the {self.variant.name} model reads epidemic.betas, not beta, "
+                             f"got beta = {self.beta}")
         order = 1 if self.variant is MacroVariant.L1 else 2
         _check_incidence(self.epidemic, range(order, order + 1), f"the {self.variant.name} model")
         self.rate_constants  # raises when the profile lacks a moment this order needs

@@ -10,7 +10,7 @@ STRATEGY_RULES is the one place where the three transition rules differ.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, Optional
 
@@ -154,18 +154,6 @@ class ControlSpec:
     def active(self) -> bool:
         return self.strategy is not Strategy.UNCONTROLLED
 
-    def micro_scaled(self, epsilon: float) -> "ControlSpec":
-        """Penalization rescaled (nu -> epsilon * nu) for particle simulations.
-
-        The particle transition rules and the mesoscopic drift-diffusion
-        operators agree in the small-epsilon limit only under this rescaling,
-        so particle runs that target a mesoscopic penalization nu must use
-        the scaled spec.
-        """
-        if not self.active:
-            return self
-        return replace(self, nu=self.nu * epsilon)
-
 
 def growth_rate_times_x(x, m: float, p: KineticParams, out=None):
     """Growth law times x: (alpha / (2 delta)) ((x/m)^delta - 1) x.
@@ -204,22 +192,13 @@ def growth_rate_times_x(x, m: float, p: KineticParams, out=None):
 
 
 def collision_kernel(x, p: KineticParams):
-    """Interaction-frequency weight x^(-(1+delta)/2).
+    """Interaction-frequency weight B(x) = x^(-(1+delta)/2).
 
     Identically 1 for delta = -1 (constant-rate interactions).  For
-    delta > -1 the weight diverges at x = 0, so x must be positive there.
+    delta > -1 the weight diverges at x = 0, where it is inf.
     """
-    if p.delta == -1.0:
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return 1.0
-        return np.ones_like(np.asarray(x, dtype=float))
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0):
-        raise ValueError("collision_kernel requires x > 0 for delta > -1")
-    out = x_arr ** (-(1.0 + p.delta) / 2.0)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    with np.errstate(divide="ignore"):
+        return np.asarray(x, dtype=float) ** (-(1.0 + p.delta) / 2.0)
 
 
 def _terms_uncontrolled(x, p, c):
@@ -258,7 +237,9 @@ def _scalar_mean(m, p):
 
 
 # The shifts overwrite g in place, with tmp (shaped like g) as scratch, so a
-# caller that owns both buffers allocates nothing.
+# caller that owns both buffers allocates nothing.  They take c as the config
+# states it, at the mesoscopic level, and penalize with nu' = nu eps: the
+# quasi-invariant scaling under which the particle and operator levels agree.
 
 
 def _shift_uncontrolled(x, g, tmp, eps, c):
@@ -267,19 +248,20 @@ def _shift_uncontrolled(x, g, tmp, eps, c):
 
 
 def _shift_additive(x, g, tmp, eps, c):
-    # -(nu eps / denom) g + (eps^2 / denom) (x_T - x), denom = nu + eps^2
-    denom = c.nu + eps**2
-    np.multiply(-(c.nu * eps / denom), g, out=g)
+    # -(nu' eps / denom) g + (eps^2 / denom) (x_T - x), denom = nu' + eps^2
+    nu = c.nu * eps
+    denom = nu + eps**2
+    np.multiply(-(nu * eps / denom), g, out=g)
     np.subtract(c.x_target, x, out=tmp)
     np.multiply(eps**2 / denom, tmp, out=tmp)
     np.add(g, tmp, out=g)
 
 
 def _shift_interaction(x, g, tmp, eps, c):
-    # -q / (nu + q) (x - x_T), q = (eps g)^2
+    # -q / (nu' + q) (x - x_T), q = (eps g)^2
     np.multiply(eps, g, out=g)
     np.square(g, out=g)
-    np.add(c.nu, g, out=tmp)
+    np.add(c.nu * eps, g, out=tmp)
     np.negative(g, out=g)
     np.divide(g, tmp, out=g)
     np.subtract(x, c.x_target, out=tmp)
@@ -297,11 +279,14 @@ class StrategyRule:
     shift_into(x, g, tmp, eps, c)
                          : deterministic part of one particle transition,
                            x' - x - x eta, written over the float array
-                           g = growth_rate_times_x(x, m, p); tmp is scratch
-    steady_states        : closed-form steady-state kind, keyed by delta
+                           g = growth_rate_times_x(x, m, p); tmp is scratch,
+                           and c.nu is scaled to eps c.nu inside
+    steady_states        : closed-form steady-state kind, keyed by delta;
+                           an active rule has one at delta = -1 only (see
+                           check_operator_domain)
 
-    With c.micro_scaled(eps), shift / eps tends to -drift as eps -> 0 at
-    delta = -1 (where the interaction kernel is 1).
+    With the same c at both levels, shift / eps tends to -drift as eps -> 0
+    at delta = -1 (where the interaction kernel is 1).
     """
 
     drift_terms: Callable
@@ -332,6 +317,12 @@ STRATEGY_RULES: dict[Strategy, StrategyRule] = {
         {-1.0: EquilibriumKind.CONTROLLED_B},
     ),
 }
+
+
+def check_operator_domain(p: KineticParams, c: ControlSpec) -> None:
+    """Raise ValueError for a controlled rule away from delta = -1, where it is not derived."""
+    if c.active and p.delta != -1.0:
+        raise ValueError(f"controlled operators require delta = -1, got delta = {p.delta}")
 
 
 def closure_moment(kind: ClosureKind, r: int, m: float, lam: float | None = None) -> float:

@@ -132,7 +132,7 @@ def t1_dsmc_runs():
         p = kp(delta)
         ens = ParticleEnsemble.from_uniform(N_PARTICLES, 6.0, 8.0, seed=seed)
         hist = run_to_equilibrium(
-            ens, p, control.micro_scaled(p.epsilon), t_final, dt, bound,
+            ens, p, control, t_final, dt, bound,
             m_ref=M_REF, x_max=X_MAX, n_bins=N_BINS,
         )
         ref = bin_averaged_equilibrium(p, M_REF, control, N_BINS, X_MAX)

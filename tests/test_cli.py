@@ -234,6 +234,17 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "epidemic.betas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", ["l1", "l2"])
+    def test_macro_compare_rejects_a_beta_the_variant_ignores(self, tmp_path, capsys, variant):
+        # L1 and L2 take their rates from epidemic.betas; macro.beta would change nothing
+        cfg = json.loads(small_macro_config(tmp_path).read_text())
+        cfg["macro"].update(variant=variant, beta=123.0)
+        cfg["epidemic"]["betas"] = [1e-3, 1e-6][: 1 if variant == "l1" else 2]
+        path = tmp_path / f"{variant}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "field 'macro'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["dsmc_equilibrium", "fp_equilibrium", "controlled_epidemic"])
     def test_controlled_operator_at_other_delta_exits_two(self, tmp_path, capsys, kind):
         # the controlled rules are derived at delta = -1 only, at every level

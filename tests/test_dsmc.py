@@ -129,6 +129,23 @@ class TestStep:
         with pytest.raises(ValueError):
             dsmc_step(ens, 5.0, p, UN, dt=0.0011, sigma_bound=10.0)
 
+    @pytest.mark.parametrize("strategy", [Strategy.ADDITIVE_A, Strategy.INTERACTION_B])
+    @pytest.mark.parametrize("run", ["dsmc_step", "run_to_equilibrium"])
+    def test_control_at_other_delta_raises_before_any_draw(self, strategy, run):
+        # the controlled rules are derived at delta = -1 only, as for the operators
+        p, c = kp(delta=1.0), ControlSpec(strategy, nu=1.0, x_target=3.0)
+        ens = ParticleEnsemble.from_uniform(1_000, 4.0, 6.0, seed=7)
+        samples, state = ens.samples.copy(), ens.rng.bit_generator.state
+        with pytest.raises(ValueError, match="delta"):
+            if run == "dsmc_step":
+                dsmc_step(ens, 5.0, p, c, dt=0.001, sigma_bound=10.0)
+            else:
+                run_to_equilibrium(ens, p, c, t_final=0.01, dt=0.001, sigma_bound=10.0, m_ref=5.0)
+        assert np.array_equal(ens.samples, samples)
+        assert ens.rng.bit_generator.state == state
+        assert (ens.n_clamped, ens.n_transitions, ens.n_steps) == (0, 0, 0)
+        assert ens.clocks is None
+
     def test_equality_returns_a_bool(self):
         # ensembles compare by identity: equal samples arrays must not reach
         # the ambiguous truth value of an array comparison
@@ -172,7 +189,7 @@ class TestStep:
         if strategy is not Strategy.UNCONTROLLED:
             delta = -1.0
         p = KineticParams(alpha=alpha, sigma2=sigma2, delta=delta, epsilon=epsilon)
-        c = ControlSpec(strategy, nu=nu, x_target=x_target).micro_scaled(epsilon)
+        c = ControlSpec(strategy, nu=nu, x_target=x_target)
         bound = collision_kernel(0.05, p)
         ens = ParticleEnsemble.from_uniform(2_000, 0.0, 3.0 * m, seed)
         for _ in range(5):
@@ -206,8 +223,8 @@ def one_pass_dense_step(ens, m, p, c):
 
 DENSE_CASES = {
     "uncontrolled": (kp(), UN),
-    "additive_a": (kp(), ControlSpec.additive(1.0, 3.0).micro_scaled(0.01)),
-    "interaction_b": (kp(), ControlSpec.interaction(1.0, 3.0).micro_scaled(0.01)),
+    "additive_a": (kp(), ControlSpec.additive(1.0, 3.0)),
+    "interaction_b": (kp(), ControlSpec.interaction(1.0, 3.0)),
     # an exaggerated step steers onto x_target = 0, so about half the proposals clamp
     "clamped": (kp(epsilon=0.5), ControlSpec.additive(1e-9, 0.0)),
 }
@@ -253,7 +270,7 @@ class TestMove:
         self, strategy, delta, epsilon, m, n, seed
     ):
         p = kp(delta=delta, epsilon=epsilon)
-        c = ControlSpec(strategy, nu=1.0, x_target=3.0).micro_scaled(epsilon)
+        c = ControlSpec(strategy, nu=1.0, x_target=3.0)
         assert_move_matches_oracle(n, m, p, c, seed)
 
 

@@ -169,6 +169,11 @@ def oracle_rk4(f, model, s0, dt, n_steps):
     return states
 
 
+def sir_beta(variant, beta):
+    """beta for classical SIR; None for L1 and L2, which read epidemic.betas."""
+    return beta if variant is MacroVariant.CLASSICAL_SIR else None
+
+
 class TestOracle:
     # rk4_integrate and rhs must reproduce the written-out forms bit for bit
 
@@ -191,8 +196,8 @@ class TestOracle:
     ):
         delta = -1.0 if closure is ClosureKind.INVERSE_GAMMA else 1.0
         betas = (b1,) if variant is MacroVariant.L1 else (b1, b2)
-        model = MacroModel(variant, closure, kin(delta, lam=lam),
-                           EpidemicParams(betas, gamma_i), beta=b1 * means[0] ** 2)
+        model = MacroModel(variant, closure, kin(delta, lam=lam), EpidemicParams(betas, gamma_i),
+                           beta=sir_beta(variant, b1 * means[0] ** 2))
         s0 = MacroState(*rho, *means)
         times, states = rk4_integrate(model, s0, dt, 200 * dt)
         assert states == oracle_rk4(oracle_rhs, model, s0, dt, 200)
@@ -279,8 +284,8 @@ class TestIntegration:
     ):
         delta = -1.0 if closure is ClosureKind.INVERSE_GAMMA else 1.0
         betas = (b1,) if variant is MacroVariant.L1 else (b1, b2)
-        model = MacroModel(variant, closure, kin(delta, lam=lam),
-                           EpidemicParams(betas, gamma_i), beta=b1 * mean**2)
+        model = MacroModel(variant, closure, kin(delta, lam=lam), EpidemicParams(betas, gamma_i),
+                           beta=sir_beta(variant, b1 * mean**2))
         total = sum(rho)
         s0 = MacroState(*(r / total for r in rho), mean, mean, mean)
         _, states = rk4_integrate(model, s0, dt, 200 * dt)

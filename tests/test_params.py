@@ -72,12 +72,6 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             build()
 
-    def test_micro_scaling(self):
-        c = ControlSpec.additive(1.0, 3.0)
-        assert c.micro_scaled(0.01).nu == pytest.approx(0.01)
-        un = ControlSpec.uncontrolled()
-        assert un.micro_scaled(0.01) is un
-
 
 def growth_law_times_x(x, m, alpha, delta):
     # (alpha / (2 delta)) ((x/m)^delta - 1) x, written out as the oracle
@@ -164,9 +158,12 @@ class TestCollisionKernel:
         assert collision_kernel(4.0, kp(delta=1.0)) == pytest.approx(0.25)
         assert collision_kernel(1.0, kp(delta=0.0)) == pytest.approx(1.0)
 
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            collision_kernel(0.0, kp(delta=0.5))
+    def test_at_zero(self):
+        # the particle step needs B(0): unbounded away from delta = -1
+        for delta in (-0.5, 0.0, 0.5, 1.0):
+            assert collision_kernel(0.0, kp(delta=delta)) == np.inf
+        assert collision_kernel(0.0, kp(delta=-1.0)) == 1.0
+        assert np.array_equal(collision_kernel(np.array([0.0, 4.0]), kp(delta=1.0)), [np.inf, 0.25])
 
     def test_inverse_identity(self):
         x = np.linspace(0.2, 50.0, 97)
@@ -238,8 +235,8 @@ class TestStepCount:
 class TestStrategyTable:
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_particle_shift_tends_to_mean_field_drift(self, strategy):
-        # at delta = -1 one micro-scaled particle transition, divided by eps,
-        # approaches minus the operator drift with an O(eps) gap
+        # at delta = -1 one particle transition, divided by eps, approaches
+        # minus the operator drift of the same control with an O(eps) gap
         x = np.linspace(0.5, 40.0, 400)
         m = 5.0
         c = ControlSpec(strategy, nu=1.0, x_target=3.0)
@@ -247,7 +244,7 @@ class TestStrategyTable:
 
         def gap(eps):
             shift = growth_rate_times_x(x, m, kp(epsilon=eps))
-            STRATEGY_RULES[strategy].shift_into(x, shift, np.empty_like(x), eps, c.micro_scaled(eps))
+            STRATEGY_RULES[strategy].shift_into(x, shift, np.empty_like(x), eps, c)
             return np.max(np.abs(shift / eps + drift)) / np.max(np.abs(drift))
 
         coarse, fine = gap(1e-4), gap(1e-6)
@@ -257,18 +254,20 @@ class TestStrategyTable:
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_shift_into_matches_the_rule_formulas(self, strategy):
-        # the in-place shifts evaluate these expressions, in this order, bit for bit
+        # the in-place shifts evaluate these expressions, in this order, bit
+        # for bit, at the particle penalization nu' = nu eps
         x = np.linspace(0.0, 40.0, 401)
         g = growth_rate_times_x(x, 5.0, kp())
         eps, c = 0.01, ControlSpec(strategy, nu=0.7, x_target=3.0)
+        nu = c.nu * eps
         if strategy is Strategy.UNCONTROLLED:
             expected = -eps * g
         elif strategy is Strategy.ADDITIVE_A:
-            denom = c.nu + eps**2
-            expected = -(c.nu * eps / denom) * g + (eps**2 / denom) * (c.x_target - x)
+            denom = nu + eps**2
+            expected = -(nu * eps / denom) * g + (eps**2 / denom) * (c.x_target - x)
         else:
             q = (eps * g) ** 2
-            expected = -q / (c.nu + q) * (x - c.x_target)
+            expected = -q / (nu + q) * (x - c.x_target)
         shift, tmp = g.copy(), np.empty_like(g)
         STRATEGY_RULES[strategy].shift_into(x, shift, tmp, eps, c)
         assert np.array_equal(shift, expected)
