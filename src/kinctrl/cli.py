@@ -305,8 +305,9 @@ def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> 
     n_bins = _count(cfg, "dsmc.n_bins", required=False, default=400)
     x_max = _positive(cfg, "grid.x_max")
     dt, t_final = _time(cfg)
-    if t_final == 0:
-        raise ConfigError("field 'time.t_final': particle runs need t_final > 0")
+    if step_count(t_final, dt) == 0:
+        raise ConfigError(f"field 'time.t_final': {t_final} is 0 steps of time.dt; "
+                          "a particle run needs at least one")
     m_ref = _positive(cfg, "dsmc.mean_reference", required=False)
     low, high = _interval(cfg, x_max)
 
@@ -470,8 +471,7 @@ def _kinetic_pieces(cfg: dict):
     _initial_profile(cfg, "gamma_profile")
     rho = _numbers(cfg, "initial.rho", length=3, low=0.0)
     mean0 = _positive(cfg, "initial.mean")
-    lam = _positive(cfg, "initial.lam", required=False)
-    ic = gamma_profile_state(grid, lam if lam is not None else p.lam, mean0, tuple(rho))
+    ic = gamma_profile_state(grid, p.lam, mean0, tuple(rho))
     return p, e, c, grid, ic
 
 

@@ -7,11 +7,12 @@ is frozen at step start.  That probability depends only on x, which moves only
 when the particle fires, so each particle keeps a countdown clock with
 Geometric gaps, and a step moves only the particles whose clock is due, or the
 whole array in place when every probability is 1.  Both paths apply the one
-transition _move, block by block in three buffers; the dense step splits the
-blocks across the usable CPUs, each chunk drawing from a copy of the
-generator jumped ahead to its first particle and computing in buffers the
-ensemble keeps, so no block allocates.  All randomness is the stream of one
-seedable generator: runs repeat bit for bit on any number of CPUs.
+transition _move, block by block in three buffers.  The clock path draws from
+the ensemble's generator; the dense step moves block b with its own stream,
+spawned from that generator's seed when the ensemble is built, and splits the
+blocks across the usable CPUs, each chunk computing in buffers the ensemble
+keeps, so no block allocates.  A block's draws do not depend on the chunk or
+thread that runs it: runs repeat bit for bit on any number of CPUs.
 
 The deterministic part of every transition is mean-reverting: contacts relax
 toward the reference mean (uncontrolled) or toward a blend of mean and target
@@ -23,6 +24,7 @@ controlled rule runs at delta = -1 only, the one delta it is derived at.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -43,14 +45,18 @@ from .params import (
 
 @dataclass(eq=False)
 class ParticleEnsemble:
-    """Fixed-size population of contact numbers with its random stream.
+    """Fixed-size population of contact numbers with its random streams.
 
-    n_clamped accumulates how many proposed transitions had to be clipped at
-    zero to keep contacts admissible; threads is how many chunks the last
-    step ran in (1 on the clock path), and scratch holds each chunk's block
-    buffers for the dense step.  Particle i next fires at step
-    clocks[i] of n_steps; dsmc_step redraws all clocks (exact: Geometric gaps
-    are memoryless) when their step law or samples array is no longer current.
+    rng drives the clock path; streams holds one generator per block of
+    _BLOCK particles, spawned from rng's seed sequence when the ensemble is
+    built (rng's own stream is untouched), and the dense step moves block b
+    with streams[b] alone.  n_clamped accumulates how many proposed
+    transitions had to be clipped at zero to keep contacts admissible;
+    threads is how many chunks the last step ran in (1 on the clock path),
+    and scratch holds each chunk's block buffers for the dense step.
+    Particle i next fires at step clocks[i] of n_steps; dsmc_step redraws all
+    clocks (exact: Geometric gaps are memoryless) when their step law or
+    samples array is no longer current.
     """
 
     samples: np.ndarray
@@ -62,6 +68,7 @@ class ParticleEnsemble:
     clocks: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     clock_law: Optional[tuple] = field(default=None, init=False)
     clock_samples: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    streams: list = field(init=False, repr=False)
     scratch: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
@@ -70,6 +77,7 @@ class ParticleEnsemble:
             raise ValueError("samples must be a non-empty 1-D array")
         if np.any(self.samples < 0):
             raise ValueError("all contact numbers must be >= 0")
+        self.streams = self.rng.spawn(-(-self.samples.size // _BLOCK))
 
     @classmethod
     def from_uniform(cls, n: int, low: float, high: float, seed: int) -> "ParticleEnsemble":
@@ -134,12 +142,14 @@ def sample_noise(p: KineticParams, rng: np.random.Generator, size=None, out=None
     return u
 
 
-# Particles per block of _move.  Each block is computed in three buffers of
-# this length, which each chunk of the dense step reuses every step (two float,
-# one bool: 2.1 MiB), so no block allocates, and the per-block cost in Python,
-# where threads hold the GIL, is spread over 128 Ki particles.  Smaller blocks
-# hand the GIL between chunk threads more often, and each handoff that makes a
-# thread sleep costs a wake-up whose latency varies with the host.
+# Particles per block of _move.  It also fixes the dense step's stream layout
+# (one spawned generator per block), so changing it changes particle outputs.
+# Each block is computed in three buffers of this length, which each chunk of
+# the dense step reuses every step (two float, one bool: 2.1 MiB), so no block
+# allocates, and the per-block cost in Python, where threads hold the GIL, is
+# spread over 128 Ki particles.  Smaller blocks hand the GIL between chunk
+# threads more often, and each handoff that makes a thread sleep costs a
+# wake-up whose latency varies with the host.
 _BLOCK = 131_072
 
 
@@ -169,17 +179,14 @@ def dsmc_step(
     epsilon, with the compartment mean m frozen for the whole step: the
     particles whose clock is due move and draw a Geometric gap to their next
     firing, or, when every probability is 1, all move in place with no clocks,
-    in blocks of _BLOCK particles.  Those blocks are cut into one contiguous
-    chunk per usable CPU (at most one per block); the first chunk runs on the
-    calling thread with ens.rng, every other one on a shared thread pool with
-    a PCG64 copy of ens.rng advanced to the chunk's first particle.  Every
-    particle draws the value one pass over all would have drawn, and ens.rng
-    ends in that pass's state.  Another bit generator, which cannot be
-    advanced exactly, runs as one chunk.  Each chunk computes its blocks in
-    the buffers of ens.scratch; the clock path gathers the due particles and
-    moves them with buffers made for the step.  The particle count is
-    conserved exactly.  A controlled c at delta != -1 raises ValueError
-    before any draw.
+    in blocks of _BLOCK particles, block b drawing from ens.streams[b] and
+    never from ens.rng.  Those blocks are cut into one contiguous chunk per
+    usable CPU (at most one per block); the first chunk runs on the calling
+    thread, every other one on a shared thread pool, each computing its
+    blocks in the buffers of ens.scratch.  The clock path draws from ens.rng,
+    gathers the due particles and moves them with buffers made for the step.
+    The particle count is conserved exactly.  A controlled c at delta != -1
+    raises ValueError before any draw.
     """
     check_step_size(dt, p.epsilon, sigma_bound)
     check_operator_domain(p, c)
@@ -187,24 +194,20 @@ def dsmc_step(
         raise ValueError(f"reference mean must be > 0, got {m}")
     x = ens.samples
     if p.delta == -1.0 and _fire_prob(1.0, p, dt, sigma_bound) == 1.0:
+        if len(ens.streams) * _BLOCK < x.size:
+            raise ValueError("samples outgrew the streams spawned when the ensemble was built")
         ens.clock_law = None  # the moved samples outdate any clocks
-        starts = _chunk_starts(x.size, ens.rng)
+        starts = _chunk_starts(x.size)
         scratch = _scratch(ens, len(starts) - 1)
-        # the copies must be taken before the first chunk draws from ens.rng
-        rngs = [_advanced(ens.rng, a) for a in starts[1:-1]]
         futures = [
-            _pool(os.getpid()).submit(_move, x[a:b], rng, m, p, c, buf)
-            for a, b, rng, buf in zip(starts[1:-1], starts[2:], rngs, scratch[1:])
+            _pool(os.getpid()).submit(_move, x[a:b], ens.streams[a // _BLOCK :], m, p, c, buf)
+            for a, b, buf in zip(starts[1:-1], starts[2:], scratch[1:])
         ]
         try:
-            clamped = _move(x[: starts[1]], ens.rng, m, p, c, scratch[0])
+            clamped = _move(x[: starts[1]], ens.streams, m, p, c, scratch[0])
         finally:
             wait(futures)
         clamped += sum(f.result() for f in futures)
-        if rngs:
-            state = ens.rng.bit_generator.state  # keeps the buffered uint32
-            state["state"] = rngs[-1].bit_generator.state["state"]
-            ens.rng.bit_generator.state = state
         ens.n_transitions += x.size
         ens.threads = len(starts) - 1
     else:
@@ -214,7 +217,7 @@ def dsmc_step(
             ens.clock_law, ens.clock_samples = law, x
         fire = np.flatnonzero(ens.clocks == ens.n_steps)
         new = x[fire]
-        clamped = _move(new, ens.rng, m, p, c, _buffers(new.size))
+        clamped = _move(new, itertools.repeat(ens.rng), m, p, c, _buffers(new.size))
         x[fire] = new
         # a gap saturated at the int64 maximum wraps negative and never fires
         ens.clocks[fire] = ens.n_steps + ens.rng.geometric(_fire_prob(new, p, dt, sigma_bound))
@@ -232,20 +235,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_starts(n: int, rng: np.random.Generator) -> list[int]:
+def _chunk_starts(n: int) -> list[int]:
     """Chunk boundaries of the dense step, 0 first and n last: whole blocks
     of _BLOCK particles, one chunk per usable CPU and at most one per block."""
     n_blocks = -(-n // _BLOCK)
-    k = min(_usable_cpus(), n_blocks) if type(rng.bit_generator) is np.random.PCG64 else 1
+    k = min(_usable_cpus(), n_blocks)
     return [i * n_blocks // k * _BLOCK for i in range(k)] + [n]
-
-
-def _advanced(rng: np.random.Generator, start: int) -> np.random.Generator:
-    """A PCG64 generator whose doubles are those rng draws after its first start."""
-    bits = np.random.PCG64()
-    bits.state = rng.bit_generator.state
-    bits.advance(start)  # one 64-bit output per double
-    return np.random.Generator(bits)
 
 
 @functools.cache
@@ -268,20 +263,20 @@ def _scratch(ens: ParticleEnsemble, k: int) -> list[tuple]:
     return ens.scratch
 
 
-def _move(
-    x: np.ndarray, rng: np.random.Generator, m: float, p: KineticParams, c: ControlSpec, buffers
-) -> int:
+def _move(x: np.ndarray, rngs, m: float, p: KineticParams, c: ControlSpec, buffers) -> int:
     """Apply one transition to every particle of x in place, clamped at zero,
-    with noise drawn from rng; returns how many proposals were clamped.
+    with the noise of x's b-th block of _BLOCK drawn from the b-th generator
+    of rngs; returns how many proposals were clamped.
 
     The transition is x + shift + x eta, shift the rule's shift_into of the
-    growth law.  It runs over x in blocks of _BLOCK, computed in buffers
-    (from _buffers); each value, and each draw, is that of one pass over x.
+    growth law.  Each block is computed in buffers (from _buffers), and its
+    values and draws are those of one pass over it.  With rngs an
+    itertools.repeat of one generator, the draws are those of one pass over x.
     """
     g, tmp, neg = buffers
     shift_into = STRATEGY_RULES[c.strategy].shift_into
     clamped = 0
-    for a in range(0, x.size, _BLOCK):
+    for a, rng in zip(range(0, x.size, _BLOCK), rngs):
         xb = x[a : a + _BLOCK]
         gb, tb, nb = g[: xb.size], tmp[: xb.size], neg[: xb.size]
         growth_rate_times_x(xb, m, p, out=gb)
@@ -317,9 +312,10 @@ def run_to_equilibrium(
     mean is recomputed once per step, which conserves the mean for
     delta = +/-1.
     """
-    if not t_final > 0:
-        raise ValueError(f"t_final must be > 0, got {t_final}")
-    for _ in range(step_count(t_final, dt)):
+    n_steps = step_count(t_final, dt)
+    if n_steps == 0:
+        raise ValueError(f"t_final = {t_final} is 0 steps of dt = {dt}; a run needs at least one")
+    for _ in range(n_steps):
         m = ens.mean() if m_ref is None else m_ref
         dsmc_step(ens, m, p, c, dt, sigma_bound)
     ens.scratch = []  # the steps are done: free their block buffers

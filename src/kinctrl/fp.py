@@ -97,12 +97,6 @@ class ContactDensity:
             raise ValueError("mean undefined for a density with non-positive mass")
         return self.raw_moment(1) / m
 
-    def normalized(self) -> "ContactDensity":
-        m = self.mass()
-        if m <= 0:
-            raise ValueError("cannot normalize a density with non-positive mass")
-        return ContactDensity(self.grid, self.values / m)
-
     def log_values(self) -> np.ndarray:
         """ln f in every cell; -inf where the density is 0."""
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -61,7 +61,8 @@ class MacroModel:
     """A closed macroscopic system ready to integrate.
 
     variant CLASSICAL_SIR uses the homogeneous transmission rate `beta`
-    (kept distinct from beta_1, which carries different units).  L1 and L2
+    (kept distinct from beta_1, which carries different units) and takes
+    the DIRAC closure only, since it closes no moments.  L1 and L2
     read beta_1 / beta_2 from `epidemic` and close with `closure`; they
     reject a `beta`, and an `epidemic` with more betas or a beta0 term, all of
     which they would drop.
@@ -77,6 +78,9 @@ class MacroModel:
         if self.variant is MacroVariant.CLASSICAL_SIR:
             if self.beta is None or self.beta < 0:
                 raise ValueError("classical SIR needs a transmission rate beta >= 0")
+            if self.closure is not ClosureKind.DIRAC:
+                raise ValueError("classical SIR closes no moments and takes the dirac closure, "
+                                 f"got closure = {self.closure.value}")
             return
         if self.beta is not None:
             raise ValueError(f"the {self.variant.name} model reads epidemic.betas, not beta, "

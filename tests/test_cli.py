@@ -245,6 +245,26 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "field 'macro'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("closure", ["gamma", "inverse_gamma"])
+    def test_macro_compare_rejects_a_closure_classical_sir_ignores(self, tmp_path, capsys, closure):
+        # classical SIR closes no moments; any closure but dirac would change nothing
+        cfg = json.loads(small_macro_config(tmp_path).read_text())
+        cfg["macro"] = {"variant": "classical_sir", "closure": closure, "beta": 0.1}
+        path = tmp_path / "sir.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "field 'macro'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_final", [0.0, 1e-300])
+    def test_particle_run_of_no_steps_exits_two(self, tmp_path, capsys, t_final):
+        # 1e-300 is a whole number of steps, 0, so it passes the step check
+        cfg = json.loads(small_dsmc_config(tmp_path).read_text())
+        cfg["time"]["t_final"] = t_final
+        path = tmp_path / "no_steps.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "time.t_final" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["dsmc_equilibrium", "fp_equilibrium", "controlled_epidemic"])
     def test_controlled_operator_at_other_delta_exits_two(self, tmp_path, capsys, kind):
         # the controlled rules are derived at delta = -1 only, at every level

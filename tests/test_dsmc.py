@@ -1,3 +1,4 @@
+import itertools
 import json
 import multiprocessing
 
@@ -212,9 +213,12 @@ class TestStep:
 
 
 def one_pass_dense_step(ens, m, p, c):
-    """The dense step as one pass over all particles: the oracle of its blocks."""
+    """The dense step as one pass over all particles, block b's noise drawn
+    from ens.streams[b]: the oracle of its blocks and chunks."""
     x = ens.samples
-    raw = proposed(x, m, p, c, sample_noise(p, ens.rng, size=x.size))
+    eta = [sample_noise(p, rng, size=x[a : a + _BLOCK].size)
+           for a, rng in zip(range(0, x.size, _BLOCK), ens.streams)]
+    raw = proposed(x, m, p, c, np.concatenate(eta))
     ens.n_transitions += x.size
     ens.n_clamped += int(np.count_nonzero(raw < 0))
     np.maximum(raw, 0.0, out=x)
@@ -236,7 +240,7 @@ def assert_move_matches_oracle(n, m, p, c, seed):
     x = np.random.default_rng(seed).uniform(0.0, 3.0 * m, n)
     x[::97] = 0.0
     moved, ours, theirs = x.copy(), np.random.default_rng(seed), np.random.default_rng(seed)
-    clamped = _move(moved, ours, m, p, c, dsmc._buffers(n))
+    clamped = _move(moved, itertools.repeat(ours), m, p, c, dsmc._buffers(n))
     raw = proposed(x, m, p, c, sample_noise(p, theirs, size=n))
     assert np.array_equal(moved, np.maximum(raw, 0.0))
     assert clamped == np.count_nonzero(raw < 0)
@@ -276,8 +280,9 @@ class TestMove:
 
 class TestDenseBlocks:
     # at delta = -1 and dt = epsilon every particle fires, and dsmc_step moves
-    # them in blocks of _BLOCK; the result must match one pass bit for bit,
-    # for part of a block (the sizes around 32 768) and across block edges
+    # them in blocks of _BLOCK, each with its own stream; the result must
+    # match one pass bit for bit, for part of a block (the sizes around
+    # 32 768) and across block edges
 
     @pytest.mark.parametrize(
         "n", [1, 32_767, 32_768, 32_769, 65_543, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7])
@@ -293,16 +298,22 @@ class TestDenseBlocks:
         assert np.array_equal(ens.samples, oracle.samples)
         assert (ens.n_clamped, ens.n_transitions) == (oracle.n_clamped, oracle.n_transitions)
         assert ens.n_transitions == 2 * n
-        assert ens.rng.bit_generator.state == oracle.rng.bit_generator.state
+        assert_same_streams(ens, oracle)
         if case == "clamped" and n > 1:
             assert ens.n_clamped > 0
+
+
+def assert_same_streams(ens, oracle):
+    assert len(ens.streams) == len(oracle.streams) == -(-ens.size // _BLOCK)
+    for ours, theirs in zip([ens.rng, *ens.streams], [oracle.rng, *oracle.streams]):
+        np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
 
 
 def assert_same_ensemble(ens, oracle):
     assert np.array_equal(ens.samples, oracle.samples)
     assert (ens.n_clamped, ens.n_transitions, ens.n_steps) == (
         oracle.n_clamped, oracle.n_transitions, oracle.n_steps)
-    np.testing.assert_equal(ens.rng.bit_generator.state, oracle.rng.bit_generator.state)
+    assert_same_streams(ens, oracle)
 
 
 def dense_steps(n_steps):
@@ -315,8 +326,8 @@ def dense_steps(n_steps):
 
 class TestDenseChunks:
     # the dense step splits its blocks into one chunk per usable CPU, each
-    # drawing from a copy of the generator advanced to its first particle;
-    # any CPU count must give the one-pass result bit for bit
+    # block drawing from its own stream whichever chunk runs it; any CPU
+    # count must give the one-pass result bit for bit
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 64])
     @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7, 5 * _BLOCK + 3])
@@ -331,20 +342,24 @@ class TestDenseChunks:
         assert_same_ensemble(ens, oracle)
         assert ens.threads == min(workers, -(-n // _BLOCK))
 
-    def test_buffered_uint32_survives_the_split(self, monkeypatch):
+    def test_dense_step_leaves_the_ensemble_generator_alone(self, monkeypatch):
+        # spawning the streams draws nothing from ens.rng, and the blocks draw
+        # only from their streams; ens.rng, with a buffered uint32, is left
+        # as it was for the clock path
         monkeypatch.setattr(dsmc, "_usable_cpus", lambda: 3)
         p, c = DENSE_CASES["interaction_b"]
-        ens, oracle = (ParticleEnsemble.from_uniform(3 * _BLOCK, 9.0, 11.0, seed=4) for _ in range(2))
-        for e in (ens, oracle):
-            e.rng.integers(0, 2**32, dtype=np.uint32)
-        assert ens.rng.bit_generator.state["has_uint32"] == 1
+        ens = ParticleEnsemble.from_uniform(3 * _BLOCK, 9.0, 11.0, seed=4)
+        fresh = np.random.default_rng(4)
+        fresh.uniform(9.0, 11.0, 3 * _BLOCK)
+        assert ens.rng.bit_generator.state == fresh.bit_generator.state
+        ens.rng.integers(0, 2**32, dtype=np.uint32)
+        state = ens.rng.bit_generator.state
+        assert state["has_uint32"] == 1
         dsmc_step(ens, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
-        one_pass_dense_step(oracle, 5.0, p, c)
         assert ens.threads == 3
-        assert_same_ensemble(ens, oracle)
-        assert ens.rng.integers(0, 2**32, dtype=np.uint32) == oracle.rng.integers(0, 2**32, dtype=np.uint32)
+        assert ens.rng.bit_generator.state == state
 
-    def test_generator_without_exact_advance_runs_as_one_chunk(self, monkeypatch):
+    def test_any_bit_generator_splits_across_cpus(self, monkeypatch):
         monkeypatch.setattr(dsmc, "_usable_cpus", lambda: 3)
         p, c = DENSE_CASES["additive_a"]
         samples = np.random.default_rng(5).uniform(9.0, 11.0, 3 * _BLOCK)
@@ -352,8 +367,20 @@ class TestDenseChunks:
                        for _ in range(2))
         dsmc_step(ens, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
         one_pass_dense_step(oracle, 5.0, p, c)
-        assert ens.threads == 1
+        assert ens.threads == 3
+        assert all(type(s.bit_generator) is np.random.MT19937 for s in ens.streams)
         assert_same_ensemble(ens, oracle)
+
+    def test_samples_beyond_the_spawned_streams_raise_before_any_move(self):
+        # the streams are spawned for the samples the ensemble was built with
+        p, c = DENSE_CASES["uncontrolled"]
+        ens = ParticleEnsemble.from_uniform(_BLOCK, 9.0, 11.0, seed=3)
+        ens.samples = np.concatenate([ens.samples, [10.0]])
+        samples = ens.samples.copy()
+        with pytest.raises(ValueError, match="streams"):
+            dsmc_step(ens, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
+        assert np.array_equal(ens.samples, samples)
+        assert (ens.n_clamped, ens.n_transitions, ens.n_steps) == (0, 0, 0)
 
     @pytest.mark.parametrize("m", [0.0, -1.0, float("nan")])
     @pytest.mark.parametrize("delta, dt, bound", [(-1.0, 0.01, 1.0), (1.0, 0.001, 10.0)])
@@ -525,6 +552,12 @@ class TestHistogram:
         ens = ParticleEnsemble.from_uniform(100, 4.0, 6.0, seed=0)
         with pytest.raises(ValueError, match="whole number"):
             run_to_equilibrium(ens, kp(), UN, t_final=1.0, dt=0.003, sigma_bound=1.0)
+
+    @pytest.mark.parametrize("t_final", [0.0, 1e-300])
+    def test_rejects_a_run_of_no_steps(self, t_final):
+        ens = ParticleEnsemble.from_uniform(100, 4.0, 6.0, seed=0)
+        with pytest.raises(ValueError, match="0 steps"):
+            run_to_equilibrium(ens, kp(), UN, t_final=t_final, dt=0.01, sigma_bound=1.0)
 
     def test_short_relaxation_toward_equilibrium(self):
         # coarse, fast version of the long-run check: headed the right way

@@ -169,9 +169,12 @@ def oracle_rk4(f, model, s0, dt, n_steps):
     return states
 
 
-def sir_beta(variant, beta):
-    """beta for classical SIR; None for L1 and L2, which read epidemic.betas."""
-    return beta if variant is MacroVariant.CLASSICAL_SIR else None
+def closed_model(variant, closure, kinetic, epidemic, beta):
+    """The model of variant: classical SIR takes beta and closes no moments
+    (DIRAC); L1 and L2 take the closure and read epidemic.betas."""
+    if variant is MacroVariant.CLASSICAL_SIR:
+        return MacroModel(variant, ClosureKind.DIRAC, kinetic, epidemic, beta=beta)
+    return MacroModel(variant, closure, kinetic, epidemic)
 
 
 class TestOracle:
@@ -196,8 +199,8 @@ class TestOracle:
     ):
         delta = -1.0 if closure is ClosureKind.INVERSE_GAMMA else 1.0
         betas = (b1,) if variant is MacroVariant.L1 else (b1, b2)
-        model = MacroModel(variant, closure, kin(delta, lam=lam), EpidemicParams(betas, gamma_i),
-                           beta=sir_beta(variant, b1 * means[0] ** 2))
+        model = closed_model(variant, closure, kin(delta, lam=lam), EpidemicParams(betas, gamma_i),
+                             b1 * means[0] ** 2)
         s0 = MacroState(*rho, *means)
         times, states = rk4_integrate(model, s0, dt, 200 * dt)
         assert states == oracle_rk4(oracle_rhs, model, s0, dt, 200)
@@ -284,8 +287,8 @@ class TestIntegration:
     ):
         delta = -1.0 if closure is ClosureKind.INVERSE_GAMMA else 1.0
         betas = (b1,) if variant is MacroVariant.L1 else (b1, b2)
-        model = MacroModel(variant, closure, kin(delta, lam=lam), EpidemicParams(betas, gamma_i),
-                           beta=sir_beta(variant, b1 * mean**2))
+        model = closed_model(variant, closure, kin(delta, lam=lam), EpidemicParams(betas, gamma_i),
+                             b1 * mean**2)
         total = sum(rho)
         s0 = MacroState(*(r / total for r in rho), mean, mean, mean)
         _, states = rk4_integrate(model, s0, dt, 200 * dt)
