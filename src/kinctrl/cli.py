@@ -51,7 +51,7 @@ from .io import (
     write_manifest,
     write_trajectory,
 )
-from .kinetic import OBSERVABLES, gamma_profile_state, run_scenario
+from .kinetic import OBSERVABLES, check_mass, gamma_profile_state, run_scenario
 from .macro import MacroModel, MacroState, MacroVariant, controlled_sir, rk4_integrate
 from .params import (
     ClosureKind,
@@ -350,6 +350,7 @@ def run_fp_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tu
     f = _build("initial", uniform_density, grid, *_interval(cfg, grid.x_max))
     n_steps = step_count(t_final, dt)
     op = build_operator(p, c, grid)
+    mass0 = f.mass()
     clock.enter("steps_s")
     if m_ref is not None:
         stepper = SpStepper(op, m_ref, dt, p.tau)
@@ -358,8 +359,10 @@ def run_fp_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tu
             vals = stepper.step(vals)
         f = ContactDensity(grid, vals)
     else:
-        for _ in range(n_steps):
+        for k in range(n_steps):
+            check_mass(f.mass(), mass0, k * dt)  # before the mean, which needs mass > 0
             f = ContactDensity(grid, sp_step_batch(op, [f.values], [f.mean()], dt, p.tau)[0])
+    check_mass(f.mass(), mass0, t_final)
 
     clock.enter("output_s")
     steady = steady_state_solve(op, m_ref or f.mean())
@@ -557,6 +560,16 @@ RUNNERS = {
 }
 
 
+def _first_non_finite(value, name: str) -> str | None:
+    """Name of the first NaN or infinite float in value and the dicts and lists it nests."""
+    if isinstance(value, list):
+        value = dict(enumerate(value))
+    if not isinstance(value, dict):
+        return name if isinstance(value, float) and not math.isfinite(value) else None
+    found = (_first_non_finite(item, f"{name}[{key!r}]") for key, item in value.items())
+    return next(filter(None, found), None)
+
+
 def execute(config_path: Path, out_dir: Path | None = None, seed: int | None = None) -> Path:
     """Run one scenario config; returns the output directory."""
     cfg = load_config(config_path)
@@ -573,6 +586,8 @@ def execute(config_path: Path, out_dir: Path | None = None, seed: int | None = N
     clock = PhaseClock()
     metrics, diagnostics = RUNNERS[kind](cfg, out, eff_seed, clock)
     elapsed = clock.enter(None)
+    if (bad := _first_non_finite(metrics, "metrics")) is not None:
+        raise NumericsError(f"{bad} is not finite; no manifest written")
 
     p = _kinetic_params(cfg) if "kinetic" in cfg else None
     derived = {}

@@ -32,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import NumericsError
 from .params import (
     STRATEGY_RULES,
     ControlSpec,
@@ -108,7 +109,7 @@ class Histogram:
         width = edges[1] - edges[0]
         total = counts.sum()
         if total == 0:
-            raise ValueError("no samples fall inside [0, x_max]")
+            raise NumericsError("no particle lies inside [0, x_max]")
         return cls(edges, counts / (total * width))
 
     @property

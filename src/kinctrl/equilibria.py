@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvariantViolationError, NumericsError, TailInconclusiveError
+from .errors import NumericsError, TailInconclusiveError
 from .fp import ContactDensity, Grid
 from .params import ControlSpec, EquilibriumKind, KineticParams
 
@@ -142,36 +142,6 @@ def controlled_steady_state(
     density = EquilibriumDensity(p, m, grid, control=c)
     _check_tail_resolved(density.values, grid)
     return density
-
-
-def self_consistent_mean(p: KineticParams, c: ControlSpec, grid: Grid, m0: float) -> float:
-    """Fixed point m* of m -> mean(controlled steady state at m), from initial guess m0.
-
-    Secant steps on the residual r(m) = mean(m) - m, started by one plain
-    fixed-point step; returns the first m whose secant step, the estimated
-    distance to the root, is at most 1e-12 max(1, |m|), or whose residual is
-    at its roundoff floor of a few ulps of m.  A weak control flattens r (its
-    slope is about -k/(lam + k) for control A), so a small residual alone
-    does not put m near the root.  At stiff scale separation every
-    compartment mean sits at m*.
-    """
-    def residual(m: float) -> float:
-        return controlled_steady_state(p, c, m, grid).raw_moment(1) - m
-
-    m_prev, r_prev = m0, residual(m0)
-    m = m0 + r_prev
-    for _ in range(50):
-        r = residual(m)
-        scale = max(1.0, abs(m))
-        if abs(r) <= 4.0 * np.finfo(float).eps * scale:
-            return m
-        if r == r_prev:
-            break
-        step = r * (m - m_prev) / (r - r_prev)
-        if abs(step) <= 1e-12 * scale:
-            return m
-        m, m_prev, r_prev = m - step, m, r
-    raise InvariantViolationError(f"self-consistent mean did not converge from m0 = {m0}")
 
 
 class TailKind(Enum):

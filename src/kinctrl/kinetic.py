@@ -235,6 +235,13 @@ class ScenarioResult:
         return self.observables[:, names.index(name.lower())]
 
 
+def check_mass(mass: float, mass0: float, t: float) -> None:
+    """Raise InvariantViolationError unless |mass - mass0| <= MASS_DRIFT_TOL max(mass0, 1)."""
+    drift = abs(mass - mass0)
+    if not drift <= MASS_DRIFT_TOL * max(mass0, 1.0):
+        raise InvariantViolationError(f"total mass drifted by {drift:.3e} at t = {t}", t=t)
+
+
 def run_scenario(
     initial: KineticSIRState, p: KineticParams, c: ControlSpec, e: EpidemicParams,
     t_final: float, dt: float, output_every: int = 1,
@@ -253,11 +260,7 @@ def run_scenario(
     rows = [state.observables()]
     for k in range(1, n_steps + 1):
         state = split_step(state, p, c, e, dt)
-        drift = abs(state.total_mass() - mass0)
-        if drift > MASS_DRIFT_TOL * max(mass0, 1.0):
-            raise InvariantViolationError(
-                f"total mass drifted by {drift:.3e} at t = {k * dt}", t=k * dt
-            )
+        check_mass(state.total_mass(), mass0, k * dt)
         if k in recorded:
             rows.append(state.observables())
     return ScenarioResult(np.asarray(steps) * dt, np.array(rows), state)

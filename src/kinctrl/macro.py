@@ -12,12 +12,13 @@ beta = b1 M1^2 + b2 M2^2, with M1, M2 the steady state's moments at m*.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .equilibria import controlled_steady_state, self_consistent_mean
+from .equilibria import EquilibriumDensity, controlled_steady_state
 from .errors import InvariantViolationError
 from .fp import Grid
 from .params import (
@@ -143,20 +144,33 @@ def rhs(model: MacroModel, s: MacroState) -> MacroState:
     return MacroState(-infection, infection - recovery, recovery, d_m_s, d_m_i, d_m_r)
 
 
-def peak_contacts(
-    closure: ClosureKind, order: MacroVariant, m_s0: float, lam: float
-) -> float:
-    """Upper bound reached by the infected mean when only the highest moment drives.
+def _self_consistent_state(
+    p: KineticParams, c: ControlSpec, grid: Grid, m0: float
+) -> tuple[float, EquilibriumDensity]:
+    """The fixed point m* of m -> mean(controlled steady state at m), and the steady state at m*.
 
-    For the first-order system the bound is c2 * m_S(0); for the second-order
-    system with beta_1 = 0 it is (c3/c2) * m_S(0).
+    Secant steps on r(m) = mean(m) - m from m0, started by one fixed-point
+    step, until the step (the estimated distance to the root) is at most
+    1e-12 max(1, |m|) or r is a few ulps of m.  A weak control flattens r
+    (slope about -k/(lam + k) for control A), so a small r alone does not put
+    m near the root.
     """
-    if order is MacroVariant.L1:
-        return closure_moment(closure, 2, 1.0, lam) * m_s0
-    if order is MacroVariant.L2:
-        c3 = closure_moment(closure, 3, 1.0, lam)
-        return c3 / closure_moment(closure, 2, 1.0, lam) * m_s0
-    raise ValueError(f"peak bound defined for L1/L2 only, got {order}")
+    f = controlled_steady_state(p, c, m0, grid)
+    m_prev, r_prev = m0, f.raw_moment(1) - m0
+    m = m0 + r_prev
+    for _ in range(50):
+        f = controlled_steady_state(p, c, m, grid)
+        r = f.raw_moment(1) - m
+        scale = max(1.0, abs(m))
+        if abs(r) <= 4.0 * sys.float_info.epsilon * scale:
+            return m, f
+        if r == r_prev:
+            break
+        step = r * (m - m_prev) / (r - r_prev)
+        if abs(step) <= 1e-12 * scale:
+            return m, f
+        m, m_prev, r_prev = m - step, m, r
+    raise InvariantViolationError(f"self-consistent mean did not converge from m0 = {m0}")
 
 
 def controlled_sir(
@@ -170,8 +184,7 @@ def controlled_sir(
     holds fixed.  Rejects an incidence with beta0 or more than two betas.
     """
     _check_incidence(e, range(1, 3), "the controlled macro system")
-    m_star = self_consistent_mean(p, c, grid, m0)
-    f = controlled_steady_state(p, c, m_star, grid)
+    m_star, f = _self_consistent_state(p, c, grid, m0)
     b2 = e.betas[1] if e.order > 1 else 0.0
     beta = e.betas[0] * f.raw_moment(1) ** 2 + b2 * f.raw_moment(2) ** 2
     return MacroModel(MacroVariant.CLASSICAL_SIR, ClosureKind.DIRAC, p, e, beta=beta), m_star
@@ -184,9 +197,10 @@ def rk4_integrate(
 
     Returns the time and the state after every step, t = 0 included.  The
     compartment masses must keep summing to their initial total within
-    MASS_SUM_TOL at every step; a violation aborts with the last valid state
-    attached to the raised error.  The stages are written out component by
-    component: the step's cost is otherwise interpreter overhead.
+    MASS_SUM_TOL at every step; a violation, or a step that overflows, aborts
+    with the last valid state attached to the raised InvariantViolationError.
+    The stages are written out component by component: the step's cost is
+    otherwise interpreter overhead.
     """
     n_steps = step_count(t_final, dt)
     half, sixth = 0.5 * dt, dt / 6.0
@@ -194,29 +208,33 @@ def rk4_integrate(
     times = [0.0]
     states = [s0]
     y = s0
-    for k in range(1, n_steps + 1):
-        y1, y2, y3, y4, y5, y6 = y
-        a1, a2, a3, a4, a5, a6 = rhs(model, y)
-        b1, b2, b3, b4, b5, b6 = rhs(model, (y1 + half * a1, y2 + half * a2, y3 + half * a3,
-                                             y4 + half * a4, y5 + half * a5, y6 + half * a6))
-        c1, c2, c3, c4, c5, c6 = rhs(model, (y1 + half * b1, y2 + half * b2, y3 + half * b3,
-                                             y4 + half * b4, y5 + half * b5, y6 + half * b6))
-        d1, d2, d3, d4, d5, d6 = rhs(model, (y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
-                                             y4 + dt * c4, y5 + dt * c5, y6 + dt * c6))
-        rho_s = y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-        rho_i = y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-        rho_r = y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-        y = MacroState(rho_s, rho_i, rho_r,
-                       y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
-                       y5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
-                       y6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6))
-        mass = rho_s + rho_i + rho_r
-        if not math.isfinite(mass) or abs(mass - target_sum) > MASS_SUM_TOL:
-            raise InvariantViolationError(
-                f"compartment masses summed to {mass!r} at t = {k * dt}",
-                t=times[-1],
-                last_state=states[-1],
-            )
-        times.append(k * dt)
-        states.append(y)
+    try:
+        for k in range(1, n_steps + 1):
+            y1, y2, y3, y4, y5, y6 = y
+            a1, a2, a3, a4, a5, a6 = rhs(model, y)
+            b1, b2, b3, b4, b5, b6 = rhs(model, (y1 + half * a1, y2 + half * a2, y3 + half * a3,
+                                                 y4 + half * a4, y5 + half * a5, y6 + half * a6))
+            c1, c2, c3, c4, c5, c6 = rhs(model, (y1 + half * b1, y2 + half * b2, y3 + half * b3,
+                                                 y4 + half * b4, y5 + half * b5, y6 + half * b6))
+            d1, d2, d3, d4, d5, d6 = rhs(model, (y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
+                                                 y4 + dt * c4, y5 + dt * c5, y6 + dt * c6))
+            rho_s = y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+            rho_i = y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+            rho_r = y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+            y = MacroState(rho_s, rho_i, rho_r,
+                           y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+                           y5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+                           y6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6))
+            mass = rho_s + rho_i + rho_r
+            if not math.isfinite(mass) or abs(mass - target_sum) > MASS_SUM_TOL:
+                raise InvariantViolationError(
+                    f"compartment masses summed to {mass!r} at t = {k * dt}",
+                    t=times[-1],
+                    last_state=states[-1],
+                )
+            times.append(k * dt)
+            states.append(y)
+    except OverflowError as exc:
+        raise InvariantViolationError(f"macro step overflowed at t = {k * dt}: {exc}",
+                                      t=times[-1], last_state=states[-1]) from exc
     return times, states

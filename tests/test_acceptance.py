@@ -42,7 +42,6 @@ from kinctrl.macro import (
     MacroState,
     MacroVariant,
     controlled_sir,
-    peak_contacts,
     rk4_integrate,
 )
 
@@ -369,11 +368,12 @@ def test_criterion_6_conservation_and_monotonicity():
         assert all(b.m_s <= a.m_s + 1e-12 for a, b in zip(states, states[1:]))
 
         # analytic peak orderings across the admissible tail range
+        # (c2 m_S(0) at L1, c3/c2 m_S(0) at L2 with beta_1 = 0)
         for lam in np.linspace(2.05, 20.0, 25):
-            l1_g = peak_contacts(ClosureKind.GAMMA, MacroVariant.L1, 10.0, lam)
-            l1_i = peak_contacts(ClosureKind.INVERSE_GAMMA, MacroVariant.L1, 10.0, lam)
-            l2_g = peak_contacts(ClosureKind.GAMMA, MacroVariant.L2, 10.0, lam)
-            l2_i = peak_contacts(ClosureKind.INVERSE_GAMMA, MacroVariant.L2, 10.0, lam)
+            c2_g, c3_g = (closure_moment(ClosureKind.GAMMA, r, 1.0, lam) for r in (2, 3))
+            c2_i, c3_i = (closure_moment(ClosureKind.INVERSE_GAMMA, r, 1.0, lam) for r in (2, 3))
+            l1_g, l2_g = c2_g * 10.0, c3_g / c2_g * 10.0
+            l1_i, l2_i = c2_i * 10.0, c3_i / c2_i * 10.0
             assert l1_i > l1_g and l2_i > l2_g and l2_i > l1_i
 
         assert time.monotonic() - start < 5.0

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from kinctrl.cli import (
+    RUNNERS,
     bundled_config_path,
     compare_runs,
     execute,
@@ -289,6 +292,49 @@ class TestExitCodes:
         cfg = controlled_epidemic_config(tmp_path)
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
         assert "NumericsError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, edits, failure",
+        [
+            # NaN mass after the first step; the drift test must not let NaN through
+            ("test4_uncontrolled",
+             [("epidemic.betas.0", 1e300), ("grid.n_cells", 500), ("time.t_final", 0.05)],
+             "InvariantViolationError"),
+            # every particle leaves [0, x_max]
+            ("test1_control_b",
+             [("control.x_target", 1e300), ("dsmc.n_particles", 1000), ("time.t_final", 0.05)],
+             "NumericsError"),
+            # the fp relaxation loses its mass, or its positivity
+            ("test1_fp_control_b", [("kinetic.sigma2", 1e300), ("time.t_final", 0.1)],
+             "InvariantViolationError"),
+            ("test1_fp_uncontrolled_deltam1", [("kinetic.tau", 1e-300), ("time.t_final", 0.1)],
+             "InvariantViolationError"),
+            ("test1_fp_control_b",
+             [("kinetic.sigma2", 1e300), ("time.t_final", 0.1), ("fp", {})],
+             "InvariantViolationError"),
+            # the macro RK4 step overflows
+            ("closure_l1_gamma", [("epidemic.betas.0", 1e300), ("time.t_final", 1.0)],
+             "InvariantViolationError"),
+        ],
+    )
+    def test_numerical_blowup_exits_three(self, tmp_path, capsys, name, edits, failure):
+        cfg = load_config(bundled_config_path(f"{name}.json"))
+        for path, value in edits:
+            set_field(path, value)(cfg)
+        path = tmp_path / "blowup.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert failure in capsys.readouterr().err
+
+    def test_non_finite_metric_exits_three_without_a_manifest(self, tmp_path, monkeypatch, capsys):
+        def nan_metric(cfg, out, seed, clock):
+            return {"tails": {"a": {"window": [1.0, 2.0], "exponent": float("nan")}}}, {}
+
+        monkeypatch.setitem(RUNNERS, "tail_sweep", nan_metric)
+        path = bundled_config_path("test2_nu_sweep.json")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "metrics['tails']['a']['exponent']" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_code_bug_propagates(self, tmp_path, monkeypatch):
         def bug(*args, **kwargs):
@@ -639,10 +685,16 @@ class TestBundledScenarios:
             load_config(bundled_config_path(name))
 
     def test_cli_entry_point(self):
+        # the subprocess does not see pytest's pythonpath, so a checkout
+        # that is not installed needs src on PYTHONPATH
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "kinctrl.cli", "list-scenarios"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "test1_uncontrolled_deltam1.json" in proc.stdout

@@ -16,7 +16,6 @@ from kinctrl import (
     controlled_steady_state,
     tail_classify,
 )
-from kinctrl.equilibria import self_consistent_mean
 from kinctrl.errors import NumericsError
 
 
@@ -176,28 +175,6 @@ class TestControlledSteadyStates:
         p = kp(-1.0, alpha=0.4)
         f = controlled_steady_state(p, ControlSpec.interaction(nu, 3.0), 10.0, Grid(200.0, 10000))
         assert tail_classify(f, (20.0, 40.0)).kind is TailKind.SLIM_TAIL
-
-
-class TestSelfConsistentMean:
-    # control A with k = 2/(sigma2 nu): the residual r(m) = mean(m) - m has
-    # slope about -k/(lam + k), so at nu = 1e9 a residual of 1e-12 still sits
-    # about 1e-3 from the root; the discrete root on this grid is near 2.99996
-    @staticmethod
-    def solve(nu):
-        p, grid, c = kp(-1.0), Grid(3000.0, 60000), ControlSpec.additive(nu, 3.0)
-        m = self_consistent_mean(p, c, grid, 10.0)
-        return m, controlled_steady_state(p, c, m, grid).raw_moment(1) - m
-
-    def test_weak_control_lands_on_the_root(self):
-        m, r = self.solve(1e9)
-        assert abs(r) <= 1e-14
-        assert abs(m - 3.0) <= 1e-4
-
-    @pytest.mark.parametrize("nu, m_star", [(1.0, 2.9999999999999982), (1e6, 2.9999999617146753)])
-    def test_strong_controls_unchanged(self, nu, m_star):
-        m, r = self.solve(nu)
-        assert m == pytest.approx(m_star, rel=1e-12)
-        assert abs(r) <= 1e-14
 
 
 class TestTailClassify:

@@ -18,7 +18,6 @@ from kinctrl.macro import (
     MacroState,
     MacroVariant,
     controlled_sir,
-    peak_contacts,
     rhs,
     rk4_integrate,
 )
@@ -224,28 +223,6 @@ class TestOracle:
             assert gap <= 1e-15, (control.strategy, gap)
 
 
-class TestPeakContacts:
-    def test_hand_values(self):
-        assert peak_contacts(ClosureKind.GAMMA, MacroVariant.L1, 10.0, 5.0) == pytest.approx(12.0)
-        assert peak_contacts(ClosureKind.INVERSE_GAMMA, MacroVariant.L1, 10.0, 5.0) == pytest.approx(12.5)
-        assert peak_contacts(ClosureKind.GAMMA, MacroVariant.L2, 10.0, 5.0) == pytest.approx(14.0)
-
-    def test_orderings_across_lam(self):
-        for lam in np.linspace(2.05, 20.0, 40):
-            g1 = peak_contacts(ClosureKind.GAMMA, MacroVariant.L1, 10.0, lam)
-            i1 = peak_contacts(ClosureKind.INVERSE_GAMMA, MacroVariant.L1, 10.0, lam)
-            g2 = peak_contacts(ClosureKind.GAMMA, MacroVariant.L2, 10.0, lam)
-            i2 = peak_contacts(ClosureKind.INVERSE_GAMMA, MacroVariant.L2, 10.0, lam)
-            assert i1 > g1 and i2 > g2
-            assert i2 > i1
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            peak_contacts(ClosureKind.INVERSE_GAMMA, MacroVariant.L1, 10.0, 1.0)
-        with pytest.raises(ValueError):
-            peak_contacts(ClosureKind.INVERSE_GAMMA, MacroVariant.L2, 10.0, 2.0)
-
-
 class TestIntegration:
     def test_pure_recovery_decay(self):
         model = MacroModel(MacroVariant.L1, ClosureKind.GAMMA,
@@ -300,8 +277,18 @@ class TestIntegration:
         model = MacroModel(MacroVariant.L2, ClosureKind.INVERSE_GAMMA,
                            kin(-1.0), EpidemicParams((0.0, 2e-6), GAMMA_I))
         _, states = rk4_integrate(model, state(rho_i=1e-3, rho_r=1e-3), 0.01, 600.0)
-        bound = peak_contacts(ClosureKind.INVERSE_GAMMA, MacroVariant.L2, 10.0, 5.0)
+        # with beta_1 = 0 the infected mean stays below c3/c2 m_S(0)
+        c2, c3 = (closure_moment(ClosureKind.INVERSE_GAMMA, r, 1.0, 5.0) for r in (2, 3))
+        bound = c3 / c2 * 10.0
         assert max(s.m_i for s in states) <= bound + 1e-9
+
+    def test_overflow_is_an_invariant_violation_with_the_last_state(self):
+        model = MacroModel(MacroVariant.L1, ClosureKind.GAMMA,
+                           kin(1.0), EpidemicParams((1e300,), GAMMA_I))
+        s0 = state()
+        with pytest.raises(InvariantViolationError, match="overflow") as info:
+            rk4_integrate(model, s0, 0.01, 1.0)
+        assert (info.value.t, info.value.last_state) == (0.0, s0)
 
     def test_dirac_closure_collapses_to_classical_sir(self):
         epi = EpidemicParams((1e-3,), GAMMA_I)
@@ -405,3 +392,44 @@ class TestControlledMacro:
         _, m_star = controlled_sir(kinetic, epi, c, grid, 10.0)
         residual = controlled_steady_state(kinetic, c, m_star, grid).raw_moment(1) - m_star
         assert abs(residual) <= 1e-12
+
+    def test_each_steady_state_is_built_once(self, monkeypatch):
+        # the secant hands controlled_sir the density at m*, so no mean is
+        # built twice, whichever module's name the build goes through
+        built = []
+
+        def record(p, c, m, grid):
+            built.append((c.strategy, m))
+            return controlled_steady_state(p, c, m, grid)
+
+        monkeypatch.setattr("kinctrl.equilibria.controlled_steady_state", record)
+        monkeypatch.setattr("kinctrl.macro.controlled_steady_state", record)
+        epi = EpidemicParams((2e-2, 2e-6), GAMMA_I)
+        controls = (ControlSpec.additive(1.0, 3.0), ControlSpec.interaction(1.0, 3.0))
+        for c in controls:
+            controlled_sir(kin(-1.0, tau=1e-5), epi, c, Grid(500.0, 25000), 10.0)
+        assert {strategy for strategy, _ in built} == {c.strategy for c in controls}
+        assert len(built) == len(set(built))
+
+
+class TestSelfConsistentMean:
+    # control A with k = 2/(sigma2 nu): the residual r(m) = mean(m) - m has
+    # slope about -k/(lam + k), so at nu = 1e9 a residual of 1e-12 still sits
+    # about 1e-3 from the root; the discrete root on this grid is near 2.99996
+    @staticmethod
+    def solve(nu):
+        p = KineticParams(alpha=1.0, sigma2=0.2, delta=-1.0)
+        grid, c = Grid(3000.0, 60000), ControlSpec.additive(nu, 3.0)
+        _, m = controlled_sir(p, EpidemicParams((2e-2,), GAMMA_I), c, grid, 10.0)
+        return m, controlled_steady_state(p, c, m, grid).raw_moment(1) - m
+
+    def test_weak_control_lands_on_the_root(self):
+        m, r = self.solve(1e9)
+        assert abs(r) <= 1e-14
+        assert abs(m - 3.0) <= 1e-4
+
+    @pytest.mark.parametrize("nu, m_star", [(1.0, 2.9999999999999982), (1e6, 2.9999999617146753)])
+    def test_strong_controls_unchanged(self, nu, m_star):
+        m, r = self.solve(nu)
+        assert m == pytest.approx(m_star, rel=1e-12)
+        assert abs(r) <= 1e-14
