@@ -14,6 +14,12 @@ blocks across the usable CPUs, each chunk computing in buffers the ensemble
 keeps, so no block allocates.  A block's draws do not depend on the chunk or
 thread that runs it: runs repeat bit for bit on any number of CPUs.
 
+At a fixed reference mean the particles never interact, so a run that is not
+dense takes no steps at all: each block runs to the end on its own stream in
+rounds (_run_block), round r moving every particle whose r-th firing still
+falls inside the run.  The step-major dsmc_step loop is kept for the dense
+path and for a run at the ensemble mean, which changes every step.
+
 The deterministic part of every transition is mean-reverting: contacts relax
 toward the reference mean (uncontrolled) or toward a blend of mean and target
 (controlled rules).  The control is the one the operators take: its
@@ -48,16 +54,17 @@ from .params import (
 class ParticleEnsemble:
     """Fixed-size population of contact numbers with its random streams.
 
-    rng drives the clock path; streams holds one generator per block of
-    _BLOCK particles, spawned from rng's seed sequence when the ensemble is
-    built (rng's own stream is untouched), and the dense step moves block b
-    with streams[b] alone.  n_clamped accumulates how many proposed
-    transitions had to be clipped at zero to keep contacts admissible;
-    threads is how many chunks the last step ran in (1 on the clock path),
-    and scratch holds each chunk's block buffers for the dense step.
-    Particle i next fires at step clocks[i] of n_steps; dsmc_step redraws all
-    clocks (exact: Geometric gaps are memoryless) when their step law or
-    samples array is no longer current.
+    rng drives the clock path of dsmc_step; streams holds one generator per
+    block of _BLOCK particles, spawned from rng's seed sequence when the
+    ensemble is built (rng's own stream is untouched), and the dense step and
+    the rounds of run_to_equilibrium move block b with streams[b] alone.
+    n_clamped accumulates how many proposed transitions had to be clipped at
+    zero to keep contacts admissible; threads is how many chunks the last
+    step ran in (1 on the clock path and in rounds), and scratch holds each
+    chunk's block buffers for the dense step.  Particle i next fires at step
+    clocks[i] of n_steps; dsmc_step redraws all clocks (exact: Geometric gaps
+    are memoryless) when their step law or samples array is no longer
+    current, or a run in rounds has moved the samples since.
     """
 
     samples: np.ndarray
@@ -189,14 +196,8 @@ def dsmc_step(
     The particle count is conserved exactly.  A controlled c at delta != -1
     raises ValueError before any draw.
     """
-    check_step_size(dt, p.epsilon, sigma_bound)
-    check_operator_domain(p, c)
-    if not m > 0:
-        raise ValueError(f"reference mean must be > 0, got {m}")
     x = ens.samples
-    if p.delta == -1.0 and _fire_prob(1.0, p, dt, sigma_bound) == 1.0:
-        if len(ens.streams) * _BLOCK < x.size:
-            raise ValueError("samples outgrew the streams spawned when the ensemble was built")
+    if _check_law(ens, m, p, c, dt, sigma_bound):
         ens.clock_law = None  # the moved samples outdate any clocks
         starts = _chunk_starts(x.size)
         scratch = _scratch(ens, len(starts) - 1)
@@ -227,6 +228,19 @@ def dsmc_step(
     ens.n_clamped += clamped
     ens.n_steps += 1
     return ens
+
+
+def _check_law(ens: ParticleEnsemble, m: float, p: KineticParams, c: ControlSpec, dt: float,
+               sigma_bound: float) -> bool:
+    """Raise ValueError, before any draw, for a step law ens cannot take;
+    return whether it is dense (every particle fires every step)."""
+    check_step_size(dt, p.epsilon, sigma_bound)
+    check_operator_domain(p, c)
+    if not m > 0:
+        raise ValueError(f"reference mean must be > 0, got {m}")
+    if len(ens.streams) * _BLOCK < ens.size:
+        raise ValueError("samples outgrew the streams spawned when the ensemble was built")
+    return p.delta == -1.0 and _fire_prob(1.0, p, dt, sigma_bound) == 1.0
 
 
 def _usable_cpus() -> int:
@@ -295,6 +309,35 @@ def _fire_prob(x, p: KineticParams, dt: float, sigma_bound: float):
     return np.minimum(np.minimum(collision_kernel(x, p), sigma_bound) * (dt / p.epsilon), 1.0)
 
 
+def _run_block(x: np.ndarray, rng, m: float, p: KineticParams, c: ControlSpec, dt: float,
+               sigma_bound: float, n_steps: int) -> tuple[int, int]:
+    """Run the particles of x through n_steps clock-path steps at the fixed
+    mean m, in place and in rounds, every draw from rng; returns the numbers
+    of transitions and of clamped proposals.
+
+    Each particle draws a Geometric gap from its last firing (step -1 before
+    the run) to its next; round r moves with _move every particle whose r-th
+    firing falls inside the run, then redraws only those particles' gaps.
+    The gap is compared with the steps left, never added first: a gap
+    saturated at the int64 maximum is beyond any run.
+    """
+    idx = np.arange(x.size)
+    last = np.full(x.size, -1)
+    new = x
+    buffers = _buffers(x.size)
+    moves = clamped = 0
+    while True:
+        gap = rng.geometric(_fire_prob(new, p, dt, sigma_bound))
+        due = gap <= n_steps - 1 - last
+        idx, last = idx[due], last[due] + gap[due]
+        if idx.size == 0:
+            return moves, clamped
+        new = x[idx]
+        clamped += _move(new, (rng,), m, p, c, buffers)
+        x[idx] = new
+        moves += idx.size
+
+
 def run_to_equilibrium(
     ens: ParticleEnsemble,
     p: KineticParams,
@@ -306,18 +349,31 @@ def run_to_equilibrium(
     x_max: float = 100.0,
     n_bins: int = 400,
 ) -> Histogram:
-    """Iterate dsmc_step to t_final and return the normalized histogram.
+    """Run the ensemble to t_final and return the normalized histogram.
 
     m_ref fixes the reference mean of the growth term for the whole run
-    (relaxation toward a prescribed mean); with m_ref = None the ensemble
-    mean is recomputed once per step, which conserves the mean for
-    delta = +/-1.
+    (relaxation toward a prescribed mean): unless every particle fires every
+    step, block b of _BLOCK particles then runs to t_final on its own with
+    ens.streams[b], in rounds (_run_block), and the counts on ens are those
+    of as many steps.  Otherwise the run iterates dsmc_step; with
+    m_ref = None the ensemble mean is recomputed once per step, which
+    conserves the mean for delta = +/-1.
     """
     n_steps = step_count(t_final, dt)
     if n_steps == 0:
         raise ValueError(f"t_final = {t_final} is 0 steps of dt = {dt}; a run needs at least one")
-    for _ in range(n_steps):
-        m = ens.mean() if m_ref is None else m_ref
-        dsmc_step(ens, m, p, c, dt, sigma_bound)
-    ens.scratch = []  # the steps are done: free their block buffers
+    if m_ref is None or _check_law(ens, m_ref, p, c, dt, sigma_bound):
+        for _ in range(n_steps):
+            m = ens.mean() if m_ref is None else m_ref
+            dsmc_step(ens, m, p, c, dt, sigma_bound)
+        ens.scratch = []  # the steps are done: free their block buffers
+    else:
+        x = ens.samples
+        for a, rng in zip(range(0, x.size, _BLOCK), ens.streams):
+            moves, clamped = _run_block(x[a : a + _BLOCK], rng, m_ref, p, c, dt, sigma_bound, n_steps)
+            ens.n_transitions += moves
+            ens.n_clamped += clamped
+        ens.n_steps += n_steps
+        ens.threads = 1
+        ens.clock_law = None  # the moved samples outdate any clocks
     return Histogram.from_samples(ens.samples, n_bins, x_max)

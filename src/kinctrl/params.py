@@ -20,6 +20,10 @@ import numpy as np
 # limit; avoids catastrophic cancellation in ((x/m)^delta - 1) / delta.
 GOMPERTZ_DELTA_EPS = 1e-10
 
+# The most fixed steps one run may take: about 1 700 times the longest bundled
+# run (60 000 steps).  A larger count is a config error, not a long run.
+MAX_STEPS = 10**8
+
 
 def check_finite(name: str, value: float, low: float, strict: bool = False) -> None:
     """Raise ValueError naming the field unless value is finite and >= low (> low if strict)."""
@@ -294,11 +298,6 @@ class StrategyRule:
     shift_into: Callable
     steady_states: Mapping[float, EquilibriumKind]
 
-    def drift(self, x, m: float, p: KineticParams, c: ControlSpec):
-        """Drift C(x) at reference mean m."""
-        s = self.scalar(m, p)
-        return sum(s**k * term for k, term in enumerate(self.drift_terms(x, p, c)))
-
 
 STRATEGY_RULES: dict[Strategy, StrategyRule] = {
     Strategy.UNCONTROLLED: StrategyRule(
@@ -378,13 +377,17 @@ def step_count(t_final: float, dt: float) -> int:
     """Number of fixed steps of length dt that end exactly at t_final.
 
     Raises ValueError unless t_final >= 0 is a whole number of steps (to a
-    relative 1e-9), so that no integrator stops short of t_final.
+    relative 1e-9), so that no integrator stops short of t_final, and at
+    most MAX_STEPS of them.
     """
     if not (dt > 0 and np.isfinite(dt)):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if not (t_final >= 0 and np.isfinite(t_final)):
         raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
     ratio = t_final / dt
+    if ratio > MAX_STEPS:
+        raise ValueError(f"t_final = {t_final} is {ratio:.3g} steps of dt = {dt}, "
+                         f"more than MAX_STEPS = {MAX_STEPS}")
     n = round(ratio)
     if abs(ratio - n) > 1e-9 * max(n, 1):
         raise ValueError(f"t_final = {t_final} is not a whole number of steps dt = {dt}")

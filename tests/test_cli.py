@@ -268,6 +268,18 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "time.t_final" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["test4_uncontrolled", "closure_l1_gamma"])
+    def test_more_than_max_steps_exits_two_before_any_step(self, tmp_path, capsys, name):
+        # 1e302 steps: uncapped, the kinetic run's output-step list overflows
+        # and the macro run keeps every RK4 state, without end
+        cfg = load_config(bundled_config_path(f"{name}.json"))
+        cfg["time"]["t_final"] = 1e300
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "time.t_final" in err and "MAX_STEPS" in err
+
     @pytest.mark.parametrize("kind", ["dsmc_equilibrium", "fp_equilibrium", "controlled_epidemic"])
     def test_controlled_operator_at_other_delta_exits_two(self, tmp_path, capsys, kind):
         # the controlled rules are derived at delta = -1 only, at every level

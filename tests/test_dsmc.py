@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from kinctrl import (
     ClosureKind,
@@ -106,6 +107,15 @@ class TestTransition:
             proposed(1.0, 0.0, kp(), UN, 0.0)
 
 
+def assert_untouched(ens, fresh):
+    """ens is as fresh, built the same way: no draw, no move, no count."""
+    assert np.array_equal(ens.samples, fresh.samples)
+    for ours, theirs in zip([ens.rng, *ens.streams], [fresh.rng, *fresh.streams], strict=True):
+        assert ours.bit_generator.state == theirs.bit_generator.state
+    assert (ens.n_clamped, ens.n_transitions, ens.n_steps) == (0, 0, 0)
+    assert ens.clocks is None
+
+
 class TestStep:
     def test_every_particle_transitions_at_dt_equals_epsilon(self):
         p = kp()
@@ -136,16 +146,23 @@ class TestStep:
         # the controlled rules are derived at delta = -1 only, as for the operators
         p, c = kp(delta=1.0), ControlSpec(strategy, nu=1.0, x_target=3.0)
         ens = ParticleEnsemble.from_uniform(1_000, 4.0, 6.0, seed=7)
-        samples, state = ens.samples.copy(), ens.rng.bit_generator.state
         with pytest.raises(ValueError, match="delta"):
             if run == "dsmc_step":
                 dsmc_step(ens, 5.0, p, c, dt=0.001, sigma_bound=10.0)
             else:
                 run_to_equilibrium(ens, p, c, t_final=0.01, dt=0.001, sigma_bound=10.0, m_ref=5.0)
-        assert np.array_equal(ens.samples, samples)
-        assert ens.rng.bit_generator.state == state
-        assert (ens.n_clamped, ens.n_transitions, ens.n_steps) == (0, 0, 0)
-        assert ens.clocks is None
+        assert_untouched(ens, ParticleEnsemble.from_uniform(1_000, 4.0, 6.0, seed=7))
+
+    @pytest.mark.parametrize("m_ref, dt, match", [
+        (0.0, 0.001, "mean"), (-1.0, 0.001, "mean"), (float("nan"), 0.001, "mean"),
+        (5.0, 0.002, "exceeds"),
+    ])
+    def test_bad_run_in_rounds_raises_before_any_draw(self, m_ref, dt, match):
+        ens = ParticleEnsemble.from_uniform(_BLOCK + 1, 4.0, 6.0, seed=7)
+        with pytest.raises(ValueError, match=match):
+            run_to_equilibrium(ens, kp(delta=1.0), UN, t_final=0.01, dt=dt, sigma_bound=10.0,
+                               m_ref=m_ref)
+        assert_untouched(ens, ParticleEnsemble.from_uniform(_BLOCK + 1, 4.0, 6.0, seed=7))
 
     def test_equality_returns_a_bool(self):
         # ensembles compare by identity: equal samples arrays must not reach
@@ -484,6 +501,102 @@ class TestClocks:
             ens.samples = ens.samples / 10.0
         assert_fires_as(ens, lambda: dsmc_step(ens, ens.mean(), p, UN, dt=dt, sigma_bound=10.0),
                         fire_prob(ens.samples, 1.0, dt, 10.0))
+
+
+def rounds(n, seed, samples=None):
+    """A run in rounds: 200 steps at delta = +1 and m_ref = 5, from samples or
+    a uniform on [4, 6]."""
+    ens = ParticleEnsemble.from_uniform(n, 4.0, 6.0, seed=seed)
+    if samples is not None:
+        ens.samples = np.asarray(samples, dtype=float)
+    run_to_equilibrium(ens, kp(delta=1.0), UN, t_final=0.2, dt=0.001, sigma_bound=10.0, m_ref=5.0)
+    return ens
+
+
+class TestRounds:
+    # at a fixed reference mean the clock path runs each block to t_final on
+    # its own stream, in rounds, instead of stepping all particles together
+
+    def test_count_and_determinism(self):
+        a, b = rounds(20_000, seed=21), rounds(20_000, seed=21)
+        assert a.size == 20_000 and np.all(a.samples >= 0)
+        assert np.array_equal(a.samples, b.samples)
+        assert (a.n_transitions, a.n_clamped, a.n_steps, a.threads) == (
+            b.n_transitions, b.n_clamped, 200, 1)
+        assert a.n_transitions > 0
+
+    def test_same_law_as_the_step_major_path(self):
+        p = kp(delta=1.0)
+        steps = ParticleEnsemble.from_uniform(20_000, 4.0, 6.0, seed=22)
+        expected = variance = 0.0
+        for _ in range(200):
+            probs = fire_prob(steps.samples, 1.0, 0.001, 10.0)
+            expected += probs.sum()
+            variance += (probs * (1 - probs)).sum()
+            dsmc_step(steps, 5.0, p, UN, dt=0.001, sigma_bound=10.0)
+        ens = rounds(20_000, seed=22)
+        assert abs(ens.n_transitions - expected) < 5 * np.sqrt(variance)
+        assert ks_2samp(ens.samples, steps.samples).pvalue > 1e-3
+
+    def test_a_later_step_redraws_the_clocks(self):
+        # clocks drawn before the run are stale once it has moved the samples
+        p = kp(delta=1.0)
+        ens = ParticleEnsemble.from_uniform(100_000, 4.0, 6.0, seed=23)
+        dsmc_step(ens, 5.0, p, UN, dt=0.001, sigma_bound=10.0)
+        run_to_equilibrium(ens, p, UN, t_final=0.1, dt=0.001, sigma_bound=10.0, m_ref=5.0)
+        assert ens.n_steps == 101
+        assert_fires_as(ens, lambda: dsmc_step(ens, 5.0, p, UN, dt=0.001, sigma_bound=10.0),
+                        fire_prob(ens.samples, 1.0, 0.001, 10.0))
+
+    def test_a_saturated_gap_never_fires(self):
+        # at 1e290 the gap saturates at the int64 maximum; a firing there
+        # would overflow the growth term and clamp the particle to 0.  The
+        # second run starts at step 200, which a clock kept in steps of the
+        # whole ensemble would add to the saturated gap
+        x = np.append(np.linspace(4.0, 6.0, 1_000), 1e290)
+        ens = rounds(x.size, seed=24, samples=x)
+        run_to_equilibrium(ens, kp(delta=1.0), UN, t_final=0.2, dt=0.001, sigma_bound=10.0,
+                           m_ref=5.0)
+        assert ens.samples[-1] == 1e290
+        assert ens.n_clamped == 0 and ens.n_steps == 400
+
+    def test_a_saturated_gap_after_two_firings_is_beyond_the_run(self, monkeypatch):
+        # the first two rounds fire every particle, at steps 0 and 1; at
+        # delta = -0.5 a particle at 1e120 stays near 1e120 when it moves, and
+        # its next gap saturates, so last + gap would wrap negative and fire
+        real, calls = dsmc._fire_prob, []
+
+        def fire_prob_twice_certain(x, *args):
+            calls.append(x.size)
+            return np.ones_like(x) if len(calls) <= 2 else real(x, *args)
+
+        monkeypatch.setattr(dsmc, "_fire_prob", fire_prob_twice_certain)
+        x = np.full(8, 1e120)
+        moves, clamped = dsmc._run_block(x, np.random.default_rng(25), 5.0, kp(delta=-0.5), UN,
+                                         dt=0.001, sigma_bound=1.0, n_steps=200)
+        assert (moves, clamped, len(calls)) == (16, 0, 3)
+        assert np.all(x > 1e119)
+
+    @pytest.mark.parametrize("changed, kept", [(slice(_BLOCK, None), slice(_BLOCK)),
+                                               (slice(_BLOCK), slice(_BLOCK, None))])
+    def test_a_block_depends_on_its_own_stream_and_samples_only(self, changed, kept):
+        n = _BLOCK + 5_000
+        a = rounds(n, seed=26)
+        x = ParticleEnsemble.from_uniform(n, 4.0, 6.0, seed=26).samples
+        x[changed] = 9.0
+        b = rounds(n, seed=26, samples=x)
+        assert np.array_equal(a.samples[kept], b.samples[kept])
+        assert not np.array_equal(a.samples[changed], b.samples[changed])
+
+    def test_samples_beyond_the_spawned_streams_raise_before_any_move(self):
+        ens = ParticleEnsemble.from_uniform(_BLOCK, 4.0, 6.0, seed=27)
+        ens.samples = np.append(ens.samples, 5.0)
+        samples = ens.samples.copy()
+        with pytest.raises(ValueError, match="streams"):
+            run_to_equilibrium(ens, kp(delta=1.0), UN, t_final=0.01, dt=0.001, sigma_bound=10.0,
+                               m_ref=5.0)
+        assert np.array_equal(ens.samples, samples)
+        assert (ens.n_clamped, ens.n_transitions, ens.n_steps) == (0, 0, 0)
 
 
 class TestInvariants:

@@ -21,16 +21,11 @@ from scipy.linalg.lapack import dgtsv
 from kinctrl import fp
 from kinctrl.errors import NumericsError
 from kinctrl.fp import SpStepper, _bernoulli, interface_log_ratios, sp_step_batch
-from kinctrl.params import STRATEGY_RULES
+from oracles import drift
 
 
 def kp(delta, alpha=1.0, sigma2=0.2, **kw):
     return KineticParams(alpha=alpha, sigma2=sigma2, delta=delta, **kw)
-
-
-def drift(p, c, m, x):
-    """Drift C(x) of rule c at reference mean m."""
-    return STRATEGY_RULES[c.strategy].drift(x, m, p, c)
 
 
 def diffusion(p, x):

@@ -324,6 +324,20 @@ class TestIntegration:
         assert err.value.last_state == state()
 
 
+class TestObservedOrder:
+    def test_rk4_is_fourth_order_on_smooth_data(self):
+        # rho_R(0) > 0 keeps dm_R/dt smooth at t = 0; from rho_R(0) = 0 the
+        # RHO_R_FLOOR switch lowers the observed order of m_R to about 3.2
+        model = MacroModel(MacroVariant.L1, ClosureKind.INVERSE_GAMMA,
+                           kin(-1.0), EpidemicParams((0.005,), GAMMA_I))
+        s0 = MacroState(0.9, 0.09, 0.01, 10.0, 10.0, 10.0)
+        finals = np.array([rk4_integrate(model, s0, dt, 4.0)[1][-1]
+                           for dt in (0.4, 0.2, 0.1, 0.05, 0.025)])
+        diffs = np.abs(np.diff(finals, axis=0))
+        orders = np.log2(diffs[:-1] / diffs[1:])
+        assert np.all(orders >= 3.7), orders
+
+
 class TestControlledMacro:
     def grid(self):
         return Grid(200.0, 10000)

@@ -13,7 +13,8 @@ from kinctrl import (
     growth_rate_times_x,
     moment_ratio,
 )
-from kinctrl.params import STRATEGY_RULES, closure_kind, output_steps, step_count
+from kinctrl.params import MAX_STEPS, STRATEGY_RULES, closure_kind, output_steps, step_count
+from oracles import drift
 
 
 def kp(alpha=1.0, sigma2=0.2, delta=-1.0, **kw):
@@ -224,6 +225,14 @@ class TestStepCount:
         with pytest.raises(ValueError):
             step_count(t_final, dt)
 
+    @pytest.mark.parametrize("t_final, dt", [(1e300, 0.01), (1.0, 1e-300), (1e300, 1e-300)])
+    def test_rejects_more_than_max_steps(self, t_final, dt):
+        with pytest.raises(ValueError, match="MAX_STEPS"):
+            step_count(t_final, dt)
+
+    def test_max_steps_itself_is_a_run(self):
+        assert step_count(MAX_STEPS * 0.5, 0.5) == MAX_STEPS
+
     def test_output_steps_end_at_the_last_step(self):
         assert output_steps(60000, 100) == list(range(0, 60001, 100))
         assert output_steps(500, 7) == [*range(0, 498, 7), 500]
@@ -240,12 +249,12 @@ class TestStrategyTable:
         x = np.linspace(0.5, 40.0, 400)
         m = 5.0
         c = ControlSpec(strategy, nu=1.0, x_target=3.0)
-        drift = STRATEGY_RULES[strategy].drift(x, m, kp(), c)
+        c_x = drift(kp(), c, m, x)
 
         def gap(eps):
             shift = growth_rate_times_x(x, m, kp(epsilon=eps))
             STRATEGY_RULES[strategy].shift_into(x, shift, np.empty_like(x), eps, c)
-            return np.max(np.abs(shift / eps + drift)) / np.max(np.abs(drift))
+            return np.max(np.abs(shift / eps + c_x)) / np.max(np.abs(c_x))
 
         coarse, fine = gap(1e-4), gap(1e-6)
         assert fine < 5e-4
@@ -284,18 +293,18 @@ class TestStrategyTable:
             ref = gain * np.log(x / m)
         else:
             ref = gain * np.expm1(delta * np.log(x / m)) / delta
-        drift = STRATEGY_RULES[Strategy.UNCONTROLLED].drift(x, m, p, ControlSpec.uncontrolled())
-        assert np.max(np.abs(drift - ref)) <= 1e-13 * np.max(np.abs(ref))
+        c_x = drift(p, ControlSpec.uncontrolled(), m, x)
+        assert np.max(np.abs(c_x - ref)) <= 1e-13 * np.max(np.abs(ref))
         if delta in (-1.0, 1.0):
             direct = growth_rate_times_x(x, m, p) * collision_kernel(x, p)
-            assert np.max(np.abs(drift - direct)) <= 1e-13 * np.max(np.abs(direct))
+            assert np.max(np.abs(c_x - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("m", [0.5, 7.0, 90.0])
     def test_controlled_terms_match_factored_drift(self, m):
         p = kp(alpha=0.8)
         x = np.linspace(0.05, 120.0, 400)
-        a = STRATEGY_RULES[Strategy.ADDITIVE_A].drift(x, m, p, ControlSpec.additive(0.7, 3.0))
-        b = STRATEGY_RULES[Strategy.INTERACTION_B].drift(x, m, p, ControlSpec.interaction(0.7, 3.0))
+        a = drift(p, ControlSpec.additive(0.7, 3.0), m, x)
+        b = drift(p, ControlSpec.interaction(0.7, 3.0), m, x)
         ref_a = 0.5 * p.alpha * (x - m) + (x - 3.0) / 0.7
         ref_b = p.alpha**2 / (4.0 * 0.7) * (m - x) ** 2 * (x - 3.0)
         assert np.max(np.abs(a - ref_a)) <= 1e-13 * np.max(np.abs(ref_a))
