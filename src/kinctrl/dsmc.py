@@ -9,16 +9,17 @@ Geometric gaps, and a step moves only the particles whose clock is due, or the
 whole array in place when every probability is 1.  Both paths apply the one
 transition _move, block by block in three buffers.  The clock path draws from
 the ensemble's generator; the dense step moves block b with its own stream,
-spawned from that generator's seed when the ensemble is built, and splits the
-blocks across the usable CPUs, each chunk computing in buffers the ensemble
-keeps, so no block allocates.  A block's draws do not depend on the chunk or
-thread that runs it: runs repeat bit for bit on any number of CPUs.
+spawned from that generator's seed when the ensemble is built.
 
-At a fixed reference mean the particles never interact, so a run that is not
-dense takes no steps at all: each block runs to the end on its own stream in
-rounds (_run_block), round r moving every particle whose r-th firing still
-falls inside the run.  The step-major dsmc_step loop is kept for the dense
-path and for a run at the ensemble mean, which changes every step.
+At a fixed reference mean the particles never interact, so such a run takes
+no steps at all: each block of _BLOCK particles runs to the end on its own
+stream (_run_block), whole once per step when it is dense, otherwise in
+rounds, round r moving every particle whose r-th firing still falls inside
+the run.  A dense run splits its blocks into one chunk per usable CPU, so the
+thread pool is joined once per run; a block's draws do not depend on the
+chunk or thread that runs it, so runs repeat bit for bit on any number of
+CPUs.  The step-major dsmc_step loop is kept for a run at the ensemble mean,
+which changes every step.
 
 The deterministic part of every transition is mean-reverting: contacts relax
 toward the reference mean (uncontrolled) or toward a blend of mean and target
@@ -57,14 +58,14 @@ class ParticleEnsemble:
     rng drives the clock path of dsmc_step; streams holds one generator per
     block of _BLOCK particles, spawned from rng's seed sequence when the
     ensemble is built (rng's own stream is untouched), and the dense step and
-    the rounds of run_to_equilibrium move block b with streams[b] alone.
-    n_clamped accumulates how many proposed transitions had to be clipped at
-    zero to keep contacts admissible; threads is how many chunks the last
-    step ran in (1 on the clock path and in rounds), and scratch holds each
-    chunk's block buffers for the dense step.  Particle i next fires at step
-    clocks[i] of n_steps; dsmc_step redraws all clocks (exact: Geometric gaps
-    are memoryless) when their step law or samples array is no longer
-    current, or a run in rounds has moved the samples since.
+    every run of run_to_equilibrium at a fixed mean move block b with
+    streams[b] alone.  n_clamped accumulates how many proposed transitions
+    had to be clipped at zero to keep contacts admissible; threads is how
+    many chunks the last run or step ran in (more than 1 only for a dense run
+    at a fixed mean).  Particle i next fires at step clocks[i] of n_steps;
+    dsmc_step redraws all clocks (exact: Geometric gaps are memoryless) when
+    their step law or samples array is no longer current, or a run at a fixed
+    mean has moved the samples since.
     """
 
     samples: np.ndarray
@@ -77,7 +78,6 @@ class ParticleEnsemble:
     clock_law: Optional[tuple] = field(default=None, init=False)
     clock_samples: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     streams: list = field(init=False, repr=False)
-    scratch: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -150,14 +150,14 @@ def sample_noise(p: KineticParams, rng: np.random.Generator, size=None, out=None
     return u
 
 
-# Particles per block of _move.  It also fixes the dense step's stream layout
-# (one spawned generator per block), so changing it changes particle outputs.
-# Each block is computed in three buffers of this length, which each chunk of
-# the dense step reuses every step (two float, one bool: 2.1 MiB), so no block
-# allocates, and the per-block cost in Python, where threads hold the GIL, is
-# spread over 128 Ki particles.  Smaller blocks hand the GIL between chunk
-# threads more often, and each handoff that makes a thread sleep costs a
-# wake-up whose latency varies with the host.
+# Particles per block of _move.  It also fixes the stream layout (one spawned
+# generator per block), so changing it changes particle outputs.  Each block
+# is computed in three buffers of this length, which each chunk of a run
+# reuses for all its blocks and steps (two float, one bool: 2.1 MiB), so no
+# block allocates, and the per-block cost in Python, where threads hold the
+# GIL, is spread over 128 Ki particles.  Smaller blocks hand the GIL between
+# chunk threads more often, and each handoff that makes a thread sleep costs
+# a wake-up whose latency varies with the host.
 _BLOCK = 131_072
 
 
@@ -188,30 +188,16 @@ def dsmc_step(
     particles whose clock is due move and draw a Geometric gap to their next
     firing, or, when every probability is 1, all move in place with no clocks,
     in blocks of _BLOCK particles, block b drawing from ens.streams[b] and
-    never from ens.rng.  Those blocks are cut into one contiguous chunk per
-    usable CPU (at most one per block); the first chunk runs on the calling
-    thread, every other one on a shared thread pool, each computing its
-    blocks in the buffers of ens.scratch.  The clock path draws from ens.rng,
-    gathers the due particles and moves them with buffers made for the step.
-    The particle count is conserved exactly.  A controlled c at delta != -1
-    raises ValueError before any draw.
+    never from ens.rng.  The clock path draws from ens.rng, gathers the due
+    particles and moves them.  Both run on the calling thread, in buffers
+    made for the step.  The particle count is conserved exactly.  A
+    controlled c at delta != -1 raises ValueError before any draw.
     """
     x = ens.samples
     if _check_law(ens, m, p, c, dt, sigma_bound):
         ens.clock_law = None  # the moved samples outdate any clocks
-        starts = _chunk_starts(x.size)
-        scratch = _scratch(ens, len(starts) - 1)
-        futures = [
-            _pool(os.getpid()).submit(_move, x[a:b], ens.streams[a // _BLOCK :], m, p, c, buf)
-            for a, b, buf in zip(starts[1:-1], starts[2:], scratch[1:])
-        ]
-        try:
-            clamped = _move(x[: starts[1]], ens.streams, m, p, c, scratch[0])
-        finally:
-            wait(futures)
-        clamped += sum(f.result() for f in futures)
+        clamped = _move(x, ens.streams, m, p, c, _buffers(x.size))
         ens.n_transitions += x.size
-        ens.threads = len(starts) - 1
     else:
         law = (dt, p.epsilon, p.delta, sigma_bound)
         if ens.clock_law != law or ens.clock_samples is not x:
@@ -224,7 +210,7 @@ def dsmc_step(
         # a gap saturated at the int64 maximum wraps negative and never fires
         ens.clocks[fire] = ens.n_steps + ens.rng.geometric(_fire_prob(new, p, dt, sigma_bound))
         ens.n_transitions += fire.size
-        ens.threads = 1
+    ens.threads = 1
     ens.n_clamped += clamped
     ens.n_steps += 1
     return ens
@@ -250,18 +236,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_starts(n: int) -> list[int]:
-    """Chunk boundaries of the dense step, 0 first and n last: whole blocks
-    of _BLOCK particles, one chunk per usable CPU and at most one per block."""
-    n_blocks = -(-n // _BLOCK)
-    k = min(_usable_cpus(), n_blocks)
-    return [i * n_blocks // k * _BLOCK for i in range(k)] + [n]
-
-
 @functools.cache
 def _pool(pid: int) -> ThreadPoolExecutor:
-    """The pool that runs every dense chunk but the first, started on first
-    use in process pid: a forked child has none of its parent's threads."""
+    """The pool that runs every chunk of a dense run but the first, started
+    on first use in process pid: a forked child has none of its parent's
+    threads."""
     return ThreadPoolExecutor(thread_name_prefix="kinctrl-dsmc")
 
 
@@ -269,13 +248,6 @@ def _buffers(n: int) -> tuple:
     """Block buffers for n particles at most: two float and one bool."""
     n = min(_BLOCK, n)
     return np.empty(n), np.empty(n), np.empty(n, dtype=bool)
-
-
-def _scratch(ens: ParticleEnsemble, k: int) -> list[tuple]:
-    """_buffers for k chunks of the dense step, kept on ens between steps."""
-    if len(ens.scratch) < k or ens.scratch[0][0].size != min(_BLOCK, ens.size):
-        ens.scratch = [_buffers(ens.size) for _ in range(k)]
-    return ens.scratch
 
 
 def _move(x: np.ndarray, rngs, m: float, p: KineticParams, c: ControlSpec, buffers) -> int:
@@ -310,21 +282,25 @@ def _fire_prob(x, p: KineticParams, dt: float, sigma_bound: float):
 
 
 def _run_block(x: np.ndarray, rng, m: float, p: KineticParams, c: ControlSpec, dt: float,
-               sigma_bound: float, n_steps: int) -> tuple[int, int]:
-    """Run the particles of x through n_steps clock-path steps at the fixed
-    mean m, in place and in rounds, every draw from rng; returns the numbers
-    of transitions and of clamped proposals.
+               sigma_bound: float, n_steps: int, dense: bool, buffers) -> tuple[int, int]:
+    """Run the particles of x, at most one block, through n_steps steps at
+    the fixed mean m, in place, every draw from rng and every move computed
+    in buffers (from _buffers); returns the numbers of transitions and of
+    clamped proposals.
 
-    Each particle draws a Geometric gap from its last firing (step -1 before
-    the run) to its next; round r moves with _move every particle whose r-th
-    firing falls inside the run, then redraws only those particles' gaps.
-    The gap is compared with the steps left, never added first: a gap
-    saturated at the int64 maximum is beyond any run.
+    A dense block (every particle fires every step) moves whole with _move
+    once per step, drawing what dsmc_step draws for it.  Otherwise it runs in
+    rounds: each particle draws a Geometric gap from its last firing (step -1
+    before the run) to its next; round r moves with _move every particle
+    whose r-th firing falls inside the run, then redraws only those
+    particles' gaps.  The gap is compared with the steps left, never added
+    first: a gap saturated at the int64 maximum is beyond any run.
     """
+    if dense:
+        return n_steps * x.size, sum(_move(x, (rng,), m, p, c, buffers) for _ in range(n_steps))
     idx = np.arange(x.size)
     last = np.full(x.size, -1)
     new = x
-    buffers = _buffers(x.size)
     moves = clamped = 0
     while True:
         gap = rng.geometric(_fire_prob(new, p, dt, sigma_bound))
@@ -352,28 +328,45 @@ def run_to_equilibrium(
     """Run the ensemble to t_final and return the normalized histogram.
 
     m_ref fixes the reference mean of the growth term for the whole run
-    (relaxation toward a prescribed mean): unless every particle fires every
-    step, block b of _BLOCK particles then runs to t_final on its own with
-    ens.streams[b], in rounds (_run_block), and the counts on ens are those
-    of as many steps.  Otherwise the run iterates dsmc_step; with
-    m_ref = None the ensemble mean is recomputed once per step, which
-    conserves the mean for delta = +/-1.
+    (relaxation toward a prescribed mean): block b of _BLOCK particles then
+    runs to t_final on its own with ens.streams[b] (_run_block), and the
+    counts on ens are those of as many steps.  A dense run cuts its blocks
+    into one contiguous chunk per usable CPU (at most one per block),
+    otherwise the run is one chunk; each chunk runs its blocks one after
+    another in one set of buffers made on the calling thread, the first
+    chunk on that thread and every other on a shared thread pool, which the
+    run joins once.  With m_ref = None the run iterates dsmc_step,
+    recomputing the ensemble mean once per step, which conserves the mean
+    for delta = +/-1.
     """
     n_steps = step_count(t_final, dt)
     if n_steps == 0:
         raise ValueError(f"t_final = {t_final} is 0 steps of dt = {dt}; a run needs at least one")
-    if m_ref is None or _check_law(ens, m_ref, p, c, dt, sigma_bound):
+    if m_ref is None:
         for _ in range(n_steps):
-            m = ens.mean() if m_ref is None else m_ref
-            dsmc_step(ens, m, p, c, dt, sigma_bound)
-        ens.scratch = []  # the steps are done: free their block buffers
-    else:
-        x = ens.samples
-        for a, rng in zip(range(0, x.size, _BLOCK), ens.streams):
-            moves, clamped = _run_block(x[a : a + _BLOCK], rng, m_ref, p, c, dt, sigma_bound, n_steps)
-            ens.n_transitions += moves
-            ens.n_clamped += clamped
-        ens.n_steps += n_steps
-        ens.threads = 1
-        ens.clock_law = None  # the moved samples outdate any clocks
+            dsmc_step(ens, ens.mean(), p, c, dt, sigma_bound)
+        return Histogram.from_samples(ens.samples, n_bins, x_max)
+    dense = _check_law(ens, m_ref, p, c, dt, sigma_bound)
+    x = ens.samples
+    blocks = list(zip((x[a : a + _BLOCK] for a in range(0, x.size, _BLOCK)), ens.streams))
+    n = len(blocks)
+    k = min(_usable_cpus(), n) if dense else 1  # chunks
+
+    def run(chunk, buffers):
+        return [_run_block(xb, rng, m_ref, p, c, dt, sigma_bound, n_steps, dense, buffers)
+                for xb, rng in chunk]
+
+    chunks = [(blocks[i * n // k : (i + 1) * n // k], _buffers(x.size)) for i in range(k)]
+    futures = [_pool(os.getpid()).submit(run, *chunk) for chunk in chunks[1:]]
+    try:
+        counts = run(*chunks[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        counts += f.result()
+    ens.n_transitions += sum(moves for moves, _ in counts)
+    ens.n_clamped += sum(clamped for _, clamped in counts)
+    ens.n_steps += n_steps
+    ens.threads = len(chunks)
+    ens.clock_law = None  # the moved samples outdate any clocks
     return Histogram.from_samples(ens.samples, n_bins, x_max)

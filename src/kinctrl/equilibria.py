@@ -51,7 +51,8 @@ def _log_shape_controlled_b(
         log f = -(2 + l) ln x - k (x^2/2 - (2m + x_T) x + m^2 x_T / x),
         k = alpha^2 / (2 sigma^2 nu),  l = k (m^2 + 2 x_T m).
     """
-    k = p.alpha**2 / (2.0 * p.sigma2 * c.nu)
+    alpha, m = np.float64(p.alpha), np.float64(m)  # numpy powers overflow to inf, not raise
+    k = alpha**2 / (2.0 * p.sigma2 * c.nu)
     ell = k * (m**2 + 2.0 * c.x_target * m)
     with np.errstate(divide="ignore"):
         return -(2.0 + ell) * np.log(x) - k * (

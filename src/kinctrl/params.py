@@ -231,8 +231,8 @@ def _terms_additive(x, p, c):
 
 
 def _terms_interaction(x, p, c):
-    # alpha^2 / (4 nu) (m - x)^2 (x - x_T), expanded in s = m
-    k = p.alpha**2 / (4.0 * c.nu) * (x - c.x_target)
+    # alpha^2 / (4 nu) (m - x)^2 (x - x_T), expanded in s = m; a numpy power overflows to inf
+    k = np.float64(p.alpha) ** 2 / (4.0 * c.nu) * (x - c.x_target)
     return k * x * x, -2.0 * k * x, k
 
 

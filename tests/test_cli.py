@@ -327,6 +327,13 @@ class TestExitCodes:
             # the macro RK4 step overflows
             ("closure_l1_gamma", [("epidemic.betas.0", 1e300), ("time.t_final", 1.0)],
              "InvariantViolationError"),
+            # alpha^2 or m^2 of the interaction control overflows to inf
+            ("test2_nu_sweep", [("kinetic.alpha", 1e300)], "NumericsError"),
+            ("test1_fp_control_b", [("kinetic.alpha", 1e300), ("time.t_final", 0.01)],
+             "NumericsError"),
+            ("test3_consistency_control_b",
+             [("initial.mean", 1e300), ("grid.n_cells", 500), ("time.t_final", 0.01)],
+             "NumericsError"),
         ],
     )
     def test_numerical_blowup_exits_three(self, tmp_path, capsys, name, edits, failure):

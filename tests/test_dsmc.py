@@ -333,18 +333,23 @@ def assert_same_ensemble(ens, oracle):
     assert_same_streams(ens, oracle)
 
 
-def dense_steps(n_steps):
+def dense_run(ens, p, c, n_steps):
+    """n_steps dense steps at the fixed mean 5 through run_to_equilibrium."""
+    run_to_equilibrium(ens, p, c, t_final=n_steps * p.epsilon, dt=p.epsilon, sigma_bound=1.0,
+                       m_ref=5.0)
+
+
+def dense_run_on_two_chunks(n_steps):
     p, c = DENSE_CASES["uncontrolled"]
     ens = ParticleEnsemble.from_uniform(3 * _BLOCK, 9.0, 11.0, seed=8)
-    for _ in range(n_steps):
-        dsmc_step(ens, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
+    dense_run(ens, p, c, n_steps)
     assert ens.threads == 2
 
 
 class TestDenseChunks:
-    # the dense step splits its blocks into one chunk per usable CPU, each
-    # block drawing from its own stream whichever chunk runs it; any CPU
-    # count must give the one-pass result bit for bit
+    # a dense run at a fixed mean splits its blocks into one chunk per usable
+    # CPU, each block running to t_final on its own stream whichever chunk
+    # runs it; any CPU count must give the one-pass result bit for bit
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 64])
     @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7, 5 * _BLOCK + 3])
@@ -353,11 +358,25 @@ class TestDenseChunks:
         monkeypatch.setattr(dsmc, "_usable_cpus", lambda: workers)
         p, c = DENSE_CASES[case]
         ens, oracle = (ParticleEnsemble.from_uniform(n, 9.0, 11.0, seed=n) for _ in range(2))
+        dense_run(ens, p, c, 2)
         for _ in range(2):
-            dsmc_step(ens, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
             one_pass_dense_step(oracle, 5.0, p, c)
         assert_same_ensemble(ens, oracle)
         assert ens.threads == min(workers, -(-n // _BLOCK))
+
+    @pytest.mark.parametrize("case", DENSE_CASES)
+    def test_run_matches_the_step_major_path(self, monkeypatch, case):
+        # the blocks run to t_final one after another, dsmc_step runs every
+        # block once per step: the same draws from each stream, in another order
+        monkeypatch.setattr(dsmc, "_usable_cpus", lambda: 2)
+        p, c = DENSE_CASES[case]
+        n = 2 * _BLOCK + 7
+        ens, steps = (ParticleEnsemble.from_uniform(n, 9.0, 11.0, seed=10) for _ in range(2))
+        dense_run(ens, p, c, 3)
+        for _ in range(3):
+            dsmc_step(steps, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
+        assert (ens.threads, steps.threads) == (2, 1)
+        assert_same_ensemble(ens, steps)
 
     def test_dense_step_leaves_the_ensemble_generator_alone(self, monkeypatch):
         # spawning the streams draws nothing from ens.rng, and the blocks draw
@@ -372,7 +391,7 @@ class TestDenseChunks:
         ens.rng.integers(0, 2**32, dtype=np.uint32)
         state = ens.rng.bit_generator.state
         assert state["has_uint32"] == 1
-        dsmc_step(ens, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
+        dense_run(ens, p, c, 2)
         assert ens.threads == 3
         assert ens.rng.bit_generator.state == state
 
@@ -382,8 +401,9 @@ class TestDenseChunks:
         samples = np.random.default_rng(5).uniform(9.0, 11.0, 3 * _BLOCK)
         ens, oracle = (ParticleEnsemble(samples.copy(), np.random.Generator(np.random.MT19937(5)))
                        for _ in range(2))
-        dsmc_step(ens, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
-        one_pass_dense_step(oracle, 5.0, p, c)
+        dense_run(ens, p, c, 2)
+        for _ in range(2):
+            one_pass_dense_step(oracle, 5.0, p, c)
         assert ens.threads == 3
         assert all(type(s.bit_generator) is np.random.MT19937 for s in ens.streams)
         assert_same_ensemble(ens, oracle)
@@ -401,8 +421,7 @@ class TestDenseChunks:
 
     @pytest.mark.parametrize("m", [0.0, -1.0, float("nan")])
     @pytest.mark.parametrize("delta, dt, bound", [(-1.0, 0.01, 1.0), (1.0, 0.001, 10.0)])
-    def test_bad_mean_raises_before_any_particle_moves(self, monkeypatch, m, delta, dt, bound):
-        monkeypatch.setattr(dsmc, "_usable_cpus", lambda: 2)
+    def test_bad_mean_raises_before_any_particle_moves(self, m, delta, dt, bound):
         ens = ParticleEnsemble.from_uniform(2 * _BLOCK, 9.0, 11.0, seed=6)
         samples, state = ens.samples.copy(), ens.rng.bit_generator.state
         with pytest.raises(ValueError, match="mean"):
@@ -411,26 +430,11 @@ class TestDenseChunks:
         assert ens.rng.bit_generator.state == state
         assert (ens.n_clamped, ens.n_transitions, ens.n_steps) == (0, 0, 0)
 
-    def test_block_buffers_are_kept_between_steps_and_freed_after_a_run(self, monkeypatch):
-        # each chunk computes its blocks in buffers the ensemble keeps, so a
-        # step allocates no block arrays; a finished run lets them go
-        monkeypatch.setattr(dsmc, "_usable_cpus", lambda: 2)
-        p, c = DENSE_CASES["interaction_b"]
-        ens = ParticleEnsemble.from_uniform(3 * _BLOCK, 9.0, 11.0, seed=9)
-        dsmc_step(ens, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
-        buffers = [b for chunk in ens.scratch for b in chunk]
-        assert len(ens.scratch) == ens.threads == 2
-        assert {b.size for b in buffers} == {_BLOCK}
-        dsmc_step(ens, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
-        assert all(b is kept for b, kept in zip(buffers, (b for chunk in ens.scratch for b in chunk)))
-        run_to_equilibrium(ens, p, c, t_final=2 * p.epsilon, dt=p.epsilon, sigma_bound=1.0, m_ref=5.0)
-        assert ens.scratch == []
-
     def test_forked_child_runs_the_dense_step(self, monkeypatch):
         # a child forked after the pool started has none of its threads
         monkeypatch.setattr(dsmc, "_usable_cpus", lambda: 2)
-        dense_steps(3)
-        child = multiprocessing.get_context("fork").Process(target=dense_steps, args=(3,))
+        dense_run_on_two_chunks(3)
+        child = multiprocessing.get_context("fork").Process(target=dense_run_on_two_chunks, args=(3,))
         child.start()
         child.join(timeout=60)
         alive = child.is_alive()
@@ -573,7 +577,8 @@ class TestRounds:
         monkeypatch.setattr(dsmc, "_fire_prob", fire_prob_twice_certain)
         x = np.full(8, 1e120)
         moves, clamped = dsmc._run_block(x, np.random.default_rng(25), 5.0, kp(delta=-0.5), UN,
-                                         dt=0.001, sigma_bound=1.0, n_steps=200)
+                                         dt=0.001, sigma_bound=1.0, n_steps=200, dense=False,
+                                         buffers=dsmc._buffers(x.size))
         assert (moves, clamped, len(calls)) == (16, 0, 3)
         assert np.all(x > 1e119)
 
