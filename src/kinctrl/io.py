@@ -20,6 +20,10 @@ MANIFEST_FILE = "manifest.json"
 
 OUT_DIR_ENV = "KINCTRL_OUT_DIR"
 
+# write_csv converts this many rows at a time, so a long file never holds
+# all its cells as Python objects at once
+CSV_BLOCK_ROWS = 1024
+
 
 def fmt(value: float | str) -> str:
     return value if isinstance(value, str) else repr(float(value))
@@ -37,8 +41,23 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([fmt(v) for v in row])
+        for start in range(0, lengths.pop(), CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            writer.writerows(zip(*(_cells(c[block]) for c in columns)))
+
+
+def _cells(column) -> list:
+    """The column's cells as fmt writes them.
+
+    A numeric column becomes Python floats in one conversion; csv writes a
+    float with repr, so the bytes are those of fmt.  Any other column is
+    formatted value by value.
+    """
+    if isinstance(column, np.ndarray):
+        numeric = column.dtype.kind in "biuf"
+    else:
+        numeric = not any(isinstance(v, str) for v in column)
+    return np.asarray(column, dtype=float).tolist() if numeric else [fmt(v) for v in column]
 
 
 def read_csv(path: Path) -> dict[str, np.ndarray]:

@@ -16,10 +16,10 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .equilibria import EquilibriumDensity, controlled_steady_state
-from .errors import InvariantViolationError
+from .errors import InvariantViolationError, NumericsError
 from .fp import Grid
 from .params import (
     ClosureKind,
@@ -96,7 +96,8 @@ class MacroModel:
 
         c2 = m2/m^2 and c3 = m3/m^3 are the closure profile's ratios; at L1,
         b2 = 0 and c3 = 1 (unused).  Each constant is the left-hand factor of
-        its product in `rhs`, so every product rounds as if written out.
+        its product in `derivative`, so every product rounds as if written
+        out.  Raises NumericsError when a constant overflows (a lam far from 1).
         """
         b1 = self.epidemic.betas[0]
         c2 = closure_moment(self.closure, 2, 1.0, self.kinetic.lam)
@@ -104,8 +105,50 @@ class MacroModel:
         if self.variant is MacroVariant.L2:
             b2 = self.epidemic.betas[1]
             c3 = closure_moment(self.closure, 3, 1.0, self.kinetic.lam)
-        return (b1, b2 * c2**2, b1 * (c2 - 1.0), b2 * c2 * (c3 - c2), c2, c3 / c2,
-                self.epidemic.gamma_i)
+        try:
+            return (b1, b2 * c2**2, b1 * (c2 - 1.0), b2 * c2 * (c3 - c2), c2, c3 / c2,
+                    self.epidemic.gamma_i)
+        except OverflowError as exc:
+            raise NumericsError(f"closure ratio c2 = {c2!r} overflows the rate constants "
+                                f"at lam = {self.kinetic.lam!r}") from exc
+
+    @cached_property
+    def derivative(self) -> Callable[..., tuple[float, ...]]:
+        """The system's time derivative, f(rho_s, rho_i, rho_r, m_s, m_i, m_r) -> 6 floats.
+
+        Bound once per model: the variant is chosen and the rate constants
+        read here, so an RK4 stage is one call on plain floats.  The
+        susceptible mass never increases and the removed mass never
+        decreases; the three mass derivatives cancel exactly.  Every product
+        keeps the factor order of the model's equations on purpose:
+        regrouping one (say b1 * (rho_s * m_s)) changes its rounding and
+        every trajectory.
+        """
+        if self.variant is MacroVariant.CLASSICAL_SIR:
+            beta, gamma = self.beta, self.epidemic.gamma_i
+
+            def classical_sir(rho_s, rho_i, rho_r, m_s, m_i, m_r):
+                infection = beta * rho_s * rho_i
+                recovery = gamma * rho_i
+                return (-infection, infection - recovery, recovery, 0.0, 0.0, 0.0)
+
+            return classical_sir
+
+        b1, b2_c2sq, b1_c2m1, b2_c2_c3mc2, c2, c3_c2, gamma = self.rate_constants
+
+        def moment_closed(rho_s, rho_i, rho_r, m_s, m_i, m_r):
+            m_s2, m_i2 = m_s**2, m_i**2
+            infection = b1 * rho_s * m_s * rho_i * m_i + b2_c2sq * rho_s * m_s2 * rho_i * m_i2
+            d_m_s = -(b1_c2m1 * m_s2 * rho_i * m_i + b2_c2_c3mc2 * m_s**3 * rho_i * m_i2)
+            d_m_i = rho_s * m_s * m_i * (
+                b1 * (c2 * m_s - m_i)
+                + b2_c2sq * (c3_c2 * m_s - m_i) * m_s * m_i
+            )
+            d_m_r = 0.0 if rho_r < RHO_R_FLOOR else gamma * (rho_i / rho_r) * (m_i - m_r)
+            recovery = gamma * rho_i
+            return (-infection, infection - recovery, recovery, d_m_s, d_m_i, d_m_r)
+
+        return moment_closed
 
 
 def _check_incidence(epidemic: EpidemicParams, orders: range, system: str) -> None:
@@ -118,30 +161,8 @@ def _check_incidence(epidemic: EpidemicParams, orders: range, system: str) -> No
 
 
 def rhs(model: MacroModel, s: MacroState) -> MacroState:
-    """Time derivative of the closed system at state s.
-
-    The susceptible mass never increases and the removed mass never
-    decreases; the three mass derivatives cancel exactly.  Every product
-    keeps the factor order of the model's equations on purpose: regrouping
-    one (say b1 * (rho_s * m_s)) changes its rounding and every trajectory.
-    """
-    rho_s, rho_i, rho_r, m_s, m_i, m_r = s
-    if model.variant is MacroVariant.CLASSICAL_SIR:
-        gamma = model.epidemic.gamma_i
-        infection = model.beta * rho_s * rho_i
-        return MacroState(-infection, infection - gamma * rho_i, gamma * rho_i, 0.0, 0.0, 0.0)
-
-    b1, b2_c2sq, b1_c2m1, b2_c2_c3mc2, c2, c3_c2, gamma = model.rate_constants
-    m_s2, m_i2 = m_s**2, m_i**2
-    infection = b1 * rho_s * m_s * rho_i * m_i + b2_c2sq * rho_s * m_s2 * rho_i * m_i2
-    d_m_s = -(b1_c2m1 * m_s2 * rho_i * m_i + b2_c2_c3mc2 * m_s**3 * rho_i * m_i2)
-    d_m_i = rho_s * m_s * m_i * (
-        b1 * (c2 * m_s - m_i)
-        + b2_c2sq * (c3_c2 * m_s - m_i) * m_s * m_i
-    )
-    d_m_r = 0.0 if rho_r < RHO_R_FLOOR else gamma * (rho_i / rho_r) * (m_i - m_r)
-    recovery = gamma * rho_i
-    return MacroState(-infection, infection - recovery, recovery, d_m_s, d_m_i, d_m_r)
+    """Time derivative of the closed system at state s: model.derivative as a MacroState."""
+    return MacroState(*model.derivative(*s))
 
 
 def _self_consistent_state(
@@ -193,39 +214,39 @@ def controlled_sir(
 def rk4_integrate(
     model: MacroModel, s0: MacroState, dt: float, t_final: float
 ) -> tuple[list[float], list[MacroState]]:
-    """Classical fourth-order Runge-Kutta integration of rhs with a fixed step.
+    """Classical fourth-order Runge-Kutta integration of model.derivative with a fixed step.
 
     Returns the time and the state after every step, t = 0 included.  The
     compartment masses must keep summing to their initial total within
     MASS_SUM_TOL at every step; a violation, or a step that overflows, aborts
     with the last valid state attached to the raised InvariantViolationError.
-    The stages are written out component by component: the step's cost is
-    otherwise interpreter overhead.
+    The stages are written out component by component and call the bound
+    derivative on plain floats: the step's cost is otherwise interpreter
+    overhead.
     """
     n_steps = step_count(t_final, dt)
+    f = model.derivative
     half, sixth = 0.5 * dt, dt / 6.0
     target_sum = s0.mass_sum()
     times = [0.0]
     states = [s0]
-    y = s0
+    y1, y2, y3, y4, y5, y6 = s0
     try:
         for k in range(1, n_steps + 1):
-            y1, y2, y3, y4, y5, y6 = y
-            a1, a2, a3, a4, a5, a6 = rhs(model, y)
-            b1, b2, b3, b4, b5, b6 = rhs(model, (y1 + half * a1, y2 + half * a2, y3 + half * a3,
-                                                 y4 + half * a4, y5 + half * a5, y6 + half * a6))
-            c1, c2, c3, c4, c5, c6 = rhs(model, (y1 + half * b1, y2 + half * b2, y3 + half * b3,
-                                                 y4 + half * b4, y5 + half * b5, y6 + half * b6))
-            d1, d2, d3, d4, d5, d6 = rhs(model, (y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
-                                                 y4 + dt * c4, y5 + dt * c5, y6 + dt * c6))
-            rho_s = y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-            rho_i = y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-            rho_r = y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-            y = MacroState(rho_s, rho_i, rho_r,
-                           y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
-                           y5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
-                           y6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6))
-            mass = rho_s + rho_i + rho_r
+            a1, a2, a3, a4, a5, a6 = f(y1, y2, y3, y4, y5, y6)
+            b1, b2, b3, b4, b5, b6 = f(y1 + half * a1, y2 + half * a2, y3 + half * a3,
+                                       y4 + half * a4, y5 + half * a5, y6 + half * a6)
+            c1, c2, c3, c4, c5, c6 = f(y1 + half * b1, y2 + half * b2, y3 + half * b3,
+                                       y4 + half * b4, y5 + half * b5, y6 + half * b6)
+            d1, d2, d3, d4, d5, d6 = f(y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
+                                       y4 + dt * c4, y5 + dt * c5, y6 + dt * c6)
+            y1 = y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+            y2 = y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+            y3 = y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+            y4 = y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
+            y5 = y5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5)
+            y6 = y6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
+            mass = y1 + y2 + y3
             if not math.isfinite(mass) or abs(mass - target_sum) > MASS_SUM_TOL:
                 raise InvariantViolationError(
                     f"compartment masses summed to {mass!r} at t = {k * dt}",
@@ -233,7 +254,7 @@ def rk4_integrate(
                     last_state=states[-1],
                 )
             times.append(k * dt)
-            states.append(y)
+            states.append(MacroState(y1, y2, y3, y4, y5, y6))
     except OverflowError as exc:
         raise InvariantViolationError(f"macro step overflowed at t = {k * dt}: {exc}",
                                       t=times[-1], last_state=states[-1]) from exc

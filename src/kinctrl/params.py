@@ -16,6 +16,8 @@ from typing import Callable, Mapping, Optional
 
 import numpy as np
 
+from .errors import NumericsError
+
 # Below this |delta| the growth law switches to its logarithmic (Gompertz)
 # limit; avoids catastrophic cancellation in ((x/m)^delta - 1) / delta.
 GOMPERTZ_DELTA_EPS = 1e-10
@@ -328,32 +330,37 @@ def closure_moment(kind: ClosureKind, r: int, m: float, lam: float | None = None
     """Rth raw moment (r in {1,2,3}) of the unit-mass closure profile with mean m.
 
     The inverse-gamma profile ~ x^-(lam+2) e^(-lam m/x) has moments of order
-    r only for lam > r - 1.
+    r only for lam > r - 1.  Raises NumericsError when a power of lam or m
+    overflows, or lam^2 underflows to 0.
     """
     if r not in (1, 2, 3):
         raise ValueError(f"moment order must be 1, 2 or 3, got {r}")
     if not m > 0:
         raise ValueError(f"mean must be > 0, got {m}")
-    if kind is ClosureKind.DIRAC:
-        return m**r
-    if lam is None or not lam > 0:
-        raise ValueError(f"lam must be > 0 for {kind}, got {lam}")
-    if kind is ClosureKind.GAMMA:
-        if r == 1:
-            return m
-        if r == 2:
-            return (lam + 1.0) / lam * m**2
-        return (lam + 1.0) * (lam + 2.0) / lam**2 * m**3
-    if kind is ClosureKind.INVERSE_GAMMA:
-        if lam <= r - 1:
-            raise ValueError(
-                f"inverse-gamma moment of order {r} requires lam > {r - 1}, got {lam}"
-            )
-        if r == 1:
-            return m
-        if r == 2:
-            return lam / (lam - 1.0) * m**2
-        return lam**2 / ((lam - 1.0) * (lam - 2.0)) * m**3
+    try:
+        if kind is ClosureKind.DIRAC:
+            return m**r
+        if lam is None or not lam > 0:
+            raise ValueError(f"lam must be > 0 for {kind}, got {lam}")
+        if kind is ClosureKind.GAMMA:
+            if r == 1:
+                return m
+            if r == 2:
+                return (lam + 1.0) / lam * m**2
+            return (lam + 1.0) * (lam + 2.0) / lam**2 * m**3
+        if kind is ClosureKind.INVERSE_GAMMA:
+            if lam <= r - 1:
+                raise ValueError(
+                    f"inverse-gamma moment of order {r} requires lam > {r - 1}, got {lam}"
+                )
+            if r == 1:
+                return m
+            if r == 2:
+                return lam / (lam - 1.0) * m**2
+            return lam**2 / ((lam - 1.0) * (lam - 2.0)) * m**3
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericsError(f"{kind.value} moment of order {r} at m = {m!r}, lam = {lam!r} "
+                            f"is not representable: {exc}") from exc
     raise ValueError(f"unknown closure kind {kind}")  # pragma: no cover
 
 

@@ -334,6 +334,21 @@ class TestExitCodes:
             ("test3_consistency_control_b",
              [("initial.mean", 1e300), ("grid.n_cells", 500), ("time.t_final", 0.01)],
              "NumericsError"),
+            # a closure ratio of the L1/L2 model overflows: c2^2 of the gamma
+            # profile at a tiny lam, lam^2 of the inverse gamma one at a huge lam
+            ("closure_l1_gamma", [("kinetic.alpha", 1e-300), ("time.t_final", 0.03)],
+             "NumericsError"),
+            ("closure_l1_gamma", [("kinetic.sigma2", 1e300), ("time.t_final", 0.03)],
+             "NumericsError"),
+            ("test3_consistency",
+             [("kinetic.alpha", 1e300), ("grid.n_cells", 500), ("time.t_final", 0.03)],
+             "NumericsError"),
+            ("test3_consistency",
+             [("kinetic.sigma2", 1e-300), ("grid.n_cells", 500), ("time.t_final", 0.03)],
+             "NumericsError"),
+            ("test3_consistency_tau1",
+             [("kinetic.alpha", 1e300), ("grid.n_cells", 500), ("time.t_final", 0.03)],
+             "NumericsError"),
         ],
     )
     def test_numerical_blowup_exits_three(self, tmp_path, capsys, name, edits, failure):

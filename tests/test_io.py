@@ -1,7 +1,18 @@
+import csv
+
 import numpy as np
 import pytest
 
-from kinctrl.io import read_csv, write_csv, write_manifest
+from kinctrl.io import fmt, read_csv, write_csv, write_manifest
+
+
+def per_value_csv(path, header, columns):
+    """The reference writer: every cell through fmt, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([fmt(v) for v in row])
 
 
 class TestReadCsv:
@@ -27,6 +38,28 @@ class TestReadCsv:
         path.write_text("x,f\n1.0,2.0\n3.0\n4.0,5.0,6.0\n")
         with pytest.raises(ValueError, match="line 3"):
             read_csv(path)
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("block_rows", [5, 1024])  # blocks split the columns, or not
+    def test_bytes_match_the_per_value_writer(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr("kinctrl.io.CSV_BLOCK_ROWS", block_rows)
+        special = [0.0, -0.0, 5e-324, -2.2250738585072014e-309, 1e16, -1e16, 1e22,
+                   float("inf"), float("-inf"), float("nan"), 0.1, 1.0 / 3.0]
+        n = len(special)
+        columns = [
+            ("uncontrolled", "additive_a", "interaction_b") * (n // 3),  # text, as the sweep
+            np.array(special),
+            np.arange(-6, n - 6),  # an int array
+            tuple(range(n)),  # Python ints
+            np.array(special, dtype=np.float32),
+            tuple(np.float64(v) for v in special),  # numpy scalars, as the sweep's moments
+            ["a,b", 1.5, -0.0, 7, np.float64(2.5), "x", float("nan"), 1e16, 0, "", 3, -1],
+        ]
+        header = ["strategy", "f", "k", "i", "f32", "scalars", "mixed"]
+        write_csv(tmp_path / "new.csv", header, columns)
+        per_value_csv(tmp_path / "old.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestWriteManifest:

@@ -61,6 +61,21 @@ class TestRhs:
         d = rhs(model, MacroState(0.9, 0.1, 0.0, 10.0, 12.0, 10.0))
         assert d.m_r == 0.0
 
+    @pytest.mark.parametrize(
+        "variant, closure, delta, betas, beta",
+        [
+            (MacroVariant.CLASSICAL_SIR, ClosureKind.DIRAC, -1.0, (0.0,), 0.3),
+            (MacroVariant.L1, ClosureKind.GAMMA, 1.0, (1e-3,), None),
+            (MacroVariant.L2, ClosureKind.INVERSE_GAMMA, -1.0, (2e-2, 2e-6), None),
+        ],
+    )
+    def test_rhs_is_the_derivative_bound_once(self, variant, closure, delta, betas, beta):
+        model = MacroModel(variant, closure, kin(delta), EpidemicParams(betas, GAMMA_I), beta=beta)
+        s = MacroState(0.7, 0.2, 0.1, 9.0, 11.0, 10.0)
+        f = model.derivative
+        assert rhs(model, s) == MacroState(*f(*s))
+        assert model.derivative is f
+
     def test_l2_inverse_gamma_needs_lam_above_two(self):
         with pytest.raises(ValueError):
             MacroModel(MacroVariant.L2, ClosureKind.INVERSE_GAMMA,
@@ -311,17 +326,36 @@ class TestIntegration:
                               state(), 0.01, 600.0)
         assert max(s.m_i for s in ti) > max(s.m_i for s in tg)
 
-    def test_abort_on_invariant_violation(self, monkeypatch):
+    def test_abort_on_invariant_violation(self):
         model = MacroModel(MacroVariant.CLASSICAL_SIR, ClosureKind.DIRAC,
                            kin(-1.0), EpidemicParams((0.0,), GAMMA_I), beta=0.2)
 
-        def broken_rhs(_model, s):
-            return MacroState(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # injects mass
+        def broken(*s):
+            return (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # injects mass
 
-        monkeypatch.setattr("kinctrl.macro.rhs", broken_rhs)
+        model.__dict__["derivative"] = broken
         with pytest.raises(InvariantViolationError) as err:
             rk4_integrate(model, state(), 0.1, 1.0)
         assert err.value.last_state == state()
+
+    def test_overflow_inside_a_later_stage_keeps_the_last_valid_state(self):
+        model = MacroModel(MacroVariant.L1, ClosureKind.GAMMA,
+                           kin(1.0), EpidemicParams((1e-3,), GAMMA_I))
+        _, states = rk4_integrate(model, state(), 0.01, 0.01)
+        derivative = model.derivative
+        calls = 0
+
+        def overflowing(rho_s, rho_i, rho_r, m_s, m_i, m_r):
+            # the second step's second stage squares m_s = 1e200 inside the closure
+            nonlocal calls
+            calls += 1
+            return derivative(rho_s, rho_i, rho_r, 1e200 if calls == 6 else m_s, m_i, m_r)
+
+        model.__dict__["derivative"] = overflowing
+        with pytest.raises(InvariantViolationError, match="overflow") as err:
+            rk4_integrate(model, state(), 0.01, 0.05)
+        assert calls == 6
+        assert (err.value.t, err.value.last_state) == (0.01, states[1])
 
 
 class TestObservedOrder:

@@ -13,6 +13,7 @@ from kinctrl import (
     growth_rate_times_x,
     moment_ratio,
 )
+from kinctrl.errors import NumericsError
 from kinctrl.params import MAX_STEPS, STRATEGY_RULES, closure_kind, output_steps, step_count
 from oracles import drift
 
@@ -198,6 +199,18 @@ class TestMomentRatio:
             moment_ratio(0.9, -1.0)
         with pytest.raises(ValueError):
             moment_ratio(5.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "kind, r, m, lam",
+        [
+            (ClosureKind.INVERSE_GAMMA, 3, 1.0, 1e300),  # lam^2 overflows
+            (ClosureKind.GAMMA, 3, 1.0, 1e-300),  # lam^2 underflows to 0
+            (ClosureKind.DIRAC, 3, 1e200, None),  # m^3 overflows
+        ],
+    )
+    def test_unrepresentable_moment_is_a_numerics_error(self, kind, r, m, lam):
+        with pytest.raises(NumericsError, match="not representable"):
+            closure_moment(kind, r, m, lam)
 
     def test_exceeds_one(self):
         for lam in (1.5, 3.0, 40.0):
