@@ -4,12 +4,10 @@ Each step, every particle independently undergoes the single-agent transition
 rule with probability min(B(x), sigma_bound) dt / epsilon, where B is the
 interaction kernel (1 at delta = -1); the compartment mean in the growth term
 is frozen at step start.  That probability depends only on x, which moves only
-when the particle fires, so each particle keeps a countdown clock with
-Geometric gaps, and a step moves only the particles whose clock is due, or the
-whole array in place when every probability is 1.  Both paths apply the one
-transition _move, block by block in three buffers.  The clock path draws from
-the ensemble's generator; the dense step moves block b with its own stream,
-spawned from that generator's seed when the ensemble is built.
+when the particle fires, so the gaps between a particle's firings are
+Geometric, and a run moves only the particles that are due, or the whole
+array in place when every probability is 1.  Every path applies the one
+transition _move, block by block in three buffers.
 
 At a fixed reference mean the particles never interact, so such a run takes
 no steps at all: each block of _BLOCK particles runs to the end on its own
@@ -18,8 +16,9 @@ rounds, round r moving every particle whose r-th firing still falls inside
 the run.  A dense run splits its blocks into one chunk per usable CPU, so the
 thread pool is joined once per run; a block's draws do not depend on the
 chunk or thread that runs it, so runs repeat bit for bit on any number of
-CPUs.  The step-major dsmc_step loop is kept for a run at the ensemble mean,
-which changes every step.
+CPUs.  dsmc_step is such a run of one step.  A run at the ensemble mean,
+which changes every step, steps all particles together: one dense step at a
+time, or on countdown clocks drawn from the ensemble's generator.
 
 The deterministic part of every transition is mean-reverting: contacts relax
 toward the reference mean (uncontrolled) or toward a blend of mean and target
@@ -55,17 +54,14 @@ from .params import (
 class ParticleEnsemble:
     """Fixed-size population of contact numbers with its random streams.
 
-    rng drives the clock path of dsmc_step; streams holds one generator per
-    block of _BLOCK particles, spawned from rng's seed sequence when the
-    ensemble is built (rng's own stream is untouched), and the dense step and
-    every run of run_to_equilibrium at a fixed mean move block b with
-    streams[b] alone.  n_clamped accumulates how many proposed transitions
-    had to be clipped at zero to keep contacts admissible; threads is how
-    many chunks the last run or step ran in (more than 1 only for a dense run
-    at a fixed mean).  Particle i next fires at step clocks[i] of n_steps;
-    dsmc_step redraws all clocks (exact: Geometric gaps are memoryless) when
-    their step law or samples array is no longer current, or a run at a fixed
-    mean has moved the samples since.
+    rng drives the sparse run at the ensemble mean; streams holds one
+    generator per block of _BLOCK particles, spawned from rng's seed sequence
+    when the ensemble is built (rng's own stream is untouched), and every run
+    at a fixed mean, hence dsmc_step and each dense step at the ensemble mean,
+    moves block b with streams[b] alone.  n_clamped accumulates how many
+    proposed transitions had to be clipped at zero to keep contacts
+    admissible; threads is how many chunks the last run or step ran in (more
+    than 1 only for a dense one).
     """
 
     samples: np.ndarray
@@ -74,9 +70,6 @@ class ParticleEnsemble:
     n_transitions: int = 0
     n_steps: int = 0
     threads: int = field(default=1, init=False)
-    clocks: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    clock_law: Optional[tuple] = field(default=None, init=False)
-    clock_samples: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     streams: list = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -181,38 +174,15 @@ def dsmc_step(
     dt: float,
     sigma_bound: float,
 ) -> ParticleEnsemble:
-    """Advance the ensemble by dt; requires dt <= epsilon / sigma_bound.
+    """Advance the ensemble by dt at the frozen mean m; requires dt <=
+    epsilon / sigma_bound.
 
-    Each particle transitions with probability min(B(x), sigma_bound) dt /
-    epsilon, with the compartment mean m frozen for the whole step: the
-    particles whose clock is due move and draw a Geometric gap to their next
-    firing, or, when every probability is 1, all move in place with no clocks,
-    in blocks of _BLOCK particles, block b drawing from ens.streams[b] and
-    never from ens.rng.  The clock path draws from ens.rng, gathers the due
-    particles and moves them.  Both run on the calling thread, in buffers
-    made for the step.  The particle count is conserved exactly.  A
-    controlled c at delta != -1 raises ValueError before any draw.
+    One step of a fixed-mean run (_run), exact because Geometric gaps are
+    memoryless: a sparse step draws a gap for every particle, so a run of
+    many steps belongs in run_to_equilibrium.  A controlled c at delta != -1
+    raises ValueError before any draw.
     """
-    x = ens.samples
-    if _check_law(ens, m, p, c, dt, sigma_bound):
-        ens.clock_law = None  # the moved samples outdate any clocks
-        clamped = _move(x, ens.streams, m, p, c, _buffers(x.size))
-        ens.n_transitions += x.size
-    else:
-        law = (dt, p.epsilon, p.delta, sigma_bound)
-        if ens.clock_law != law or ens.clock_samples is not x:
-            ens.clocks = ens.n_steps - 1 + ens.rng.geometric(_fire_prob(x, p, dt, sigma_bound))
-            ens.clock_law, ens.clock_samples = law, x
-        fire = np.flatnonzero(ens.clocks == ens.n_steps)
-        new = x[fire]
-        clamped = _move(new, itertools.repeat(ens.rng), m, p, c, _buffers(new.size))
-        x[fire] = new
-        # a gap saturated at the int64 maximum wraps negative and never fires
-        ens.clocks[fire] = ens.n_steps + ens.rng.geometric(_fire_prob(new, p, dt, sigma_bound))
-        ens.n_transitions += fire.size
-    ens.threads = 1
-    ens.n_clamped += clamped
-    ens.n_steps += 1
+    _run(ens, m, p, c, dt, sigma_bound, 1)
     return ens
 
 
@@ -289,12 +259,12 @@ def _run_block(x: np.ndarray, rng, m: float, p: KineticParams, c: ControlSpec, d
     clamped proposals.
 
     A dense block (every particle fires every step) moves whole with _move
-    once per step, drawing what dsmc_step draws for it.  Otherwise it runs in
-    rounds: each particle draws a Geometric gap from its last firing (step -1
-    before the run) to its next; round r moves with _move every particle
-    whose r-th firing falls inside the run, then redraws only those
-    particles' gaps.  The gap is compared with the steps left, never added
-    first: a gap saturated at the int64 maximum is beyond any run.
+    once per step.  Otherwise it runs in rounds: each particle draws a
+    Geometric gap from its last firing (step -1 before the run) to its next;
+    round r moves with _move every particle whose r-th firing falls inside
+    the run, then redraws only those particles' gaps.  The gap is compared
+    with the steps left, never added first: a gap saturated at the int64
+    maximum is beyond any run.
     """
     if dense:
         return n_steps * x.size, sum(_move(x, (rng,), m, p, c, buffers) for _ in range(n_steps))
@@ -314,46 +284,26 @@ def _run_block(x: np.ndarray, rng, m: float, p: KineticParams, c: ControlSpec, d
         moves += idx.size
 
 
-def run_to_equilibrium(
-    ens: ParticleEnsemble,
-    p: KineticParams,
-    c: ControlSpec,
-    t_final: float,
-    dt: float,
-    sigma_bound: float,
-    m_ref: Optional[float] = None,
-    x_max: float = 100.0,
-    n_bins: int = 400,
-) -> Histogram:
-    """Run the ensemble to t_final and return the normalized histogram.
+def _run(ens: ParticleEnsemble, m: float, p: KineticParams, c: ControlSpec, dt: float,
+         sigma_bound: float, n_steps: int) -> None:
+    """Run the ensemble through n_steps steps at the fixed mean m.
 
-    m_ref fixes the reference mean of the growth term for the whole run
-    (relaxation toward a prescribed mean): block b of _BLOCK particles then
-    runs to t_final on its own with ens.streams[b] (_run_block), and the
-    counts on ens are those of as many steps.  A dense run cuts its blocks
-    into one contiguous chunk per usable CPU (at most one per block),
-    otherwise the run is one chunk; each chunk runs its blocks one after
-    another in one set of buffers made on the calling thread, the first
-    chunk on that thread and every other on a shared thread pool, which the
-    run joins once.  With m_ref = None the run iterates dsmc_step,
-    recomputing the ensemble mean once per step, which conserves the mean
-    for delta = +/-1.
+    Block b of _BLOCK particles runs on its own with ens.streams[b]
+    (_run_block), and the counts on ens are those of as many steps.  A dense
+    run cuts its blocks into one contiguous chunk per usable CPU (at most one
+    per block), otherwise the run is one chunk; each chunk runs its blocks
+    one after another in one set of buffers made on the calling thread, the
+    first chunk on that thread and every other on a shared thread pool, which
+    the run joins once.
     """
-    n_steps = step_count(t_final, dt)
-    if n_steps == 0:
-        raise ValueError(f"t_final = {t_final} is 0 steps of dt = {dt}; a run needs at least one")
-    if m_ref is None:
-        for _ in range(n_steps):
-            dsmc_step(ens, ens.mean(), p, c, dt, sigma_bound)
-        return Histogram.from_samples(ens.samples, n_bins, x_max)
-    dense = _check_law(ens, m_ref, p, c, dt, sigma_bound)
+    dense = _check_law(ens, m, p, c, dt, sigma_bound)
     x = ens.samples
     blocks = list(zip((x[a : a + _BLOCK] for a in range(0, x.size, _BLOCK)), ens.streams))
     n = len(blocks)
     k = min(_usable_cpus(), n) if dense else 1  # chunks
 
     def run(chunk, buffers):
-        return [_run_block(xb, rng, m_ref, p, c, dt, sigma_bound, n_steps, dense, buffers)
+        return [_run_block(xb, rng, m, p, c, dt, sigma_bound, n_steps, dense, buffers)
                 for xb, rng in chunk]
 
     chunks = [(blocks[i * n // k : (i + 1) * n // k], _buffers(x.size)) for i in range(k)]
@@ -368,5 +318,52 @@ def run_to_equilibrium(
     ens.n_clamped += sum(clamped for _, clamped in counts)
     ens.n_steps += n_steps
     ens.threads = len(chunks)
-    ens.clock_law = None  # the moved samples outdate any clocks
+
+
+def run_to_equilibrium(
+    ens: ParticleEnsemble,
+    p: KineticParams,
+    c: ControlSpec,
+    t_final: float,
+    dt: float,
+    sigma_bound: float,
+    m_ref: Optional[float] = None,
+    x_max: float = 100.0,
+    n_bins: int = 400,
+) -> Histogram:
+    """Run the ensemble to t_final and return the normalized histogram.
+
+    m_ref fixes the reference mean of the growth term for the whole run
+    (relaxation toward a prescribed mean): one _run.  With m_ref = None each
+    step runs at the ensemble mean, which conserves it for delta = +/-1, and
+    a mean that is not finite and > 0 raises NumericsError.  A dense step is
+    a one-step _run; otherwise particle i next fires at step clocks[i], every
+    clock drawn from ens.rng before the first step, and a particle that fires
+    moves with noise from ens.rng, then draws its next gap.
+    """
+    n_steps = step_count(t_final, dt)
+    if n_steps == 0:
+        raise ValueError(f"t_final = {t_final} is 0 steps of dt = {dt}; a run needs at least one")
+    if m_ref is not None:
+        _run(ens, m_ref, p, c, dt, sigma_bound, n_steps)
+        return Histogram.from_samples(ens.samples, n_bins, x_max)
+    x, clocks = ens.samples, None
+    for step in range(n_steps):
+        m = ens.mean()
+        if not 0.0 < m < np.inf:
+            raise NumericsError(f"the ensemble mean at step {step} is {m}, not finite and > 0")
+        if _check_law(ens, m, p, c, dt, sigma_bound):
+            _run(ens, m, p, c, dt, sigma_bound, 1)
+            continue
+        if clocks is None:
+            clocks = ens.rng.geometric(_fire_prob(x, p, dt, sigma_bound)) - 1
+        fire = np.flatnonzero(clocks == step)
+        new = x[fire]
+        ens.n_clamped += _move(new, itertools.repeat(ens.rng), m, p, c, _buffers(new.size))
+        x[fire] = new
+        # a gap saturated at the int64 maximum wraps negative and never fires
+        clocks[fire] = step + ens.rng.geometric(_fire_prob(new, p, dt, sigma_bound))
+        ens.n_transitions += fire.size
+        ens.n_steps += 1
+        ens.threads = 1
     return Histogram.from_samples(ens.samples, n_bins, x_max)

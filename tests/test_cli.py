@@ -1,10 +1,16 @@
+import functools
 import json
+import operator
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from kinctrl.cli import (
     RUNNERS,
@@ -132,6 +138,48 @@ def set_field(path, value):
             node = node[key]
         node[int(last) if isinstance(node, list) else last] = value
     return edit
+
+
+def tiny_config(name):
+    """Bundled config name cut to 3 steps, 2 000 particles and at most 500 cells."""
+    cfg = load_config(bundled_config_path(f"{name}.json"))
+    if "dsmc" in cfg:
+        cfg["dsmc"]["n_particles"] = 2000
+    if "grid" in cfg:
+        cfg["grid"]["n_cells"] = min(cfg["grid"]["n_cells"], 500)
+    if "time" in cfg:
+        cfg["time"]["t_final"] = 3 * cfg["time"]["dt"]
+    return cfg
+
+
+def numeric_leaves(node, path=()):
+    """Key paths of the numbers, bools aside, in nested dicts and lists."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)):
+            yield from numeric_leaves(value, path + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,)
+
+
+FUZZ_VALUES = (1e300, 1e-300, -1, 0, 1e-9, 1e9)
+REMOVE = "remove"  # the edit that deletes the leaf
+FUZZ_ALARM_S = 0.5  # a tiny run that is not stuck takes at most about 50 ms
+
+
+def fuzz_edits():
+    """(name, leaf path, value) for each bundled config: every numeric leaf set
+    to each of FUZZ_VALUES, and each mean_reference removed."""
+    edits = []
+    for name in (n.removesuffix(".json") for n in list_bundled_scenarios()):
+        cfg = tiny_config(name)
+        edits += [(name, leaf, value) for leaf in numeric_leaves(cfg) for value in FUZZ_VALUES]
+        edits += [(name, (section, "mean_reference"), REMOVE) for section in ("dsmc", "fp")
+                  if "mean_reference" in cfg.get(section, {})]
+    return edits
+
+
+class Alarm(BaseException):
+    """Raised by SIGALRM in a fuzzed run that outlives FUZZ_ALARM_S."""
 
 
 class TestExitCodes:
@@ -359,6 +407,66 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert failure in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["test1_uncontrolled_deltam1", "test1_control_a",
+                                      "test1_control_b"])
+    def test_lost_ensemble_mean_exits_three_naming_the_step(self, tmp_path, capsys, name):
+        # with no dsmc.mean_reference each step runs at the ensemble mean,
+        # which alpha = 1e300 sends to inf or nan within 3 steps
+        cfg = load_config(bundled_config_path(f"{name}.json"))
+        del cfg["dsmc"]["mean_reference"]
+        for path, value in [("kinetic.alpha", 1e300), ("dsmc.n_particles", 2000),
+                            ("time.t_final", 0.03)]:
+            set_field(path, value)(cfg)
+        path = tmp_path / "lost_mean.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "NumericsError" in err and "ensemble mean" in err and "at step" in err
+
+    def test_fuzzed_bundled_configs_exit_zero_two_or_three(self):
+        # one leaf of a tiny bundled config set to an extreme value, or a
+        # mean_reference removed: a run may succeed, reject its config or fail
+        # numerically, and any other exception is a bug.  time.dt = 1e-9 makes
+        # 3e7 steps, under MAX_STEPS, so every run has an alarm; an example
+        # that hits it is rejected, and counted
+        kinds, alarms = set(), []
+
+        def on_alarm(signum, frame):
+            raise Alarm
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(edit=st.sampled_from(fuzz_edits()))
+        def run(edit):
+            name, (*parents, last), value = edit
+            cfg = tiny_config(name)
+            node = functools.reduce(operator.getitem, parents, cfg)
+            if value == REMOVE:
+                del node[last]
+            else:
+                node[last] = value
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / f"{name}.json"
+                path.write_text(json.dumps(cfg))
+                try:
+                    try:
+                        signal.setitimer(signal.ITIMER_REAL, FUZZ_ALARM_S)
+                        code = main(["run", str(path), "--out", str(Path(tmp) / "out")])
+                    finally:
+                        signal.setitimer(signal.ITIMER_REAL, 0)
+                except Alarm:
+                    alarms.append(edit)
+                    reject()
+            assert code in (0, 2, 3), edit
+            kinds.add(cfg["kind"])
+
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        try:
+            run()
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        print(f"{len(alarms)} examples hit the {FUZZ_ALARM_S} s alarm and were rejected: {alarms}")
+        assert kinds == set(RUNNERS)
 
     def test_non_finite_metric_exits_three_without_a_manifest(self, tmp_path, monkeypatch, capsys):
         def nan_metric(cfg, out, seed, clock):

@@ -113,7 +113,6 @@ def assert_untouched(ens, fresh):
     for ours, theirs in zip([ens.rng, *ens.streams], [fresh.rng, *fresh.streams], strict=True):
         assert ours.bit_generator.state == theirs.bit_generator.state
     assert (ens.n_clamped, ens.n_transitions, ens.n_steps) == (0, 0, 0)
-    assert ens.clocks is None
 
 
 class TestStep:
@@ -366,8 +365,8 @@ class TestDenseChunks:
 
     @pytest.mark.parametrize("case", DENSE_CASES)
     def test_run_matches_the_step_major_path(self, monkeypatch, case):
-        # the blocks run to t_final one after another, dsmc_step runs every
-        # block once per step: the same draws from each stream, in another order
+        # the blocks run to t_final one after another, each dsmc_step runs
+        # every block once: the same draws from each stream, in another order
         monkeypatch.setattr(dsmc, "_usable_cpus", lambda: 2)
         p, c = DENSE_CASES[case]
         n = 2 * _BLOCK + 7
@@ -375,8 +374,25 @@ class TestDenseChunks:
         dense_run(ens, p, c, 3)
         for _ in range(3):
             dsmc_step(steps, 5.0, p, c, dt=p.epsilon, sigma_bound=1.0)
-        assert (ens.threads, steps.threads) == (2, 1)
+        assert (ens.threads, steps.threads) == (2, 2)
         assert_same_ensemble(ens, steps)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", DENSE_CASES)
+    def test_run_at_the_ensemble_mean_matches_steps_at_it(self, monkeypatch, case, workers):
+        # each dense step at the ensemble mean is a one-step run at that mean,
+        # chunked like a run at a fixed mean
+        monkeypatch.setattr(dsmc, "_usable_cpus", lambda: workers)
+        p, c = DENSE_CASES[case]
+        n = 2 * _BLOCK + 7
+        ens, steps, oracle = (ParticleEnsemble.from_uniform(n, 9.0, 11.0, seed=11) for _ in range(3))
+        run_to_equilibrium(ens, p, c, t_final=3 * p.epsilon, dt=p.epsilon, sigma_bound=1.0)
+        for _ in range(3):
+            dsmc_step(steps, steps.mean(), p, c, dt=p.epsilon, sigma_bound=1.0)
+            one_pass_dense_step(oracle, oracle.mean(), p, c)
+        assert ens.threads == steps.threads == workers
+        assert_same_ensemble(ens, steps)
+        assert_same_ensemble(ens, oracle)
 
     def test_dense_step_leaves_the_ensemble_generator_alone(self, monkeypatch):
         # spawning the streams draws nothing from ens.rng, and the blocks draw
@@ -492,6 +508,23 @@ class TestClocks:
             variance += (probs * (1 - probs)).sum()
             dsmc_step(ens, 5.0, p, UN, dt=0.001, sigma_bound=10.0)
         assert abs(ens.n_transitions - expected) < 5 * np.sqrt(variance)
+
+    def test_run_at_the_ensemble_mean_fires_as_its_probabilities(self):
+        # the run keeps each particle's clock across steps; each step must
+        # still fire every particle with the probability of its current x
+        p = kp(delta=1.0)
+        ens = ParticleEnsemble.from_uniform(20_000, 4.0, 6.0, seed=15)
+        probs, mean = [], ens.mean
+
+        def mean_at_step_start():  # the run reads the mean once per step, first
+            probs.append(fire_prob(ens.samples, 1.0, 0.001, 10.0))
+            return mean()
+
+        ens.mean = mean_at_step_start
+        run_to_equilibrium(ens, p, UN, t_final=0.2, dt=0.001, sigma_bound=10.0)
+        probs = np.concatenate(probs)
+        assert (len(probs), ens.n_steps, ens.threads) == (200 * ens.size, 200, 1)
+        assert abs(ens.n_transitions - probs.sum()) < 5 * np.sqrt((probs * (1 - probs)).sum())
 
     @pytest.mark.parametrize("change", ["dt", "samples"])
     def test_clocks_redrawn_for_new_dt_or_samples(self, change):
@@ -619,8 +652,8 @@ class TestInvariants:
         p = kp(delta=1.0)
         ens = ParticleEnsemble.from_uniform(40_000, 4.0, 6.0, seed=77)
         m0 = ens.mean()
-        for _ in range(1000):
-            dsmc_step(ens, ens.mean(), p, UN, dt=0.001, sigma_bound=10.0)
+        run_to_equilibrium(ens, p, UN, t_final=1.0, dt=0.001, sigma_bound=10.0)
+        assert ens.n_steps == 1000
         se = ens.samples.std() / np.sqrt(ens.size)
         assert abs(ens.mean() - m0) < 3 * se
 
