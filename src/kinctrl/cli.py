@@ -474,7 +474,7 @@ def _kinetic_pieces(cfg: dict):
     _initial_profile(cfg, "gamma_profile")
     rho = _numbers(cfg, "initial.rho", length=3, low=0.0)
     mean0 = _positive(cfg, "initial.mean")
-    ic = gamma_profile_state(grid, p.lam, mean0, tuple(rho))
+    ic = _build("kinetic", gamma_profile_state, grid, p.lam, mean0, tuple(rho))
     return p, e, c, grid, ic
 
 

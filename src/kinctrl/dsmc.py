@@ -6,19 +6,22 @@ interaction kernel (1 at delta = -1); the compartment mean in the growth term
 is frozen at step start.  That probability depends only on x, which moves only
 when the particle fires, so the gaps between a particle's firings are
 Geometric, and a run moves only the particles that are due, or the whole
-array in place when every probability is 1.  Every path applies the one
-transition _move, block by block in three buffers.
+array in place when every probability is 1.  A sparse run draws its gaps by
+inverting the Geometric law (_gaps), and a particle whose gap is infinite
+never fires.  Every path applies the one transition _move, block by block in
+three buffers.
 
 At a fixed reference mean the particles never interact, so such a run takes
 no steps at all: each block of _BLOCK particles runs to the end on its own
 stream (_run_block), whole once per step when it is dense, otherwise in
 rounds, round r moving every particle whose r-th firing still falls inside
-the run.  A dense run splits its blocks into one chunk per usable CPU, so the
-thread pool is joined once per run; a block's draws do not depend on the
-chunk or thread that runs it, so runs repeat bit for bit on any number of
-CPUs.  dsmc_step is such a run of one step.  A run at the ensemble mean,
-which changes every step, steps all particles together: one dense step at a
-time, or on countdown clocks drawn from the ensemble's generator.
+the run, each particle carrying the steps left after its last firing.  A
+dense run splits its blocks into one chunk per usable CPU, so the thread pool
+is joined once per run; a block's draws do not depend on the chunk or thread
+that runs it, so runs repeat bit for bit on any number of CPUs.  dsmc_step is
+such a run of one step.  A run at the ensemble mean, which changes every
+step, steps all particles together: one dense step at a time, or on countdown
+clocks drawn from the ensemble's generator.
 
 The deterministic part of every transition is mean-reverting: contacts relax
 toward the reference mean (uncontrolled) or toward a blend of mean and target
@@ -54,7 +57,9 @@ from .params import (
 class ParticleEnsemble:
     """Fixed-size population of contact numbers with its random streams.
 
-    rng drives the sparse run at the ensemble mean; streams holds one
+    samples must be finite and >= 0; a NaN or inf sample raises ValueError
+    when the ensemble is built, since a run would draw it a gap that never
+    fires.  rng drives the sparse run at the ensemble mean; streams holds one
     generator per block of _BLOCK particles, spawned from rng's seed sequence
     when the ensemble is built (rng's own stream is untouched), and every run
     at a fixed mean, hence dsmc_step and each dense step at the ensemble mean,
@@ -76,6 +81,8 @@ class ParticleEnsemble:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
+        if not np.all(np.isfinite(self.samples)):
+            raise ValueError("samples must be finite")
         if np.any(self.samples < 0):
             raise ValueError("all contact numbers must be >= 0")
         self.streams = self.rng.spawn(-(-self.samples.size // _BLOCK))
@@ -196,7 +203,7 @@ def _check_law(ens: ParticleEnsemble, m: float, p: KineticParams, c: ControlSpec
         raise ValueError(f"reference mean must be > 0, got {m}")
     if len(ens.streams) * _BLOCK < ens.size:
         raise ValueError("samples outgrew the streams spawned when the ensemble was built")
-    return p.delta == -1.0 and _fire_prob(1.0, p, dt, sigma_bound) == 1.0
+    return p.delta == -1.0 and bool(_fire_prob(1.0, p, dt, sigma_bound) == 1.0)
 
 
 def _usable_cpus() -> int:
@@ -247,8 +254,31 @@ def _move(x: np.ndarray, rngs, m: float, p: KineticParams, c: ControlSpec, buffe
 
 
 def _fire_prob(x, p: KineticParams, dt: float, sigma_bound: float):
-    """Per-step probability min(B(x), sigma_bound) dt / epsilon, at most 1."""
-    return np.minimum(np.minimum(collision_kernel(x, p), sigma_bound) * (dt / p.epsilon), 1.0)
+    """Per-step probability min(B(x), sigma_bound) dt / epsilon, at most 1,
+    computed in place in the one array that B(x) makes (0-d for a scalar x)."""
+    prob = np.asarray(collision_kernel(x, p))
+    np.minimum(prob, sigma_bound, out=prob)
+    prob *= dt / p.epsilon
+    return np.minimum(prob, 1.0, out=prob)
+
+
+def _gaps(rng: np.random.Generator, prob: np.ndarray) -> np.ndarray:
+    """Geometric(prob) gaps, one per element, as floats, by inversion: the
+    ceiling of E / -log1p(-prob), E standard exponential, overwriting prob.
+
+    numpy's own rng.geometric inverts the same way wherever prob < 1/3, so
+    there the gaps equal its draws bit for bit; at prob >= 1/3 it searches,
+    so the draws differ there, but the law is Geometric(prob) all the same.
+    prob 1 gives a gap of 1, and a prob of 0, or so small that the quotient
+    overflows, an infinite gap: that particle never fires.
+    """
+    gap = rng.standard_exponential(prob.size)
+    with np.errstate(divide="ignore", over="ignore"):
+        np.log1p(np.negative(prob, out=prob), out=prob)  # -inf at prob 1
+        np.negative(prob, out=prob)
+        np.divide(gap, prob, out=gap)
+    np.ceil(gap, out=gap)
+    return np.maximum(gap, 1.0, out=gap)
 
 
 def _run_block(x: np.ndarray, rng, m: float, p: KineticParams, c: ControlSpec, dt: float,
@@ -259,26 +289,26 @@ def _run_block(x: np.ndarray, rng, m: float, p: KineticParams, c: ControlSpec, d
     clamped proposals.
 
     A dense block (every particle fires every step) moves whole with _move
-    once per step.  Otherwise it runs in rounds: each particle draws a
-    Geometric gap from its last firing (step -1 before the run) to its next;
-    round r moves with _move every particle whose r-th firing falls inside
-    the run, then redraws only those particles' gaps.  The gap is compared
-    with the steps left, never added first: a gap saturated at the int64
-    maximum is beyond any run.
+    once per step.  Otherwise it runs in rounds: each particle carries left,
+    the steps left after its last firing (n_steps before the run), and each
+    round subtracts a Geometric gap (_gaps) from it; round r moves with _move
+    every particle whose r-th firing falls inside the run, left >= 0, then
+    redraws only those particles' gaps.  A round compacts the particles still
+    running once, by their indices, and an infinite gap leaves left at -inf.
     """
     if dense:
         return n_steps * x.size, sum(_move(x, (rng,), m, p, c, buffers) for _ in range(n_steps))
     idx = np.arange(x.size)
-    last = np.full(x.size, -1)
+    left = np.full(x.size, float(n_steps))
     new = x
     moves = clamped = 0
     while True:
-        gap = rng.geometric(_fire_prob(new, p, dt, sigma_bound))
-        due = gap <= n_steps - 1 - last
-        idx, last = idx[due], last[due] + gap[due]
-        if idx.size == 0:
+        left -= _gaps(rng, _fire_prob(new, p, dt, sigma_bound))
+        due = np.flatnonzero(left >= 0.0)
+        if due.size == 0:
             return moves, clamped
-        new = x[idx]
+        idx, left = idx.take(due), left.take(due)
+        new = x.take(idx)
         clamped += _move(new, (rng,), m, p, c, buffers)
         x[idx] = new
         moves += idx.size
@@ -338,8 +368,9 @@ def run_to_equilibrium(
     step runs at the ensemble mean, which conserves it for delta = +/-1, and
     a mean that is not finite and > 0 raises NumericsError.  A dense step is
     a one-step _run; otherwise particle i next fires at step clocks[i], every
-    clock drawn from ens.rng before the first step, and a particle that fires
-    moves with noise from ens.rng, then draws its next gap.
+    clock drawn by _gaps from ens.rng before the first step, and a particle
+    that fires moves with noise from ens.rng, then draws its next gap; an
+    infinite clock never fires.
     """
     n_steps = step_count(t_final, dt)
     if n_steps == 0:
@@ -356,13 +387,12 @@ def run_to_equilibrium(
             _run(ens, m, p, c, dt, sigma_bound, 1)
             continue
         if clocks is None:
-            clocks = ens.rng.geometric(_fire_prob(x, p, dt, sigma_bound)) - 1
+            clocks = _gaps(ens.rng, _fire_prob(x, p, dt, sigma_bound)) - 1.0
         fire = np.flatnonzero(clocks == step)
         new = x[fire]
         ens.n_clamped += _move(new, itertools.repeat(ens.rng), m, p, c, _buffers(new.size))
         x[fire] = new
-        # a gap saturated at the int64 maximum wraps negative and never fires
-        clocks[fire] = step + ens.rng.geometric(_fire_prob(new, p, dt, sigma_bound))
+        clocks[fire] = step + _gaps(ens.rng, _fire_prob(new, p, dt, sigma_bound))
         ens.n_transitions += fire.size
         ens.n_steps += 1
         ens.threads = 1

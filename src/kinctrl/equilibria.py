@@ -38,8 +38,8 @@ def _log_shape_controlled_a(
     x: np.ndarray, p: KineticParams, c: ControlSpec, m: float
 ) -> np.ndarray:
     lam = p.lam
-    ctrl = 2.0 / (p.sigma2 * c.nu)
     with np.errstate(divide="ignore"):
+        ctrl = 2.0 / (np.float64(p.sigma2) * c.nu)  # inf, not a raise, if the product underflows
         return -(lam + 2.0 + ctrl) * np.log(x) - (lam * m + ctrl * c.x_target) / x
 
 

@@ -246,7 +246,10 @@ def _step_factor(grid: Grid, dt: float, tau: float) -> float:
         raise ValueError(f"dt must be > 0, got {dt}")
     if not tau > 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    return dt / (tau * grid.dx * grid.dx)
+    scale = tau * grid.dx * grid.dx
+    if scale == 0.0:
+        raise NumericsError(f"tau dx^2 underflows to 0 at tau = {tau}, dx = {grid.dx}")
+    return dt / scale
 
 
 class SpStepper:

@@ -83,7 +83,7 @@ def gamma_profile_state(
     f_J(x, 0) = rho_J * lam^lam / (mean0^lam Gamma(lam)) x^(lam-1) e^(-lam x / mean0)
     """
     if not lam > 0 or not mean0 > 0:
-        raise ValueError("lam and mean0 must be > 0")
+        raise ValueError(f"lam and mean0 must be > 0, got lam = {lam}, mean0 = {mean0}")
     x = grid.centers()
     log_profile = (
         lam * math.log(lam)
@@ -253,14 +253,13 @@ def run_scenario(
     of steps.
     """
     n_steps = step_count(t_final, dt)
-    steps = output_steps(n_steps, output_every)
-    recorded = set(steps)
     state = initial
     mass0 = state.total_mass()
     rows = [state.observables()]
     for k in range(1, n_steps + 1):
         state = split_step(state, p, c, e, dt)
         check_mass(state.total_mass(), mass0, k * dt)
-        if k in recorded:
+        if k % output_every == 0 or k == n_steps:
             rows.append(state.observables())
-    return ScenarioResult(np.asarray(steps) * dt, np.array(rows), state)
+    times = np.asarray(output_steps(n_steps, output_every)) * dt
+    return ScenarioResult(times, np.array(rows), state)

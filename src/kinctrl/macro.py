@@ -207,7 +207,11 @@ def controlled_sir(
     _check_incidence(e, range(1, 3), "the controlled macro system")
     m_star, f = _self_consistent_state(p, c, grid, m0)
     b2 = e.betas[1] if e.order > 1 else 0.0
-    beta = e.betas[0] * f.raw_moment(1) ** 2 + b2 * f.raw_moment(2) ** 2
+    try:
+        beta = e.betas[0] * f.raw_moment(1) ** 2 + b2 * f.raw_moment(2) ** 2
+    except OverflowError as exc:
+        raise NumericsError(f"the contact moments of the steady state at m* = {m_star!r} "
+                            "overflow beta") from exc
     return MacroModel(MacroVariant.CLASSICAL_SIR, ClosureKind.DIRAC, p, e, beta=beta), m_star
 
 

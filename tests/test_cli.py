@@ -182,6 +182,57 @@ class Alarm(BaseException):
     """Raised by SIGALRM in a fuzzed run that outlives FUZZ_ALARM_S."""
 
 
+def run_fuzzed(edit_lists, max_examples):
+    """Run the tiny bundled config of each drawn list of fuzz_edits() entries,
+    all of one config, with every edit applied, under an alarm of
+    FUZZ_ALARM_S; assert it exits 0, 2 or 3 and return the config kinds run.
+    An example that hits the alarm is rejected, and printed.  The alarm
+    repeats every tenth of FUZZ_ALARM_S until the run ends: an Alarm raised
+    inside a gc callback or a __del__ is ignored, and a one-shot alarm lost
+    there would let a run of 3e7 steps fill the memory."""
+    kinds, alarms, armed = set(), [], [False]
+
+    def on_alarm(signum, frame):
+        if armed[0]:
+            raise Alarm
+
+    @settings(max_examples=max_examples, deadline=None, derandomize=True, database=None)
+    @given(edits=edit_lists)
+    def run(edits):
+        name = edits[0][0]
+        cfg = tiny_config(name)
+        for _, (*parents, last), value in edits:
+            node = functools.reduce(operator.getitem, parents, cfg)
+            if value == REMOVE:
+                del node[last]
+            else:
+                node[last] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            try:
+                try:
+                    armed[0] = True
+                    signal.setitimer(signal.ITIMER_REAL, FUZZ_ALARM_S, FUZZ_ALARM_S / 10)
+                    code = main(["run", str(path), "--out", str(Path(tmp) / "out")])
+                finally:
+                    armed[0] = False
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+            except Alarm:
+                alarms.append(edits)
+                reject()
+        assert code in (0, 2, 3), edits
+        kinds.add(cfg["kind"])
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    try:
+        run()
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    print(f"{len(alarms)} examples hit the {FUZZ_ALARM_S} s alarm and were rejected: {alarms}")
+    return kinds
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "path, value, named",
@@ -203,6 +254,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert named in err
         assert err.count("field '") == 1  # named once, not inside its block's name too
+
+    def test_gamma_profile_with_an_underflowing_lam_exits_two(self, tmp_path, capsys):
+        # alpha / sigma2 underflows to 0, so the initial gamma profile has no shape
+        def edit(cfg):
+            cfg["kinetic"].update(alpha=1e-300, sigma2=1e300)
+
+        cfg = controlled_epidemic_config(tmp_path, edit)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "field 'kinetic'" in err and "lam = 0.0" in err
 
     @pytest.mark.parametrize("field", ["window_slim", "window_power_law"])
     def test_sweep_window_element_types_exit_two(self, tmp_path, capsys, field):
@@ -379,6 +440,21 @@ class TestExitCodes:
             ("test2_nu_sweep", [("kinetic.alpha", 1e300)], "NumericsError"),
             ("test1_fp_control_b", [("kinetic.alpha", 1e300), ("time.t_final", 0.01)],
              "NumericsError"),
+            # the first contact moment of the additive steady state overflows beta
+            ("test3_consistency_control_a",
+             [("control.nu", 1e-9), ("grid.x_max", 1e300), ("grid.n_cells", 500),
+              ("time.t_final", 0.03)],
+             "NumericsError"),
+            # tau dx^2 of the contact step underflows to 0
+            ("test4_control_b",
+             [("kinetic.sigma2", 1e9), ("grid.x_max", 1e-300), ("grid.n_cells", 500),
+              ("time.t_final", 0.03)],
+             "NumericsError"),
+            # sigma2 nu of the additive control underflows to 0
+            ("test1_control_a",
+             [("kinetic.sigma2", 1e-300), ("control.nu", 1e-300), ("dsmc.n_particles", 1000),
+              ("time.t_final", 0.03)],
+             "NumericsError"),
             ("test3_consistency_control_b",
              [("initial.mean", 1e300), ("grid.n_cells", 500), ("time.t_final", 0.01)],
              "NumericsError"),
@@ -430,43 +506,18 @@ class TestExitCodes:
         # numerically, and any other exception is a bug.  time.dt = 1e-9 makes
         # 3e7 steps, under MAX_STEPS, so every run has an alarm; an example
         # that hits it is rejected, and counted
-        kinds, alarms = set(), []
-
-        def on_alarm(signum, frame):
-            raise Alarm
-
-        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-        @given(edit=st.sampled_from(fuzz_edits()))
-        def run(edit):
-            name, (*parents, last), value = edit
-            cfg = tiny_config(name)
-            node = functools.reduce(operator.getitem, parents, cfg)
-            if value == REMOVE:
-                del node[last]
-            else:
-                node[last] = value
-            with tempfile.TemporaryDirectory() as tmp:
-                path = Path(tmp) / f"{name}.json"
-                path.write_text(json.dumps(cfg))
-                try:
-                    try:
-                        signal.setitimer(signal.ITIMER_REAL, FUZZ_ALARM_S)
-                        code = main(["run", str(path), "--out", str(Path(tmp) / "out")])
-                    finally:
-                        signal.setitimer(signal.ITIMER_REAL, 0)
-                except Alarm:
-                    alarms.append(edit)
-                    reject()
-            assert code in (0, 2, 3), edit
-            kinds.add(cfg["kind"])
-
-        previous = signal.signal(signal.SIGALRM, on_alarm)
-        try:
-            run()
-        finally:
-            signal.signal(signal.SIGALRM, previous)
-        print(f"{len(alarms)} examples hit the {FUZZ_ALARM_S} s alarm and were rejected: {alarms}")
+        kinds = run_fuzzed(st.sampled_from(fuzz_edits()).map(lambda edit: [edit]), 300)
         assert kinds == set(RUNNERS)
+
+    def test_two_fuzzed_leaves_exit_zero_two_or_three(self):
+        # two leaves of the same tiny bundled config edited at once, so an
+        # extreme value meets another one that a single edit never pairs it with
+        by_name = {}
+        for edit in fuzz_edits():
+            by_name.setdefault(edit[0], []).append(edit)
+        pairs = st.sampled_from(sorted(by_name)).flatmap(lambda name: st.lists(
+            st.sampled_from(by_name[name]), min_size=2, max_size=2, unique_by=lambda e: e[1]))
+        run_fuzzed(pairs, 200)
 
     def test_non_finite_metric_exits_three_without_a_manifest(self, tmp_path, monkeypatch, capsys):
         def nan_metric(cfg, out, seed, clock):

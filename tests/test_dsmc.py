@@ -1,6 +1,7 @@
 import itertools
 import json
 import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from kinctrl import (
     sample_noise,
 )
 from kinctrl import cli, dsmc
-from kinctrl.dsmc import _BLOCK, _move
+from kinctrl.dsmc import _BLOCK, _gaps, _move
 from kinctrl.params import STRATEGY_RULES
+from oracles import geometric_rounds
 
 
 def kp(delta=-1.0, alpha=1.0, sigma2=0.2, epsilon=0.01):
@@ -226,6 +228,17 @@ class TestStep:
                     dsmc_step(ens, ens.mean(), p, UN, dt=dt, sigma_bound=bound)
                 runs.append(ens.samples.copy())
             assert np.array_equal(runs[0], runs[1]), delta
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("delta, dt, bound", [(-1.0, 0.01, 1.0), (1.0, 0.001, 10.0)])
+    def test_non_finite_samples_are_rejected(self, bad, delta, dt, bound):
+        # a NaN passes the check for negative contacts, and a sparse run would
+        # draw it a NaN gap, never fire it and drop it from the histogram
+        x = np.append(np.linspace(4.0, 6.0, 1_000), bad)
+        with pytest.raises(ValueError, match="samples"):
+            ens = ParticleEnsemble(x, np.random.default_rng(8))
+            run_to_equilibrium(ens, kp(delta=delta), UN, t_final=0.01, dt=dt, sigma_bound=bound,
+                               m_ref=5.0)
 
 
 def one_pass_dense_step(ens, m, p, c):
@@ -540,6 +553,44 @@ class TestClocks:
                         fire_prob(ens.samples, 1.0, dt, 10.0))
 
 
+class TestGaps:
+    # _gaps inverts the Geometric law, as rng.geometric does below 1/3
+
+    def test_equal_to_numpy_geometric_below_a_third(self):
+        prob = np.random.default_rng(30).uniform(0.0, 1.0 / 3.0, 100_000)
+        prob[:4] = [1e-15, 1e-6, 0.01, np.nextafter(1.0 / 3.0, 0.0)]
+        ours, theirs = np.random.default_rng(31), np.random.default_rng(31)
+        assert np.array_equal(_gaps(ours, prob.copy()), theirs.geometric(prob))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_certain_and_impossible_firings(self):
+        prob = np.array([1.0, 1.0, 0.0, 5e-324, 1e-300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gaps = _gaps(np.random.default_rng(32), prob)
+        assert np.array_equal(gaps[:4], [1.0, 1.0, np.inf, np.inf])
+        assert 1e290 < gaps[4] < np.inf
+
+    @pytest.mark.parametrize("q", [1.0 / 3.0, 0.5, 0.9])
+    def test_geometric_law_from_a_third_up(self, q):
+        # numpy searches here, so the draws differ; the law does not
+        n = 200_000
+        gaps = _gaps(np.random.default_rng(33), np.full(n, q))
+        assert gaps.min() == 1.0 and np.all(gaps == np.round(gaps))
+        assert abs(np.mean(gaps == 1.0) - q) < 5 * np.sqrt(q * (1 - q) / n)
+        assert abs(gaps.mean() - 1 / q) < 5 * np.sqrt((1 - q) / q**2 / n)
+
+
+def geometric_run(ens, m, p, c, dt, sigma_bound, n_steps):
+    """geometric_rounds on each block of ens with its stream: the fixed-mean
+    sparse run with rng.geometric gaps."""
+    counts = [geometric_rounds(ens.samples[a : a + _BLOCK], rng, m, p, c, dt, sigma_bound, n_steps)
+              for a, rng in zip(range(0, ens.size, _BLOCK), ens.streams)]
+    ens.n_transitions += sum(moves for moves, _ in counts)
+    ens.n_clamped += sum(clamped for _, clamped in counts)
+    ens.n_steps += n_steps
+
+
 def rounds(n, seed, samples=None):
     """A run in rounds: 200 steps at delta = +1 and m_ref = 5, from samples or
     a uniform on [4, 6]."""
@@ -614,6 +665,45 @@ class TestRounds:
                                          buffers=dsmc._buffers(x.size))
         assert (moves, clamped, len(calls)) == (16, 0, 3)
         assert np.all(x > 1e119)
+
+    @pytest.mark.parametrize("seed", [40, 41, 42])
+    @pytest.mark.parametrize("p, c, dt, bound, n_steps", [
+        (kp(delta=1.0), UN, 0.001, 10.0, 200),
+        # an exaggerated step steers onto x_target = 0, so many proposals clamp
+        (kp(epsilon=0.5), ControlSpec.additive(1e-9, 0.0), 0.05, 1.0, 20),
+    ], ids=["delta_plus_one", "clamped"])
+    def test_same_run_as_geometric_gaps_below_a_third(self, seed, p, c, dt, bound, n_steps):
+        # every fire probability stays below 1/3, where rng.geometric inverts too
+        ens, oracle = (ParticleEnsemble.from_uniform(_BLOCK + 5_000, 4.0, 6.0, seed=seed)
+                       for _ in range(2))
+        run_to_equilibrium(ens, p, c, t_final=n_steps * dt, dt=dt, sigma_bound=bound, m_ref=5.0)
+        geometric_run(oracle, 5.0, p, c, dt, bound, n_steps)
+        assert_same_ensemble(ens, oracle)
+        assert ens.n_transitions > 0 and (ens.n_clamped > 0) == (c.strategy != UN.strategy)
+
+    def test_same_law_as_geometric_gaps_from_a_third_up(self):
+        # at x in [0.05, 0.3] every particle starts at a fire probability of
+        # 1/3 to 1, where numpy searches; the count is checked against the
+        # probabilities of a step-by-step oracle run
+        p = kp(delta=1.0)
+        x = np.random.default_rng(43).uniform(0.05, 0.3, 20_000)
+        oracle = ParticleEnsemble(x.copy(), np.random.default_rng(44))
+        expected = variance = 0.0
+        for _ in range(200):
+            probs = fire_prob(oracle.samples, 1.0, 0.001, 10.0)
+            expected += probs.sum()
+            variance += (probs * (1 - probs)).sum()
+            geometric_run(oracle, 5.0, p, UN, 0.001, 10.0, 1)
+        ens = rounds(x.size, seed=45, samples=x)
+        assert abs(ens.n_transitions - expected) < 5 * np.sqrt(variance)
+        assert ks_2samp(ens.samples, oracle.samples).pvalue > 1e-3
+
+    def test_a_certain_firing_fires_every_step(self):
+        x = np.linspace(4.0, 6.0, 1_000)
+        moves, _ = dsmc._run_block(x, np.random.default_rng(46), 5.0, kp(), UN, dt=0.01,
+                                   sigma_bound=1.0, n_steps=50, dense=False,
+                                   buffers=dsmc._buffers(x.size))
+        assert moves == 50 * x.size
 
     @pytest.mark.parametrize("changed, kept", [(slice(_BLOCK, None), slice(_BLOCK)),
                                                (slice(_BLOCK), slice(_BLOCK, None))])
