@@ -35,7 +35,6 @@ from .equilibria import (
     tail_classify,
 )
 from .dsmc import (
-    Histogram,
     ParticleEnsemble,
     dsmc_step,
     run_to_equilibrium,
@@ -64,7 +63,6 @@ __all__ = [
     "closure_moment",
     "controlled_steady_state",
     "tail_classify",
-    "Histogram",
     "ParticleEnsemble",
     "dsmc_step",
     "run_to_equilibrium",

@@ -286,15 +286,19 @@ def load_config(path: Path) -> dict:
 # scenario runners
 
 
-def _reference_density(
-    p: KineticParams, c: ControlSpec, m_ref: float, edges: np.ndarray
-) -> np.ndarray:
-    """Bin-averaged equilibrium density on histogram bins (16 panels per bin)."""
-    refine = 16
-    n_bins = len(edges) - 1
-    fine = Grid(float(edges[-1]), n_bins * refine)
-    eq = EquilibriumDensity(p, m_ref, fine, control=c)
-    return eq.values.reshape(n_bins, refine).mean(axis=1)
+def _equilibrium_metrics(
+    p: KineticParams, c: ControlSpec, m_ref: float | None, f: ContactDensity, refine: int
+) -> dict:
+    """l1_to_equilibrium and equilibrium_kind of f at the fixed mean m_ref,
+    against the closed-form steady state averaged over refine panels per
+    cell; empty for a run at its own mean or a rule with no closed form."""
+    eq_kind = EquilibriumKind.for_model(p, c)
+    if eq_kind is None or m_ref is None:
+        return {}
+    n = f.grid.n_cells
+    eq = EquilibriumDensity(p, m_ref, Grid(f.grid.x_max, n * refine), control=c)
+    ref = eq.values.reshape(n, refine).mean(axis=1)
+    return {"l1_to_equilibrium": f.l1_distance(ref), "equilibrium_kind": eq_kind.value}
 
 
 def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tuple[dict, dict]:
@@ -302,8 +306,9 @@ def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> 
     c = _control_spec(cfg)
     _build("kinetic.delta", check_operator_domain, p, c)
     n = _count(cfg, "dsmc.n_particles")
-    n_bins = _count(cfg, "dsmc.n_bins", required=False, default=400)
     x_max = _positive(cfg, "grid.x_max")
+    n_bins = _get(cfg, "dsmc.n_bins", int, required=False, default=400)
+    grid = _build("dsmc.n_bins", Grid, x_max, n_bins)  # the histogram's cells
     dt, t_final = _time(cfg)
     if step_count(t_final, dt) == 0:
         raise ConfigError(f"field 'time.t_final': {t_final} is 0 steps of time.dt; "
@@ -313,17 +318,15 @@ def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> 
 
     bound = _positive(cfg, "dsmc.kernel_bound", required=False)
     if bound is None:
-        bound = collision_kernel(0.5 * x_max / n_bins, p)
+        bound = collision_kernel(0.5 * grid.dx, p)
     _build("time.dt", check_step_size, dt, p.epsilon, bound)
 
     ens = ParticleEnsemble.from_uniform(n, low, high, seed)
     clock.enter("steps_s")
-    hist = run_to_equilibrium(
-        ens, p, c, t_final, dt, bound,
-        m_ref=m_ref, x_max=x_max, n_bins=n_bins,
-    )
+    run_to_equilibrium(ens, p, c, t_final, dt, bound, m_ref=m_ref)
     clock.enter("output_s")
-    write_density(out / density_filename(t_final), hist.centers, {"f": hist.density})
+    f = ContactDensity.from_samples(grid, ens.samples)
+    write_density(out / density_filename(t_final), grid.centers(), {"f": f.values})
 
     metrics = {
         "kernel_bound": bound,
@@ -331,13 +334,13 @@ def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> 
         "accept_ratio": ens.n_transitions / (ens.size * ens.n_steps),
         "ensemble_mean": ens.mean(),
         "ensemble_second_moment": ens.second_moment(),
+        **_equilibrium_metrics(p, c, m_ref, f, refine=16),
     }
-    eq_kind = EquilibriumKind.for_model(p, c)
-    if eq_kind is not None and m_ref is not None:
-        ref = _reference_density(p, c, m_ref, hist.bin_edges)
-        metrics["l1_to_equilibrium"] = hist.l1_distance(ref)
-        metrics["equilibrium_kind"] = eq_kind.value
-    return metrics, {"steps": ens.n_steps, "threads": ens.threads}
+    return metrics, {
+        "steps": ens.n_steps,
+        "threads": ens.threads,
+        "particles_outside": int(np.count_nonzero(ens.samples > x_max)),
+    }
 
 
 def run_fp_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tuple[dict, dict]:
@@ -373,13 +376,9 @@ def run_fp_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tu
     metrics = {
         "final_mass": f.mass(),
         "final_mean": f.mean(),
-        "l1_to_steady_state": float(np.abs(f.values - steady.values).sum() * grid.dx),
+        "l1_to_steady_state": f.l1_distance(steady.values),
+        **_equilibrium_metrics(p, c, m_ref, f, refine=1),
     }
-    eq_kind = EquilibriumKind.for_model(p, c)
-    if eq_kind is not None and m_ref is not None:
-        eq = EquilibriumDensity(p, m_ref, grid, control=c)
-        metrics["l1_to_equilibrium"] = float(np.abs(f.values - eq.values).sum() * grid.dx)
-        metrics["equilibrium_kind"] = eq_kind.value
     return metrics, {"steps": n_steps}
 
 

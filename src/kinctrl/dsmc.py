@@ -28,6 +28,9 @@ toward the reference mean (uncontrolled) or toward a blend of mean and target
 (controlled rules).  The control is the one the operators take: its
 mesoscopic penalization nu enters each transition as epsilon nu, and a
 controlled rule runs at delta = -1 only, the one delta it is derived at.
+
+This module only simulates: every run moves ens.samples in place, and the
+histogram of a run is fp.ContactDensity.from_samples on the caller's grid.
 """
 
 from __future__ import annotations
@@ -57,9 +60,9 @@ from .params import (
 class ParticleEnsemble:
     """Fixed-size population of contact numbers with its random streams.
 
-    samples must be finite and >= 0; a NaN or inf sample raises ValueError
-    when the ensemble is built, since a run would draw it a gap that never
-    fires.  rng drives the sparse run at the ensemble mean; streams holds one
+    samples, which every run moves in place, must be finite and >= 0; a NaN
+    or inf sample raises ValueError when the ensemble is built, since a run
+    would draw it a gap that never fires.  rng drives the sparse run at the ensemble mean; streams holds one
     generator per block of _BLOCK particles, spawned from rng's seed sequence
     when the ensemble is built (rng's own stream is untouched), and every run
     at a fixed mean, hence dsmc_step and each dense step at the ensemble mean,
@@ -101,38 +104,6 @@ class ParticleEnsemble:
 
     def second_moment(self) -> float:
         return float((self.samples**2).mean())
-
-
-@dataclass(frozen=True, eq=False)
-class Histogram:
-    """Probability-density histogram on uniform bins over [0, x_max]."""
-
-    bin_edges: np.ndarray
-    density: np.ndarray
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray, n_bins: int, x_max: float) -> "Histogram":
-        counts, edges = np.histogram(samples, bins=n_bins, range=(0.0, x_max))
-        width = edges[1] - edges[0]
-        total = counts.sum()
-        if total == 0:
-            raise NumericsError("no particle lies inside [0, x_max]")
-        return cls(edges, counts / (total * width))
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-
-    @property
-    def bin_width(self) -> float:
-        return float(self.bin_edges[1] - self.bin_edges[0])
-
-    def l1_distance(self, reference: np.ndarray) -> float:
-        """L1 distance to a reference density sampled on the same bins."""
-        reference = np.asarray(reference, dtype=float)
-        if reference.shape != self.density.shape:
-            raise ValueError("reference must match the histogram bins")
-        return float(np.abs(self.density - reference).sum() * self.bin_width)
 
 
 def sample_noise(p: KineticParams, rng: np.random.Generator, size=None, out=None):
@@ -358,10 +329,9 @@ def run_to_equilibrium(
     dt: float,
     sigma_bound: float,
     m_ref: Optional[float] = None,
-    x_max: float = 100.0,
-    n_bins: int = 400,
-) -> Histogram:
-    """Run the ensemble to t_final and return the normalized histogram.
+) -> None:
+    """Run the ensemble to t_final, moving ens.samples in place; bin them
+    with fp.ContactDensity.from_samples.
 
     m_ref fixes the reference mean of the growth term for the whole run
     (relaxation toward a prescribed mean): one _run.  With m_ref = None each
@@ -377,7 +347,7 @@ def run_to_equilibrium(
         raise ValueError(f"t_final = {t_final} is 0 steps of dt = {dt}; a run needs at least one")
     if m_ref is not None:
         _run(ens, m_ref, p, c, dt, sigma_bound, n_steps)
-        return Histogram.from_samples(ens.samples, n_bins, x_max)
+        return
     x, clocks = ens.samples, None
     for step in range(n_steps):
         m = ens.mean()
@@ -396,4 +366,3 @@ def run_to_equilibrium(
         ens.n_transitions += fire.size
         ens.n_steps += 1
         ens.threads = 1
-    return Histogram.from_samples(ens.samples, n_bins, x_max)

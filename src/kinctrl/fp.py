@@ -70,7 +70,8 @@ class Grid:
 
 @dataclass(eq=False)
 class ContactDensity:
-    """Cell-centered density of contact numbers for one compartment."""
+    """Cell-centered density of contact numbers for one compartment, or the
+    histogram of a particle ensemble (from_samples)."""
 
     grid: Grid
     values: np.ndarray
@@ -82,6 +83,23 @@ class ContactDensity:
                 f"values shape {self.values.shape} does not match grid with "
                 f"{self.grid.n_cells} cells"
             )
+
+    @classmethod
+    def from_samples(cls, grid: Grid, samples: np.ndarray) -> "ContactDensity":
+        """Normalized histogram of the samples in [0, x_max], one bin per cell;
+        samples beyond x_max are left out."""
+        counts, _ = np.histogram(samples, bins=grid.n_cells, range=(0.0, grid.x_max))
+        total = counts.sum()
+        if total == 0:
+            raise NumericsError("no particle lies inside [0, x_max]")
+        return cls(grid, counts / (total * grid.dx))
+
+    def l1_distance(self, reference: np.ndarray) -> float:
+        """L1 distance to a reference density sampled on the same cells."""
+        reference = np.asarray(reference, dtype=float)
+        if reference.shape != self.values.shape:
+            raise ValueError("reference must match the grid's cells")
+        return float(np.abs(self.values - reference).sum() * self.grid.dx)
 
     def mass(self) -> float:
         return float(self.values.sum() * self.grid.dx)

@@ -32,3 +32,11 @@ def geometric_rounds(x, rng, m, p, c, dt, sigma_bound, n_steps):
         clamped += _move(new, (rng,), m, p, c, _buffers(new.size))
         x[idx] = new
         moves += idx.size
+
+
+def histogram(samples, n_bins, x_max):
+    """The particle histogram on np.histogram's own bins over [0, x_max]:
+    (bin-edge midpoints, counts / (total * width)), width the first bin's."""
+    counts, edges = np.histogram(samples, bins=n_bins, range=(0.0, x_max))
+    width = edges[1] - edges[0]
+    return 0.5 * (edges[:-1] + edges[1:]), counts / (counts.sum() * width)

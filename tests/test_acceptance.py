@@ -130,10 +130,8 @@ def t1_dsmc_runs():
     ):
         p = kp(delta)
         ens = ParticleEnsemble.from_uniform(N_PARTICLES, 6.0, 8.0, seed=seed)
-        hist = run_to_equilibrium(
-            ens, p, control, t_final, dt, bound,
-            m_ref=M_REF, x_max=X_MAX, n_bins=N_BINS,
-        )
+        run_to_equilibrium(ens, p, control, t_final, dt, bound, m_ref=M_REF)
+        hist = ContactDensity.from_samples(Grid(X_MAX, N_BINS), ens.samples)
         ref = bin_averaged_equilibrium(p, M_REF, control, N_BINS, X_MAX)
         out[name] = hist.l1_distance(ref)
     return out

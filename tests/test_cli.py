@@ -8,10 +8,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from kinctrl import ParticleEnsemble
 from kinctrl.cli import (
     RUNNERS,
     bundled_config_path,
@@ -306,6 +308,20 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "field 'initial'" in capsys.readouterr().err
 
+    def test_one_histogram_bin_exits_two(self, tmp_path, monkeypatch, capsys):
+        # one bin holds every particle inside [0, x_max], so the density
+        # would match any equilibrium; the check comes before any step
+        def never(*args, **kwargs):
+            raise AssertionError("the particles ran before dsmc.n_bins was checked")
+
+        monkeypatch.setattr("kinctrl.cli.run_to_equilibrium", never)
+        cfg = load_config(bundled_config_path("test1_control_b.json"))
+        cfg["dsmc"]["n_bins"] = 1
+        path = tmp_path / "one_bin.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "dsmc.n_bins" in capsys.readouterr().err
+
     def test_consistency_closure_needs_delta_plus_or_minus_one(self, tmp_path, capsys):
         cfg = consistency_config()
         cfg["kinetic"]["delta"] = 0.5
@@ -577,6 +593,28 @@ class TestRun:
         assert set(manifest["timings"]) == {"setup_s", "steps_s", "output_s"}
         assert sum(manifest["timings"].values()) >= 0.95 * manifest["wall_clock_s"]
 
+    def test_particles_beyond_x_max_are_counted(self, tmp_path, monkeypatch):
+        # 500 of 3 000 particles start at 2 x_max and stay past x_max for the
+        # one step; the histogram leaves them out and the manifest counts them
+        from_uniform = ParticleEnsemble.from_uniform
+
+        def some_beyond(n, low, high, seed):
+            ens = from_uniform(n, low, high, seed)
+            ens.samples[:500] = 200.0
+            return ens
+
+        monkeypatch.setattr(ParticleEnsemble, "from_uniform", some_beyond)
+        path = small_dsmc_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["time"]["t_final"] = 0.01
+        path.write_text(json.dumps(cfg))
+        out = execute(path, tmp_path / "out")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["diagnostics"]["particles_outside"] == 500
+        density = read_csv(out / "density_t0.01.csv")
+        counts = density["f"] * (density["x"][1] - density["x"][0]) * 2_500
+        assert np.allclose(counts, np.round(counts)) and np.round(counts).sum() == 2_500
+
     def test_bad_tail_window_fails_before_the_run(self, tmp_path, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("the scenario ran before its config was checked")
@@ -604,7 +642,8 @@ class TestRun:
         else:
             assert 0.0 < ratio < 1.0
         # 3 000 particles fill one block, so the dense step runs as one chunk too
-        assert manifest["diagnostics"] == {"steps": round(0.1 / dt), "threads": 1}
+        assert manifest["diagnostics"] == {
+            "steps": round(0.1 / dt), "threads": 1, "particles_outside": 0}
 
     def test_byte_identical_reruns(self, tmp_path):
         path = small_dsmc_config(tmp_path)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinctrl import (
+    ContactDensity,
     ControlSpec,
     EquilibriumDensity,
     Grid,
@@ -21,7 +22,7 @@ from scipy.linalg.lapack import dgtsv
 from kinctrl import fp
 from kinctrl.errors import NumericsError
 from kinctrl.fp import SpStepper, _bernoulli, interface_log_ratios, sp_step_batch
-from oracles import drift
+from oracles import drift, histogram
 
 
 def kp(delta, alpha=1.0, sigma2=0.2, **kw):
@@ -51,6 +52,55 @@ class TestGrid:
             Grid(0.0, 10)
         with pytest.raises(ValueError):
             Grid(10.0, 1)
+
+
+class TestHistogram:
+    def test_normalization(self):
+        rng = np.random.default_rng(0)
+        h = ContactDensity.from_samples(Grid(100.0, 400), rng.gamma(5.0, 2.0, size=10_000))
+        assert h.values.sum() * h.grid.dx == pytest.approx(1.0)
+
+    def test_histogram_equality_returns_a_bool(self):
+        # histograms compare by identity, like ensembles
+        grid = Grid(4.0, 4)
+        a, b = (ContactDensity.from_samples(grid, np.array([1.0, 2.0, 3.0])) for _ in range(2))
+        assert (a == b) is False
+        assert (a == a) is True
+
+    @pytest.mark.parametrize("x_max, n_bins", [(100.0, 400), (100.0, 200)])
+    def test_matches_the_oracle_bit_for_bit(self, x_max, n_bins):
+        # the bundled particle grids: dx is a power-of-two fraction, so the
+        # cell centers are the old bin-edge midpoints exactly
+        samples = np.random.default_rng(1).gamma(5.0, 2.0, size=100_000)
+        x, f = histogram(samples, n_bins, x_max)
+        h = ContactDensity.from_samples(Grid(x_max, n_bins), samples)
+        assert np.array_equal(h.values, f)
+        assert np.array_equal(h.grid.centers(), x)
+
+    def test_other_widths_move_centers_by_at_most_one_ulp(self):
+        # dx = 0.075 is the old bin width, but (i + 1/2) dx and the edge
+        # midpoints round differently in 147 of the 400 cells
+        samples = np.random.default_rng(2).gamma(5.0, 2.0, size=100_000)
+        x, f = histogram(samples, 400, 30.0)
+        h = ContactDensity.from_samples(Grid(30.0, 400), samples)
+        assert np.array_equal(h.values, f)
+        centers = h.grid.centers()
+        assert np.all(np.abs(centers - x) <= np.spacing(x))
+        assert np.count_nonzero(centers != x) == 147
+
+    def test_samples_beyond_x_max_are_left_out(self):
+        h = ContactDensity.from_samples(Grid(4.0, 4), np.array([0.5, 1.5, 4.0, 4.5, 9.0]))
+        assert np.array_equal(h.values, [1 / 3, 1 / 3, 0.0, 1 / 3])
+
+    def test_no_sample_inside_is_numerics_error(self):
+        with pytest.raises(NumericsError, match="no particle"):
+            ContactDensity.from_samples(Grid(4.0, 4), np.array([4.5, 9.0]))
+
+    def test_l1_distance(self):
+        h = ContactDensity(Grid(4.0, 4), np.array([0.5, 0.5, 0.0, 0.0]))
+        assert h.l1_distance(np.array([0.25, 0.25, 0.25, 0.25])) == 1.0
+        with pytest.raises(ValueError, match="match"):
+            h.l1_distance(np.ones(3))
 
 
 class TestBernoulli:
