@@ -101,6 +101,9 @@ class PhaseClock:
 # ---------------------------------------------------------------------------
 # config parsing
 
+# Key paths of the config values that _get has read during this execute.
+_read: set[tuple[str, ...]] = set()
+
 
 def _get(cfg: dict, path: str, expected, required=True, default=None):
     node = cfg
@@ -111,6 +114,8 @@ def _get(cfg: dict, path: str, expected, required=True, default=None):
                 raise ConfigError(f"missing field '{'.'.join(parts[: i + 1])}'")
             return default
         node = node[key]
+    if not isinstance(node, dict):
+        _read.add(tuple(parts))
     if node is None and not required:
         return default
     if expected is float and isinstance(node, (int, float)) and not isinstance(node, bool):
@@ -177,16 +182,8 @@ def _window(cfg: dict, path: str, required=True, default=None):
     return lo, hi
 
 
-def _initial_profile(cfg: dict, name: str) -> None:
-    """Reject an initial.type that does not name the profile the scenario builds."""
-    kind = _get(cfg, "initial.type", str, required=False)
-    if kind is not None and kind != name:
-        raise ConfigError(f"field 'initial.type': this scenario starts from {name!r}, got {kind!r}")
-
-
 def _interval(cfg: dict, x_max: float) -> tuple[float, float]:
     """(initial.low, initial.high) of the uniform initial profile, with 0 <= low < high <= x_max."""
-    _initial_profile(cfg, "uniform")
     low = _get(cfg, "initial.low", float)
     high = _get(cfg, "initial.high", float)
     if not 0 <= low < high <= x_max:
@@ -208,18 +205,6 @@ def _build(field: str, make, *args, **kwargs):
         raise ConfigError(f"field '{field}': {exc}") from exc
 
 
-def _kinetic_params(cfg: dict) -> KineticParams:
-    return _build(
-        "kinetic",
-        KineticParams,
-        alpha=_get(cfg, "kinetic.alpha", float),
-        sigma2=_get(cfg, "kinetic.sigma2", float),
-        delta=_get(cfg, "kinetic.delta", float),
-        epsilon=_get(cfg, "kinetic.epsilon", float, required=False, default=0.01),
-        tau=_get(cfg, "kinetic.tau", float, required=False, default=1.0),
-    )
-
-
 def _epidemic_params(cfg: dict) -> EpidemicParams:
     return _build(
         "epidemic",
@@ -230,24 +215,20 @@ def _epidemic_params(cfg: dict) -> EpidemicParams:
     )
 
 
-def _control_spec(cfg: dict) -> ControlSpec:
-    block = cfg.get("control")
-    if block is None:
-        return ControlSpec.uncontrolled()
-    strategy = _choice(cfg, "control.strategy", Strategy, "strategy")
-    if strategy is Strategy.UNCONTROLLED:
-        return ControlSpec.uncontrolled()
-    return _build(
-        "control",
-        ControlSpec,
-        strategy,
-        nu=_get(cfg, "control.nu", float),
-        x_target=_get(cfg, "control.x_target", float),
-    )
+def _control_spec(cfg: dict, p: KineticParams) -> ControlSpec:
+    """The control block's rule, uncontrolled if absent or null, checked against p.delta."""
+    c = ControlSpec.uncontrolled()
+    if _get(cfg, "control", dict, required=False) is not None:
+        strategy = _choice(cfg, "control.strategy", Strategy, "strategy")
+        if strategy is not Strategy.UNCONTROLLED:
+            c = _build("control", ControlSpec, strategy, nu=_get(cfg, "control.nu", float),
+                       x_target=_get(cfg, "control.x_target", float))
+    _build("kinetic.delta", check_operator_domain, p, c)
+    return c
 
 
 def _grid(cfg: dict) -> Grid:
-    return _build("grid", Grid, _get(cfg, "grid.x_max", float), _get(cfg, "grid.n_cells", int))
+    return _build("grid.n_cells", Grid, _positive(cfg, "grid.x_max"), _get(cfg, "grid.n_cells", int))
 
 
 def _time(cfg: dict) -> tuple[float, float]:
@@ -256,6 +237,24 @@ def _time(cfg: dict) -> tuple[float, float]:
     t_final = _get(cfg, "time.t_final", float)
     _build("time.t_final", step_count, t_final, dt)
     return dt, t_final
+
+
+def _leaves(node: dict, path: tuple[str, ...] = ()):
+    """Key paths of the values in nested dicts that are not dicts; a list is one leaf."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _start_steps(cfg: dict, clock: PhaseClock) -> None:
+    """Enter the steps phase; a config leaf that no _get has read by now sets
+    nothing, so it stops the run first."""
+    for leaf in _leaves(cfg):
+        if leaf not in _read:
+            raise ConfigError(f"field '{'.'.join(leaf)}': a {cfg['kind']} run does not read it")
+    clock.enter("steps_s")
 
 
 def load_config(path: Path) -> dict:
@@ -273,9 +272,7 @@ def load_config(path: Path) -> dict:
         raise ConfigError("config root must be a JSON object")
     version = _get(cfg, "schema_version", int)
     if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"field 'schema_version': expected {SCHEMA_VERSION}, got {version}"
-        )
+        raise ConfigError(f"field 'schema_version': expected {SCHEMA_VERSION}, got {version}")
     kind = _get(cfg, "kind", str)
     if kind not in RUNNERS:
         raise ConfigError(f"field 'kind': unknown scenario {kind!r}; choose from {tuple(RUNNERS)}")
@@ -301,28 +298,24 @@ def _equilibrium_metrics(
     return {"l1_to_equilibrium": f.l1_distance(ref), "equilibrium_kind": eq_kind.value}
 
 
-def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tuple[dict, dict]:
-    p = _kinetic_params(cfg)
-    c = _control_spec(cfg)
-    _build("kinetic.delta", check_operator_domain, p, c)
+def run_dsmc_equilibrium(
+    cfg: dict, p: KineticParams, out: Path, seed: int, clock: PhaseClock
+) -> tuple[dict, dict]:
+    c = _control_spec(cfg, p)
     n = _count(cfg, "dsmc.n_particles")
-    x_max = _positive(cfg, "grid.x_max")
-    n_bins = _get(cfg, "dsmc.n_bins", int, required=False, default=400)
-    grid = _build("dsmc.n_bins", Grid, x_max, n_bins)  # the histogram's cells
+    grid = _grid(cfg)  # the histogram's cells
     dt, t_final = _time(cfg)
     if step_count(t_final, dt) == 0:
         raise ConfigError(f"field 'time.t_final': {t_final} is 0 steps of time.dt; "
                           "a particle run needs at least one")
     m_ref = _positive(cfg, "dsmc.mean_reference", required=False)
-    low, high = _interval(cfg, x_max)
+    low, high = _interval(cfg, grid.x_max)
 
-    bound = _positive(cfg, "dsmc.kernel_bound", required=False)
-    if bound is None:
-        bound = collision_kernel(0.5 * grid.dx, p)
+    bound = _positive(cfg, "dsmc.kernel_bound", required=False) or collision_kernel(0.5 * grid.dx, p)
     _build("time.dt", check_step_size, dt, p.epsilon, bound)
 
     ens = ParticleEnsemble.from_uniform(n, low, high, seed)
-    clock.enter("steps_s")
+    _start_steps(cfg, clock)
     run_to_equilibrium(ens, p, c, t_final, dt, bound, m_ref=m_ref)
     clock.enter("output_s")
     f = ContactDensity.from_samples(grid, ens.samples)
@@ -339,14 +332,14 @@ def run_dsmc_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> 
     return metrics, {
         "steps": ens.n_steps,
         "threads": ens.threads,
-        "particles_outside": int(np.count_nonzero(ens.samples > x_max)),
+        "particles_outside": int(np.count_nonzero(ens.samples > grid.x_max)),
     }
 
 
-def run_fp_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tuple[dict, dict]:
-    p = _kinetic_params(cfg)
-    c = _control_spec(cfg)
-    _build("kinetic.delta", check_operator_domain, p, c)
+def run_fp_equilibrium(
+    cfg: dict, p: KineticParams, out: Path, seed: int, clock: PhaseClock
+) -> tuple[dict, dict]:
+    c = _control_spec(cfg, p)
     grid = _grid(cfg)
     dt, t_final = _time(cfg)
     m_ref = _positive(cfg, "fp.mean_reference", required=False)
@@ -354,7 +347,7 @@ def run_fp_equilibrium(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tu
     n_steps = step_count(t_final, dt)
     op = build_operator(p, c, grid)
     mass0 = f.mass()
-    clock.enter("steps_s")
+    _start_steps(cfg, clock)
     if m_ref is not None:
         stepper = SpStepper(op, m_ref, dt, p.tau)
         vals = f.values
@@ -391,8 +384,9 @@ def _tail(f: ContactDensity, window: tuple[float, float]) -> dict:
     return {"kind": tc.kind.value, "exponent": tc.exponent}
 
 
-def run_tail_sweep(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tuple[dict, dict]:
-    p = _kinetic_params(cfg)
+def run_tail_sweep(
+    cfg: dict, p: KineticParams, out: Path, seed: int, clock: PhaseClock
+) -> tuple[dict, dict]:
     grid = _grid(cfg)
     m_ref = _positive(cfg, "fp.mean_reference")
     x_target = _get(cfg, "sweep.x_target", float)
@@ -406,7 +400,7 @@ def run_tail_sweep(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tuple[
     if p.delta != -1.0:
         raise ConfigError("field 'kinetic.delta': tail_sweep requires delta = -1")
 
-    clock.enter("steps_s")
+    _start_steps(cfg, clock)
     u = EquilibriumDensity(p, m_ref, grid)
     rows = [("uncontrolled", 0.0, u.raw_moment(1), u.raw_moment(2))]
     tails: dict[str, dict] = {"additive_a": {}, "interaction_b": {}}
@@ -425,8 +419,7 @@ def run_tail_sweep(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tuple[
     return {"tails": tails}, {}
 
 
-def _macro_model(cfg: dict) -> MacroModel:
-    p = _kinetic_params(cfg)
+def _macro_model(cfg: dict, p: KineticParams) -> MacroModel:
     variant = _choice(cfg, "macro.variant", MacroVariant, "variant")
     closure = _choice(cfg, "macro.closure", ClosureKind, "closure")
     beta = _get(cfg, "macro.beta", float, required=False)
@@ -448,41 +441,42 @@ def _output_every(cfg: dict) -> int:
     return _count(cfg, "time.output_every", required=False, default=1)
 
 
-def run_macro_compare(cfg: dict, out: Path, seed: int, clock: PhaseClock) -> tuple[dict, dict]:
-    model = _macro_model(cfg)
+def _rk4_rows(model: MacroModel, s0: MacroState, dt: float, t_final: float, every: int):
+    """(times, states table) of rk4_integrate at the output steps of every."""
+    times, states = rk4_integrate(model, s0, dt, t_final)
+    steps = output_steps(len(states) - 1, every)
+    return np.array([times[k] for k in steps]), np.array([states[k] for k in steps])
+
+
+def run_macro_compare(
+    cfg: dict, p: KineticParams, out: Path, seed: int, clock: PhaseClock
+) -> tuple[dict, dict]:
+    model = _macro_model(cfg, p)
     s0 = _macro_initial(cfg)
     dt, t_final = _time(cfg)
-    clock.enter("steps_s")
-    times, states = rk4_integrate(model, s0, dt, t_final)
+    every = _output_every(cfg)
+    _start_steps(cfg, clock)
+    times, table = _rk4_rows(model, s0, dt, t_final, every)
     clock.enter("output_s")
-    steps = output_steps(len(states) - 1, _output_every(cfg))
-    table = np.array([states[k] for k in steps])
-    _write_trajectory(out / TRAJECTORY_FILE, np.array([times[k] for k in steps]), table)
-    return {
-        "peak_rho_i": float(table[:, 1].max()),
-        "peak_m_i": float(table[:, 4].max()),
-    }, {}
+    _write_trajectory(out / TRAJECTORY_FILE, times, table)
+    return {"peak_rho_i": float(table[:, 1].max()), "peak_m_i": float(table[:, 4].max())}, {}
 
 
-def _kinetic_pieces(cfg: dict):
-    p = _kinetic_params(cfg)
+def _kinetic_pieces(cfg: dict, p: KineticParams):
     e = _epidemic_params(cfg)
-    c = _control_spec(cfg)
+    c = _control_spec(cfg, p)
     grid = _grid(cfg)
-    _build("kinetic.delta", check_operator_domain, p, c)
-    _initial_profile(cfg, "gamma_profile")
-    rho = _numbers(cfg, "initial.rho", length=3, low=0.0)
-    mean0 = _positive(cfg, "initial.mean")
-    ic = _build("kinetic", gamma_profile_state, grid, p.lam, mean0, tuple(rho))
-    return p, e, c, grid, ic
+    s0 = _macro_initial(cfg)
+    ic = _build("kinetic", gamma_profile_state, grid, p.lam, s0.m_s, s0[:3])
+    return e, c, grid, ic
 
 
 def run_kinetic_macro_consistency(
-    cfg: dict, out: Path, seed: int, clock: PhaseClock
+    cfg: dict, p: KineticParams, out: Path, seed: int, clock: PhaseClock
 ) -> tuple[dict, dict]:
     """Kinetic run against its macro reference: the closed L1/L2 system, or
     under a control classical SIR at the derived beta, started at m*."""
-    p, e, c, grid, ic = _kinetic_pieces(cfg)
+    e, c, grid, ic = _kinetic_pieces(cfg, p)
     dt, t_final = _time(cfg)
     every = _output_every(cfg)
     if c.active:
@@ -493,17 +487,15 @@ def run_kinetic_macro_consistency(
         variant = MacroVariant.L2 if e.order >= 2 else MacroVariant.L1
         model = _build("kinetic/epidemic", MacroModel, variant, closure, p, e)
 
-    clock.enter("steps_s")
+    _start_steps(cfg, clock)
     result = run_scenario(ic, p, c, e, t_final, dt, output_every=every)
     row0 = result.observables[0, :6].tolist()
     s0 = MacroState(*row0[:3], m_star, m_star, m_star) if c.active else MacroState(*row0)
-    times, states = rk4_integrate(model, s0, dt, t_final)
+    times, ref = _rk4_rows(model, s0, dt, t_final, every)
 
     clock.enter("output_s")
     _write_trajectory(out / TRAJECTORY_FILE, result.times, result.observables)
-    steps = output_steps(len(states) - 1, every)
-    ref = np.array([states[k] for k in steps])
-    _write_trajectory(out / "trajectory_macro.csv", np.array([times[k] for k in steps]), ref)
+    _write_trajectory(out / "trajectory_macro.csv", times, ref)
 
     # the means' gaps are relative where the reference mean is non-zero
     # (an empty compartment has mean 0) and absolute where it is 0; a
@@ -522,14 +514,14 @@ def run_kinetic_macro_consistency(
 
 
 def run_controlled_epidemic(
-    cfg: dict, out: Path, seed: int, clock: PhaseClock
+    cfg: dict, p: KineticParams, out: Path, seed: int, clock: PhaseClock
 ) -> tuple[dict, dict]:
-    p, e, c, grid, ic = _kinetic_pieces(cfg)
+    e, c, grid, ic = _kinetic_pieces(cfg, p)
     dt, t_final = _time(cfg)
     every = _output_every(cfg)
     window = _window(cfg, "tail_window", required=False)
 
-    clock.enter("steps_s")
+    _start_steps(cfg, clock)
     result = run_scenario(ic, p, c, e, t_final, dt, output_every=every)
     clock.enter("output_s")
     _write_trajectory(out / TRAJECTORY_FILE, result.times, result.observables)
@@ -547,8 +539,9 @@ def run_controlled_epidemic(
     return metrics, {"steps": step_count(t_final, dt)}
 
 
-# Each runner writes its outputs under out and returns the manifest's
-# (metrics, diagnostics).
+# Each runner takes the config and its parsed kinetic block, reads every
+# field it uses before _start_steps, writes its outputs under out and
+# returns the manifest's (metrics, diagnostics).
 RUNNERS = {
     "dsmc_equilibrium": run_dsmc_equilibrium,
     "fp_equilibrium": run_fp_equilibrium,
@@ -570,32 +563,38 @@ def _first_non_finite(value, name: str) -> str | None:
 
 
 def execute(config_path: Path, out_dir: Path | None = None, seed: int | None = None) -> Path:
-    """Run one scenario config; returns the output directory."""
+    """Run one scenario config; returns the output directory, made by its first output."""
+    _read.clear()
     cfg = load_config(config_path)
     kind = cfg["kind"]
-    eff_seed = seed if seed is not None else _get(cfg, "seed", int, required=False, default=0)
-    if kind == "dsmc_equilibrium" and _get(cfg, "seed", int, required=False) is None and seed is None:
-        raise ConfigError("field 'seed': required for stochastic scenarios")
+    # a particle run is stochastic: it needs a seed, from the config or --seed
+    cfg_seed = _get(cfg, "seed", int, required=kind == "dsmc_equilibrium" and seed is None, default=0)
+    eff_seed = cfg_seed if seed is None else seed
     if eff_seed < 0:
         raise ConfigError(f"field 'seed': must be >= 0, got {eff_seed}")
     config_out = _get(cfg, "out_dir", str, required=False)
     out = resolve_out_dir(str(out_dir) if out_dir else None, config_out, config_path.stem)
-    out.mkdir(parents=True, exist_ok=True)
 
     clock = PhaseClock()
-    metrics, diagnostics = RUNNERS[kind](cfg, out, eff_seed, clock)
+    p = _build(
+        "kinetic",
+        KineticParams,
+        alpha=_get(cfg, "kinetic.alpha", float),
+        sigma2=_get(cfg, "kinetic.sigma2", float),
+        delta=_get(cfg, "kinetic.delta", float),
+        epsilon=_get(cfg, "kinetic.epsilon", float, required=False, default=0.01),
+        tau=_get(cfg, "kinetic.tau", float, required=False, default=1.0),
+    )
+    metrics, diagnostics = RUNNERS[kind](cfg, p, out, eff_seed, clock)
     elapsed = clock.enter(None)
     if (bad := _first_non_finite(metrics, "metrics")) is not None:
         raise NumericsError(f"{bad} is not finite; no manifest written")
 
-    p = _kinetic_params(cfg) if "kinetic" in cfg else None
-    derived = {}
-    if p is not None:
-        derived["lam"] = p.lam
-        try:
-            derived["moment_ratio"] = moment_ratio(p.lam, p.delta)
-        except ValueError:
-            pass  # delta is not +/-1, or the inverse-gamma profile has no second moment
+    derived = {"lam": p.lam}
+    try:
+        derived["moment_ratio"] = moment_ratio(p.lam, p.delta)
+    except ValueError:
+        pass  # delta is not +/-1, or the inverse-gamma profile has no second moment
     write_manifest(
         out / MANIFEST_FILE,
         {

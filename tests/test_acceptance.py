@@ -431,11 +431,10 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
                 "seed": 2718,
                 "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": delta, "epsilon": 0.01,
                             "tau": 1.0},
-                "grid": {"x_max": 100.0, "n_cells": 1000},
-                "dsmc": {"n_particles": 20000, "n_bins": 400, "mean_reference": 5.0,
-                         "kernel_bound": bound},
+                "grid": {"x_max": 100.0, "n_cells": 400},
+                "dsmc": {"n_particles": 20000, "mean_reference": 5.0, "kernel_bound": bound},
                 "time": {"dt": dt, "t_final": 3.0},
-                "initial": {"type": "uniform", "low": 6.0, "high": 8.0},
+                "initial": {"low": 6.0, "high": 8.0},
             }
             path = tmp_path / f"repro_{delta:+.0f}.json"
             path.write_text(json.dumps(cfg))

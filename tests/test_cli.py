@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import json
 import operator
 import os
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from kinctrl import ParticleEnsemble
+from kinctrl import ParticleEnsemble, cli
 from kinctrl.cli import (
     RUNNERS,
     bundled_config_path,
@@ -33,10 +35,10 @@ def small_dsmc_config(tmp_path, seed=7, sigma2=0.2, name="small.json"):
         "kind": "dsmc_equilibrium",
         "seed": seed,
         "kinetic": {"alpha": 1.0, "sigma2": sigma2, "delta": -1.0, "epsilon": 0.01, "tau": 1.0},
-        "grid": {"x_max": 100.0, "n_cells": 1000},
-        "dsmc": {"n_particles": 3000, "n_bins": 100, "mean_reference": 5.0, "kernel_bound": 1.0},
+        "grid": {"x_max": 100.0, "n_cells": 100},
+        "dsmc": {"n_particles": 3000, "mean_reference": 5.0, "kernel_bound": 1.0},
         "time": {"dt": 0.01, "t_final": 1.0},
-        "initial": {"type": "uniform", "low": 6.0, "high": 8.0},
+        "initial": {"low": 6.0, "high": 8.0},
     }
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -108,7 +110,7 @@ def controlled_epidemic_config(tmp_path, edit=None, name="ctrl.json"):
         "control": {"strategy": "interaction_b", "nu": 1.0, "x_target": 3.0},
         "grid": {"x_max": 100.0, "n_cells": 2000},
         "time": {"dt": 0.01, "t_final": 0.5, "output_every": 10},
-        "initial": {"type": "gamma_profile", "mean": 10.0, "rho": [0.98, 0.01, 0.01]},
+        "initial": {"mean": 10.0, "rho": [0.98, 0.01, 0.01]},
         "tail_window": [5.0, 10.0],
     }
     if edit is not None:
@@ -127,7 +129,7 @@ def consistency_config():
         "epidemic": {"betas": [0.02, 2e-6], "gamma_i": 0.07142857142857142},
         "grid": {"x_max": 100.0, "n_cells": 2000},
         "time": {"dt": 0.01, "t_final": 0.5, "output_every": 10},
-        "initial": {"type": "gamma_profile", "mean": 10.0, "rho": [0.98, 0.01, 0.01]},
+        "initial": {"mean": 10.0, "rho": [0.98, 0.01, 0.01]},
     }
 
 
@@ -276,9 +278,12 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"sweep.{field}[0]" in capsys.readouterr().err
 
+    # each kind builds exactly one initial profile, so initial.type is no
+    # field of any kind, whichever profile it names
     @pytest.mark.parametrize(
         "make, wrong",
-        [(controlled_epidemic_config, "uniform"), (small_dsmc_config, "gamma_profile")],
+        [(controlled_epidemic_config, "uniform"), (small_dsmc_config, "gamma_profile"),
+         (controlled_epidemic_config, "gamma_profile"), (small_dsmc_config, "uniform")],
     )
     def test_initial_type_of_another_profile_exits_two(self, tmp_path, capsys, make, wrong):
         cfg = json.loads(make(tmp_path).read_text())
@@ -289,8 +294,9 @@ class TestExitCodes:
         assert "initial.type" in capsys.readouterr().err
 
     def test_initial_type_may_be_omitted(self, tmp_path):
+        # each kind builds one initial profile, so no config names it
         def edit(cfg):
-            del cfg["initial"]["type"]
+            assert "type" not in cfg["initial"]
             cfg["time"]["t_final"] = 0.02
 
         execute(controlled_epidemic_config(tmp_path, edit), tmp_path / "out")
@@ -302,7 +308,7 @@ class TestExitCodes:
         cfg = json.loads(small_dsmc_config(tmp_path).read_text())
         cfg["kind"] = kind
         cfg["grid"]["x_max"] = 10.0
-        cfg["initial"] = {"type": "uniform", "low": 6.0, "high": 30.0}
+        cfg["initial"] = {"low": 6.0, "high": 30.0}
         path = tmp_path / "beyond.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -312,15 +318,15 @@ class TestExitCodes:
         # one bin holds every particle inside [0, x_max], so the density
         # would match any equilibrium; the check comes before any step
         def never(*args, **kwargs):
-            raise AssertionError("the particles ran before dsmc.n_bins was checked")
+            raise AssertionError("the particles ran before grid.n_cells was checked")
 
         monkeypatch.setattr("kinctrl.cli.run_to_equilibrium", never)
         cfg = load_config(bundled_config_path("test1_control_b.json"))
-        cfg["dsmc"]["n_bins"] = 1
+        cfg["grid"]["n_cells"] = 1
         path = tmp_path / "one_bin.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "dsmc.n_bins" in capsys.readouterr().err
+        assert "grid.n_cells" in capsys.readouterr().err
 
     def test_consistency_closure_needs_delta_plus_or_minus_one(self, tmp_path, capsys):
         cfg = consistency_config()
@@ -536,7 +542,7 @@ class TestExitCodes:
         run_fuzzed(pairs, 200)
 
     def test_non_finite_metric_exits_three_without_a_manifest(self, tmp_path, monkeypatch, capsys):
-        def nan_metric(cfg, out, seed, clock):
+        def nan_metric(cfg, p, out, seed, clock):
             return {"tails": {"a": {"window": [1.0, 2.0], "exponent": float("nan")}}}, {}
 
         monkeypatch.setitem(RUNNERS, "tail_sweep", nan_metric)
@@ -544,6 +550,34 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "metrics['tails']['a']['exponent']" in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_macro_output_every_is_checked_before_step_0(self, tmp_path, monkeypatch, capsys):
+        # checked before step 0, not after the 60 000 RK4 steps of closure_l1_gamma
+        def never(*args, **kwargs):
+            raise AssertionError("the macro model ran before time.output_every was checked")
+
+        monkeypatch.setattr("kinctrl.cli.rk4_integrate", never)
+        cfg = load_config(bundled_config_path("closure_l1_gamma.json"))
+        cfg["time"]["output_every"] = 0
+        path = tmp_path / "every0.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "time.output_every" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [("kinetic.alpha", "1.0"), ("time.output_everi", 10)],
+        ids=["read_first", "found_last_unread"],
+    )
+    def test_config_error_leaves_no_output_directory(self, tmp_path, capsys, path, value):
+        cfg = load_config(bundled_config_path("closure_l1_gamma.json"))
+        set_field(path, value)(cfg)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"field '{path}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_code_bug_propagates(self, tmp_path, monkeypatch):
         def bug(*args, **kwargs):
@@ -553,6 +587,129 @@ class TestExitCodes:
         cfg = controlled_epidemic_config(tmp_path)
         with pytest.raises(TypeError):
             main(["run", str(cfg), "--out", str(tmp_path / "out")])
+
+
+def key_paths(node, path=()):
+    """Key paths of every key in nested dicts, blocks and leaves alike."""
+    for key, value in node.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, path + (key,))
+
+
+def run_quietly(cfg, tmp):
+    """(exit code, stderr, whether --out exists) of `kinctrl run` on cfg, in directory tmp."""
+    path = Path(tmp) / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", str(path), "--out", str(Path(tmp) / "out")])
+    return code, err.getvalue(), (Path(tmp) / "out").exists()
+
+
+def names(err, path):
+    """Whether the message err names the field at path, or a field inside it."""
+    return f"field '{path}'" in err or f"field '{path}." in err
+
+
+# Keys that a run of some kind may lack; a run of another kind may require them.
+OPTIONAL = {"seed", "kinetic.epsilon", "kinetic.tau", "control", "dsmc.mean_reference",
+            "dsmc.kernel_bound", "fp", "fp.mean_reference", "time.output_every", "tail_window",
+            "sweep.window_power_law", "sweep.window_slim"}
+
+
+class TestClosedSchema:
+    """A run reads every key of its config before step 0.  A key copied or
+    moved to a new name, or dropped, at every level of every tiny bundled
+    config exits 2 naming it, unless the dropped key is optional, and leaves
+    no output directory.  All 3 x 377 edits run, in under a second, so none
+    is sampled."""
+
+    @staticmethod
+    def edited_runs(edit):
+        """(dotted key path, exit code, stderr) of each tiny bundled config with
+        edit(node, key) applied at each of its key paths."""
+        for name in list_bundled_scenarios():
+            for path in key_paths(tiny_config(name.removesuffix(".json"))):
+                cfg = tiny_config(name.removesuffix(".json"))
+                *parents, key = path
+                edit(functools.reduce(operator.getitem, parents, cfg), key)
+                with tempfile.TemporaryDirectory() as tmp:
+                    code, err, made = run_quietly(cfg, tmp)
+                assert not (code != 0 and made), (name, path, err)
+                yield ".".join(path), code, err
+
+    def test_added_key_exits_two_naming_it(self):
+        def add(node, key):
+            node[key + "_added"] = node[key]
+
+        wrong = [(path, code, err) for path, code, err in self.edited_runs(add)
+                 if not (code == 2 and names(err, path + "_added"))]
+        assert wrong == []
+
+    def test_renamed_key_exits_two_naming_it(self):
+        def rename(node, key):
+            node[key + "_renamed"] = node.pop(key)
+
+        wrong = [(path, code, err) for path, code, err in self.edited_runs(rename)
+                 if not (code == 2 and (names(err, path) or names(err, path + "_renamed")))]
+        assert wrong == []
+
+    def test_dropped_key_exits_two_naming_it_unless_optional(self):
+        def drop(node, key):
+            del node[key]
+
+        wrong = [(path, code, err) for path, code, err in self.edited_runs(drop)
+                 if not (code == 2 and f"field '{path}'" in err or code == 0 and path in OPTIONAL)]
+        assert wrong == []
+
+    def test_misspelled_mean_reference_exits_two_before_any_step(self, tmp_path, monkeypatch):
+        # read as absent, it would run the particles at the ensemble mean, not at 5.0
+        def never(*args, **kwargs):
+            raise AssertionError("the particles ran with a field unread")
+
+        monkeypatch.setattr("kinctrl.cli.run_to_equilibrium", never)
+        cfg = load_config(bundled_config_path("test1_control_b.json"))
+        cfg["dsmc"]["mean_referense"] = cfg["dsmc"].pop("mean_reference")
+        code, err, made = run_quietly(cfg, tmp_path)
+        assert code == 2 and "field 'dsmc.mean_referense'" in err and not made
+
+    def test_reads_do_not_leak_into_the_next_run(self):
+        # a stray key fails only its own run, and a key that a particle run
+        # reads is still stray in an fp run
+        particle, fp = tiny_config("test1_control_b"), tiny_config("test1_fp_control_b")
+        fp["dsmc"] = {"mean_reference": 5.0}
+        for cfg, stray in [({**particle, "stray": 1}, "stray"), (particle, None),
+                           (fp, "dsmc.mean_reference"), (particle, None)]:
+            with tempfile.TemporaryDirectory() as tmp:
+                code, err, _ = run_quietly(cfg, tmp)
+            assert (code, names(err, stray)) == ((0, False) if stray is None else (2, True)), err
+
+    def test_no_field_is_read_once_the_steps_start(self, monkeypatch):
+        stepping = [False]
+        enter, get = cli.PhaseClock.enter, cli._get
+
+        def enter_phase(clock, phase):
+            stepping[0] = stepping[0] or phase == "steps_s"
+            return enter(clock, phase)
+
+        def get_before_steps(cfg, path, *args, **kwargs):
+            assert not stepping[0], f"a {cfg['kind']} run reads {path} after its steps start"
+            return get(cfg, path, *args, **kwargs)
+
+        configs = [tiny_config(name.removesuffix(".json")) for name in list_bundled_scenarios()]
+        for cfg in configs[:]:
+            for section in ("dsmc", "fp"):
+                if cfg["kind"] != "tail_sweep" and "mean_reference" in cfg.get(section, {}):
+                    block = {k: v for k, v in cfg[section].items() if k != "mean_reference"}
+                    configs.append({**cfg, section: block})  # the run at the running mean
+        monkeypatch.setattr(cli.PhaseClock, "enter", enter_phase)
+        monkeypatch.setattr(cli, "_get", get_before_steps)
+        for cfg in configs:
+            stepping[0] = False
+            with tempfile.TemporaryDirectory() as tmp:
+                code, err, _ = run_quietly(cfg, tmp)
+            assert code == 0, err
 
 
 class TestRun:
@@ -703,7 +860,7 @@ class TestRun:
             "grid": {"x_max": 100.0, "n_cells": 500},
             "fp": fp,
             "time": {"dt": 0.05, "t_final": 30.0},
-            "initial": {"type": "uniform", "low": 6.0, "high": 8.0},
+            "initial": {"low": 6.0, "high": 8.0},
         }
         path = tmp_path / "fp.json"
         path.write_text(json.dumps(cfg))
@@ -797,7 +954,7 @@ class TestScenarioRunners:
 
     def test_dsmc_default_kernel_bound(self, tmp_path):
         # without dsmc.kernel_bound the bound is the kernel x^-1 (delta = +1)
-        # at half a histogram bin
+        # at half a histogram bin, a cell of the run's grid
         path = small_dsmc_config(tmp_path)
         cfg = json.loads(path.read_text())
         cfg["kinetic"]["delta"] = 1.0
@@ -807,8 +964,8 @@ class TestScenarioRunners:
         metrics = json.loads((execute(path, tmp_path / "out") / "manifest.json").read_text())[
             "metrics"
         ]
-        x_max, n_bins = cfg["grid"]["x_max"], cfg["dsmc"]["n_bins"]
-        assert metrics["kernel_bound"] == (0.5 * x_max / n_bins) ** -1
+        x_max, n_cells = cfg["grid"]["x_max"], cfg["grid"]["n_cells"]
+        assert metrics["kernel_bound"] == (0.5 * x_max / n_cells) ** -1
 
     def test_controlled_epidemic(self, tmp_path):
         out = execute(controlled_epidemic_config(tmp_path), tmp_path / "out")

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from kinctrl.cli import RUNNERS, bundled_config_path, list_bundled_scenarios, load_config
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -21,3 +23,25 @@ def test_quick_start_runs():
     exponent = float(re.search(r"exponent=(-?[0-9.]+)", first).group(1))
     assert exponent == pytest.approx(-6.296, abs=1e-3)
     assert "SLIM_TAIL" in second
+
+
+def leaves(node, path=()):
+    """Dotted paths of the values in nested dicts that are not dicts; a list is one leaf."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from leaves(value, path + (key,))
+        else:
+            yield ".".join(path + (key,))
+
+
+def test_field_table_names_every_bundled_leaf():
+    # one row per kind; a leaf of a bundled config must be named in its kind's row
+    rows = {}
+    for line in README.read_text().splitlines():
+        if (m := re.match(r"\| `(\w+)` \|(.*)\|$", line)) is not None:
+            rows[m.group(1)] = set(re.findall(r"`([\w.]+)`", m.group(2)))
+    assert set(rows) == set(RUNNERS)
+    for name in list_bundled_scenarios():
+        cfg = load_config(bundled_config_path(name))
+        missing = set(leaves(cfg)) - rows[cfg["kind"]]
+        assert not missing, (name, missing)
