@@ -63,7 +63,6 @@ from .params import (
     closure_kind,
     collision_kernel,
     moment_ratio,
-    output_steps,
     step_count,
 )
 
@@ -101,7 +100,9 @@ class PhaseClock:
 # ---------------------------------------------------------------------------
 # config parsing
 
-# Key paths of the config values that _get has read during this execute.
+# Key paths of the config values that _get has read during this execute; a
+# block whose key _get found missing counts as read, so an empty block that
+# only holds optional keys is read.
 _read: set[tuple[str, ...]] = set()
 
 
@@ -110,6 +111,8 @@ def _get(cfg: dict, path: str, expected, required=True, default=None):
     parts = path.split(".")
     for i, key in enumerate(parts):
         if not isinstance(node, dict) or key not in node:
+            if isinstance(node, dict):
+                _read.add(tuple(parts[:i]))
             if required:
                 raise ConfigError(f"missing field '{'.'.join(parts[: i + 1])}'")
             return default
@@ -240,9 +243,10 @@ def _time(cfg: dict) -> tuple[float, float]:
 
 
 def _leaves(node: dict, path: tuple[str, ...] = ()):
-    """Key paths of the values in nested dicts that are not dicts; a list is one leaf."""
+    """Key paths of the values in nested dicts that are not non-empty dicts;
+    a list or an empty dict is one leaf."""
     for key, value in node.items():
-        if isinstance(value, dict):
+        if isinstance(value, dict) and value:
             yield from _leaves(value, path + (key,))
         else:
             yield path + (key,)
@@ -441,13 +445,6 @@ def _output_every(cfg: dict) -> int:
     return _count(cfg, "time.output_every", required=False, default=1)
 
 
-def _rk4_rows(model: MacroModel, s0: MacroState, dt: float, t_final: float, every: int):
-    """(times, states table) of rk4_integrate at the output steps of every."""
-    times, states = rk4_integrate(model, s0, dt, t_final)
-    steps = output_steps(len(states) - 1, every)
-    return np.array([times[k] for k in steps]), np.array([states[k] for k in steps])
-
-
 def run_macro_compare(
     cfg: dict, p: KineticParams, out: Path, seed: int, clock: PhaseClock
 ) -> tuple[dict, dict]:
@@ -456,9 +453,10 @@ def run_macro_compare(
     dt, t_final = _time(cfg)
     every = _output_every(cfg)
     _start_steps(cfg, clock)
-    times, table = _rk4_rows(model, s0, dt, t_final, every)
+    times, states = rk4_integrate(model, s0, dt, t_final, every)
     clock.enter("output_s")
-    _write_trajectory(out / TRAJECTORY_FILE, times, table)
+    table = np.array(states)
+    _write_trajectory(out / TRAJECTORY_FILE, np.array(times), table)
     return {"peak_rho_i": float(table[:, 1].max()), "peak_m_i": float(table[:, 4].max())}, {}
 
 
@@ -491,11 +489,12 @@ def run_kinetic_macro_consistency(
     result = run_scenario(ic, p, c, e, t_final, dt, output_every=every)
     row0 = result.observables[0, :6].tolist()
     s0 = MacroState(*row0[:3], m_star, m_star, m_star) if c.active else MacroState(*row0)
-    times, ref = _rk4_rows(model, s0, dt, t_final, every)
+    _, states = rk4_integrate(model, s0, dt, t_final, every)
+    ref = np.array(states)
 
     clock.enter("output_s")
     _write_trajectory(out / TRAJECTORY_FILE, result.times, result.observables)
-    _write_trajectory(out / "trajectory_macro.csv", times, ref)
+    _write_trajectory(out / "trajectory_macro.csv", result.times, ref)
 
     # the means' gaps are relative where the reference mean is non-zero
     # (an empty compartment has mean 0) and absolute where it is 0; a

@@ -250,9 +250,11 @@ def run_scenario(
 
     Total mass over the three compartments must stay within MASS_DRIFT_TOL
     of its initial value for the whole run.  t_final must be a whole number
-    of steps.
+    of steps and output_every an int >= 1, or ValueError is raised before
+    step 0.
     """
     n_steps = step_count(t_final, dt)
+    times = np.asarray(output_steps(n_steps, output_every)) * dt
     state = initial
     mass0 = state.total_mass()
     rows = [state.observables()]
@@ -261,5 +263,4 @@ def run_scenario(
         check_mass(state.total_mass(), mass0, k * dt)
         if k % output_every == 0 or k == n_steps:
             rows.append(state.observables())
-    times = np.asarray(output_steps(n_steps, output_every)) * dt
     return ScenarioResult(times, np.array(rows), state)

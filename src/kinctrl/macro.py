@@ -27,6 +27,7 @@ from .params import (
     EpidemicParams,
     KineticParams,
     closure_moment,
+    output_steps,
     step_count,
 )
 
@@ -216,23 +217,25 @@ def controlled_sir(
 
 
 def rk4_integrate(
-    model: MacroModel, s0: MacroState, dt: float, t_final: float
+    model: MacroModel, s0: MacroState, dt: float, t_final: float, output_every: int = 1
 ) -> tuple[list[float], list[MacroState]]:
     """Classical fourth-order Runge-Kutta integration of model.derivative with a fixed step.
 
-    Returns the time and the state after every step, t = 0 included.  The
+    Returns the time and the state at output_steps(n_steps, output_every),
+    t = 0 included; the steps between are computed but not kept.  The
     compartment masses must keep summing to their initial total within
     MASS_SUM_TOL at every step; a violation, or a step that overflows, aborts
-    with the last valid state attached to the raised InvariantViolationError.
+    with the previous step's time and state attached to the raised
+    InvariantViolationError, whether or not that step was an output step.
     The stages are written out component by component and call the bound
     derivative on plain floats: the step's cost is otherwise interpreter
     overhead.
     """
     n_steps = step_count(t_final, dt)
+    times = [k * dt for k in output_steps(n_steps, output_every)]
     f = model.derivative
     half, sixth = 0.5 * dt, dt / 6.0
     target_sum = s0.mass_sum()
-    times = [0.0]
     states = [s0]
     y1, y2, y3, y4, y5, y6 = s0
     try:
@@ -244,22 +247,26 @@ def rk4_integrate(
                                        y4 + half * b4, y5 + half * b5, y6 + half * b6)
             d1, d2, d3, d4, d5, d6 = f(y1 + dt * c1, y2 + dt * c2, y3 + dt * c3,
                                        y4 + dt * c4, y5 + dt * c5, y6 + dt * c6)
-            y1 = y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-            y2 = y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-            y3 = y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-            y4 = y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
-            y5 = y5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5)
-            y6 = y6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
-            mass = y1 + y2 + y3
+            z1 = y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+            z2 = y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+            z3 = y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+            # the masses are checked before the state moves on, so a failing
+            # step reports the state it started from
+            mass = z1 + z2 + z3
             if not math.isfinite(mass) or abs(mass - target_sum) > MASS_SUM_TOL:
                 raise InvariantViolationError(
                     f"compartment masses summed to {mass!r} at t = {k * dt}",
-                    t=times[-1],
-                    last_state=states[-1],
+                    t=(k - 1) * dt,
+                    last_state=MacroState(y1, y2, y3, y4, y5, y6),
                 )
-            times.append(k * dt)
-            states.append(MacroState(y1, y2, y3, y4, y5, y6))
+            y1, y2, y3 = z1, z2, z3
+            y4 = y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
+            y5 = y5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5)
+            y6 = y6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6)
+            if k % output_every == 0 or k == n_steps:
+                states.append(MacroState(y1, y2, y3, y4, y5, y6))
     except OverflowError as exc:
         raise InvariantViolationError(f"macro step overflowed at t = {k * dt}: {exc}",
-                                      t=times[-1], last_state=states[-1]) from exc
+                                      t=(k - 1) * dt,
+                                      last_state=MacroState(y1, y2, y3, y4, y5, y6)) from exc
     return times, states

