@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, io
 from .dsmc import ParticleEnsemble, check_step_size, run_to_equilibrium
 from .equilibria import (
     EquilibriumDensity,
@@ -46,10 +46,7 @@ from .io import (
     density_filename,
     read_csv,
     resolve_out_dir,
-    write_csv,
-    write_density,
     write_manifest,
-    write_trajectory,
 )
 from .kinetic import OBSERVABLES, check_mass, gamma_profile_state, run_scenario
 from .macro import MacroModel, MacroState, MacroVariant, controlled_sir, rk4_integrate
@@ -303,8 +300,8 @@ def _equilibrium_metrics(
 
 
 def run_dsmc_equilibrium(
-    cfg: dict, p: KineticParams, out: Path, seed: int, clock: PhaseClock
-) -> tuple[dict, dict]:
+    cfg: dict, p: KineticParams, seed: int, clock: PhaseClock
+) -> tuple[dict, dict, dict]:
     c = _control_spec(cfg, p)
     n = _count(cfg, "dsmc.n_particles")
     grid = _grid(cfg)  # the histogram's cells
@@ -323,8 +320,6 @@ def run_dsmc_equilibrium(
     run_to_equilibrium(ens, p, c, t_final, dt, bound, m_ref=m_ref)
     clock.enter("output_s")
     f = ContactDensity.from_samples(grid, ens.samples)
-    write_density(out / density_filename(t_final), grid.centers(), {"f": f.values})
-
     metrics = {
         "kernel_bound": bound,
         "clamped_fraction": ens.n_clamped / max(ens.n_transitions, 1),
@@ -337,12 +332,12 @@ def run_dsmc_equilibrium(
         "steps": ens.n_steps,
         "threads": ens.threads,
         "particles_outside": int(np.count_nonzero(ens.samples > grid.x_max)),
-    }
+    }, {density_filename(t_final): {"x": grid.centers(), "f": f.values}}
 
 
 def run_fp_equilibrium(
-    cfg: dict, p: KineticParams, out: Path, seed: int, clock: PhaseClock
-) -> tuple[dict, dict]:
+    cfg: dict, p: KineticParams, seed: None, clock: PhaseClock
+) -> tuple[dict, dict, dict]:
     c = _control_spec(cfg, p)
     grid = _grid(cfg)
     dt, t_final = _time(cfg)
@@ -366,17 +361,16 @@ def run_fp_equilibrium(
 
     clock.enter("output_s")
     steady = steady_state_solve(op, m_ref or f.mean())
-    x = grid.centers()
-    write_density(out / density_filename(t_final), x, {"f": f.values})
-    write_density(out / "steady_state.csv", x, {"f": steady.values})
-
     metrics = {
         "final_mass": f.mass(),
         "final_mean": f.mean(),
         "l1_to_steady_state": f.l1_distance(steady.values),
         **_equilibrium_metrics(p, c, m_ref, f, refine=1),
     }
-    return metrics, {"steps": n_steps}
+    x = grid.centers()
+    tables = {density_filename(t_final): {"x": x, "f": f.values},
+              "steady_state.csv": {"x": x, "f": steady.values}}
+    return metrics, {"steps": n_steps}, tables
 
 
 def _tail(f: ContactDensity, window: tuple[float, float]) -> dict:
@@ -389,8 +383,8 @@ def _tail(f: ContactDensity, window: tuple[float, float]) -> dict:
 
 
 def run_tail_sweep(
-    cfg: dict, p: KineticParams, out: Path, seed: int, clock: PhaseClock
-) -> tuple[dict, dict]:
+    cfg: dict, p: KineticParams, seed: None, clock: PhaseClock
+) -> tuple[dict, dict, dict]:
     grid = _grid(cfg)
     m_ref = _positive(cfg, "fp.mean_reference")
     x_target = _get(cfg, "sweep.x_target", float)
@@ -419,8 +413,8 @@ def run_tail_sweep(
             tails[strategy][str(nu)] = {**_tail(f, window), "window": list(window)}
 
     clock.enter("output_s")
-    write_csv(out / "sweep.csv", ["strategy", "nu", "m_inf", "m2_inf"], list(zip(*rows)))
-    return {"tails": tails}, {}
+    sweep = dict(zip(("strategy", "nu", "m_inf", "m2_inf"), zip(*rows)))
+    return {"tails": tails}, {}, {"sweep.csv": sweep}
 
 
 def _macro_model(cfg: dict, p: KineticParams) -> MacroModel:
@@ -436,9 +430,9 @@ def _macro_initial(cfg: dict) -> MacroState:
     return MacroState(*rho, mean, mean, mean)
 
 
-def _write_trajectory(path: Path, times: np.ndarray, table: np.ndarray) -> None:
-    """Write the table's columns under the first table.shape[1] OBSERVABLES names."""
-    write_trajectory(path, times, dict(zip(OBSERVABLES[: table.shape[1]], table.T)))
+def _trajectory(times, table: np.ndarray) -> dict:
+    """t, then the table's columns under the first table.shape[1] OBSERVABLES names."""
+    return {"t": times, **dict(zip(OBSERVABLES, table.T))}
 
 
 def _output_every(cfg: dict) -> int:
@@ -446,8 +440,8 @@ def _output_every(cfg: dict) -> int:
 
 
 def run_macro_compare(
-    cfg: dict, p: KineticParams, out: Path, seed: int, clock: PhaseClock
-) -> tuple[dict, dict]:
+    cfg: dict, p: KineticParams, seed: None, clock: PhaseClock
+) -> tuple[dict, dict, dict]:
     model = _macro_model(cfg, p)
     s0 = _macro_initial(cfg)
     dt, t_final = _time(cfg)
@@ -456,8 +450,8 @@ def run_macro_compare(
     times, states = rk4_integrate(model, s0, dt, t_final, every)
     clock.enter("output_s")
     table = np.array(states)
-    _write_trajectory(out / TRAJECTORY_FILE, np.array(times), table)
-    return {"peak_rho_i": float(table[:, 1].max()), "peak_m_i": float(table[:, 4].max())}, {}
+    metrics = {"peak_rho_i": float(table[:, 1].max()), "peak_m_i": float(table[:, 4].max())}
+    return metrics, {}, {TRAJECTORY_FILE: _trajectory(times, table)}
 
 
 def _kinetic_pieces(cfg: dict, p: KineticParams):
@@ -470,8 +464,8 @@ def _kinetic_pieces(cfg: dict, p: KineticParams):
 
 
 def run_kinetic_macro_consistency(
-    cfg: dict, p: KineticParams, out: Path, seed: int, clock: PhaseClock
-) -> tuple[dict, dict]:
+    cfg: dict, p: KineticParams, seed: None, clock: PhaseClock
+) -> tuple[dict, dict, dict]:
     """Kinetic run against its macro reference: the closed L1/L2 system, or
     under a control classical SIR at the derived beta, started at m*."""
     e, c, grid, ic = _kinetic_pieces(cfg, p)
@@ -493,9 +487,6 @@ def run_kinetic_macro_consistency(
     ref = np.array(states)
 
     clock.enter("output_s")
-    _write_trajectory(out / TRAJECTORY_FILE, result.times, result.observables)
-    _write_trajectory(out / "trajectory_macro.csv", result.times, ref)
-
     # the means' gaps are relative where the reference mean is non-zero
     # (an empty compartment has mean 0) and absolute where it is 0; a
     # controlled run's t = 0 row holds the gamma profile at initial.mean,
@@ -506,15 +497,18 @@ def run_kinetic_macro_consistency(
     if c.active:
         gaps[0, 3:] = 0.0
     names = [*OBSERVABLES[:3], *(name + "_rel" for name in OBSERVABLES[3:6])]
-    return {
+    metrics = {
         "sup_gaps": dict(zip(names, gaps.max(axis=0).tolist())),
         "clipped_mass": result.final_state.clipped_mass,
-    }, {"steps": step_count(t_final, dt)}
+    }
+    tables = {TRAJECTORY_FILE: _trajectory(result.times, result.observables),
+              "trajectory_macro.csv": _trajectory(result.times, ref)}
+    return metrics, {"steps": step_count(t_final, dt)}, tables
 
 
 def run_controlled_epidemic(
-    cfg: dict, p: KineticParams, out: Path, seed: int, clock: PhaseClock
-) -> tuple[dict, dict]:
+    cfg: dict, p: KineticParams, seed: None, clock: PhaseClock
+) -> tuple[dict, dict, dict]:
     e, c, grid, ic = _kinetic_pieces(cfg, p)
     dt, t_final = _time(cfg)
     every = _output_every(cfg)
@@ -523,11 +517,7 @@ def run_controlled_epidemic(
     _start_steps(cfg, clock)
     result = run_scenario(ic, p, c, e, t_final, dt, output_every=every)
     clock.enter("output_s")
-    _write_trajectory(out / TRAJECTORY_FILE, result.times, result.observables)
-
     final = result.final_state
-    columns = dict(zip(("f_S", "f_I", "f_R"), final.values))
-    write_density(out / density_filename(t_final), grid.centers(), columns)
     metrics = {
         "peak_rho_i": float(result.column("rho_I").max()),
         "final_m_s": float(result.column("m_S")[-1]),
@@ -535,12 +525,16 @@ def run_controlled_epidemic(
     }
     if window is not None:
         metrics["final_s_tail"] = _tail(ContactDensity(grid, final.values[0]), window)
-    return metrics, {"steps": step_count(t_final, dt)}
+    tables = {TRAJECTORY_FILE: _trajectory(result.times, result.observables),
+              density_filename(t_final): {"x": grid.centers(),
+                                          **dict(zip(("f_S", "f_I", "f_R"), final.values))}}
+    return metrics, {"steps": step_count(t_final, dt)}, tables
 
 
-# Each runner takes the config and its parsed kinetic block, reads every
-# field it uses before _start_steps, writes its outputs under out and
-# returns the manifest's (metrics, diagnostics).
+# Each runner takes the config, its parsed kinetic block, the seed (None for a
+# deterministic kind) and the phase clock, reads every field it uses before
+# _start_steps, and returns the manifest's metrics and diagnostics and the
+# tables that execute writes, file name -> {column: values}; it writes no file.
 RUNNERS = {
     "dsmc_equilibrium": run_dsmc_equilibrium,
     "fp_equilibrium": run_fp_equilibrium,
@@ -549,6 +543,12 @@ RUNNERS = {
     "kinetic_macro_consistency": run_kinetic_macro_consistency,
     "controlled_epidemic": run_controlled_epidemic,
 }
+
+# The kinetic scales a kind reads besides alpha, sigma2 and delta: epsilon of
+# the particle interactions, tau of the fp and kinetic contact relaxation.  A
+# kind runs at the KineticParams default of a scale it does not read.
+SCALES = {"dsmc_equilibrium": ("epsilon",), "fp_equilibrium": ("tau",),
+          "kinetic_macro_consistency": ("tau",), "controlled_epidemic": ("tau",)}
 
 
 def _first_non_finite(value, name: str) -> str | None:
@@ -562,32 +562,38 @@ def _first_non_finite(value, name: str) -> str | None:
 
 
 def execute(config_path: Path, out_dir: Path | None = None, seed: int | None = None) -> Path:
-    """Run one scenario config; returns the output directory, made by its first output."""
+    """Run one scenario config; returns the output directory, made only by a run that succeeds."""
     _read.clear()
     cfg = load_config(config_path)
     kind = cfg["kind"]
-    # a particle run is stochastic: it needs a seed, from the config or --seed
-    cfg_seed = _get(cfg, "seed", int, required=kind == "dsmc_equilibrium" and seed is None, default=0)
-    eff_seed = cfg_seed if seed is None else seed
-    if eff_seed < 0:
-        raise ConfigError(f"field 'seed': must be >= 0, got {eff_seed}")
+    if kind == "dsmc_equilibrium":
+        # a particle run is stochastic: it needs a seed, from the config or --seed
+        cfg_seed = _get(cfg, "seed", int, required=seed is None)
+        seed = cfg_seed if seed is None else seed
+        if seed < 0:
+            raise ConfigError(f"field 'seed': must be >= 0, got {seed}")
+    elif seed is not None:
+        raise ConfigError(f"--seed: a {kind} run is deterministic and takes no seed")
     config_out = _get(cfg, "out_dir", str, required=False)
     out = resolve_out_dir(str(out_dir) if out_dir else None, config_out, config_path.stem)
 
     clock = PhaseClock()
+    scales = {name: _get(cfg, f"kinetic.{name}", float, required=False,
+                         default=getattr(KineticParams, name)) for name in SCALES.get(kind, ())}
     p = _build(
         "kinetic",
         KineticParams,
         alpha=_get(cfg, "kinetic.alpha", float),
         sigma2=_get(cfg, "kinetic.sigma2", float),
         delta=_get(cfg, "kinetic.delta", float),
-        epsilon=_get(cfg, "kinetic.epsilon", float, required=False, default=0.01),
-        tau=_get(cfg, "kinetic.tau", float, required=False, default=1.0),
+        **scales,
     )
-    metrics, diagnostics = RUNNERS[kind](cfg, p, out, eff_seed, clock)
-    elapsed = clock.enter(None)
+    metrics, diagnostics, tables = RUNNERS[kind](cfg, p, seed, clock)
     if (bad := _first_non_finite(metrics, "metrics")) is not None:
-        raise NumericsError(f"{bad} is not finite; no manifest written")
+        raise NumericsError(f"{bad} is not finite; no output written")
+    for name, columns in tables.items():  # io.write_csv looked up here, so a wrapper on io sees it
+        io.write_csv(out / name, list(columns), list(columns.values()))
+    elapsed = clock.enter(None)
 
     derived = {"lam": p.lam}
     try:
@@ -602,7 +608,7 @@ def execute(config_path: Path, out_dir: Path | None = None, seed: int | None = N
             "config": cfg,
             "config_path": str(config_path),
             "derived": derived,
-            "seed": eff_seed,
+            "seed": seed,
             "wall_clock_s": elapsed,
             "timings": clock.seconds,
             "metrics": metrics,

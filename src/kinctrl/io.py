@@ -1,4 +1,4 @@
-"""Deterministic output artifacts: trajectory CSV, density CSV, run manifest.
+"""Deterministic output artifacts: CSV tables and the run manifest.
 
 Floats are written with repr (shortest round-trip decimal) and string cells as
 they are, so re-running a scenario with the same seed reproduces files byte
@@ -11,7 +11,7 @@ import csv
 import json
 import os
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -78,16 +78,6 @@ def _row_values(reader, width: int):
         if len(row) != width:
             raise ValueError(f"line {reader.line_num}: {len(row)} fields, expected {width}")
         yield from map(float, row)
-
-
-def write_trajectory(path: Path, times: np.ndarray, series: Mapping[str, np.ndarray]) -> None:
-    header = ["t", *series.keys()]
-    write_csv(path, header, [np.asarray(times), *series.values()])
-
-
-def write_density(path: Path, x: np.ndarray, series: Mapping[str, np.ndarray]) -> None:
-    header = ["x", *series.keys()]
-    write_csv(path, header, [np.asarray(x), *series.values()])
 
 
 def write_manifest(path: Path, manifest: dict) -> None:

@@ -429,8 +429,7 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
                 "schema_version": 1,
                 "kind": "dsmc_equilibrium",
                 "seed": 2718,
-                "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": delta, "epsilon": 0.01,
-                            "tau": 1.0},
+                "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": delta, "epsilon": 0.01},
                 "grid": {"x_max": 100.0, "n_cells": 400},
                 "dsmc": {"n_particles": 20000, "mean_reference": 5.0, "kernel_bound": bound},
                 "time": {"dt": dt, "t_final": 3.0},

@@ -34,7 +34,7 @@ def small_dsmc_config(tmp_path, seed=7, sigma2=0.2, name="small.json"):
         "schema_version": 1,
         "kind": "dsmc_equilibrium",
         "seed": seed,
-        "kinetic": {"alpha": 1.0, "sigma2": sigma2, "delta": -1.0, "epsilon": 0.01, "tau": 1.0},
+        "kinetic": {"alpha": 1.0, "sigma2": sigma2, "delta": -1.0, "epsilon": 0.01},
         "grid": {"x_max": 100.0, "n_cells": 100},
         "dsmc": {"n_particles": 3000, "mean_reference": 5.0, "kernel_bound": 1.0},
         "time": {"dt": 0.01, "t_final": 1.0},
@@ -49,8 +49,7 @@ def small_macro_config(tmp_path, name="macro.json", dt=0.01, beta1=1e-3):
     cfg = {
         "schema_version": 1,
         "kind": "macro_compare",
-        "seed": 0,
-        "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": -1.0, "epsilon": 0.01, "tau": 1.0},
+        "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": -1.0},
         "epidemic": {"betas": [beta1], "gamma_i": 0.07142857142857142},
         "macro": {"variant": "l1", "closure": "inverse_gamma"},
         "time": {"dt": dt, "t_final": 5.0, "output_every": 10},
@@ -104,8 +103,7 @@ def controlled_epidemic_config(tmp_path, edit=None, name="ctrl.json"):
     cfg = {
         "schema_version": 1,
         "kind": "controlled_epidemic",
-        "seed": 0,
-        "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": -1.0, "epsilon": 0.01, "tau": 1e-4},
+        "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": -1.0, "tau": 1e-4},
         "epidemic": {"betas": [0.02, 2e-6], "gamma_i": 0.07142857142857142},
         "control": {"strategy": "interaction_b", "nu": 1.0, "x_target": 3.0},
         "grid": {"x_max": 100.0, "n_cells": 2000},
@@ -124,8 +122,7 @@ def consistency_config():
     return {
         "schema_version": 1,
         "kind": "kinetic_macro_consistency",
-        "seed": 0,
-        "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": -1.0, "epsilon": 0.01, "tau": 1e-4},
+        "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": -1.0, "tau": 1e-4},
         "epidemic": {"betas": [0.02, 2e-6], "gamma_i": 0.07142857142857142},
         "grid": {"x_max": 100.0, "n_cells": 2000},
         "time": {"dt": 0.01, "t_final": 0.5, "output_every": 10},
@@ -250,10 +247,16 @@ class TestExitCodes:
             ("grid.n_cells", 10.5, "grid.n_cells"),
             ("tail_window", ["5", "10"], "tail_window[0]"),
             ("initial.rho", [0.98, "0.01", 0.01], "initial.rho[1]"),
+            ("kinetic.tau", float("inf"), "kinetic.tau"),
         ],
     )
     def test_bad_field_exits_two_naming_it(self, tmp_path, capsys, path, value, named):
-        cfg = controlled_epidemic_config(tmp_path, set_field(path, value))
+        # only a particle run reads kinetic.epsilon
+        make = small_dsmc_config if path == "kinetic.epsilon" else controlled_epidemic_config
+        cfg = make(tmp_path)
+        edited = json.loads(cfg.read_text())
+        set_field(path, value)(edited)
+        cfg.write_text(json.dumps(edited))
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert named in err
@@ -542,14 +545,28 @@ class TestExitCodes:
         run_fuzzed(pairs, 200)
 
     def test_non_finite_metric_exits_three_without_a_manifest(self, tmp_path, monkeypatch, capsys):
-        def nan_metric(cfg, p, out, seed, clock):
-            return {"tails": {"a": {"window": [1.0, 2.0], "exponent": float("nan")}}}, {}
+        def nan_metric(cfg, p, seed, clock):
+            metrics = {"tails": {"a": {"window": [1.0, 2.0], "exponent": float("nan")}}}
+            return metrics, {}, {"sweep.csv": {"strategy": ["a"], "nu": [1.0]}}
 
         monkeypatch.setitem(RUNNERS, "tail_sweep", nan_metric)
         path = bundled_config_path("test2_nu_sweep.json")
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "metrics['tails']['a']['exponent']" in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.json").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_equilibrium_metric_exits_three_leaving_no_output(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the particle run has its histogram when the equilibrium metric fails
+        def fail(*args, **kwargs):
+            raise NumericsError("equilibrium density overflows")
+
+        monkeypatch.setattr("kinctrl.cli.EquilibriumDensity", fail)
+        assert main(["run", str(small_dsmc_config(tmp_path)), "--out", str(tmp_path / "out")]) == 3
+        assert "equilibrium density overflows" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_macro_output_every_is_checked_before_step_0(self, tmp_path, monkeypatch, capsys):
         # checked before step 0, not after the 60 000 RK4 steps of closure_l1_gamma
@@ -613,16 +630,29 @@ def names(err, path):
 
 
 # Keys that a run of some kind may lack; a run of another kind may require them.
-OPTIONAL = {"seed", "kinetic.epsilon", "kinetic.tau", "control", "dsmc.mean_reference",
+OPTIONAL = {"kinetic.epsilon", "kinetic.tau", "control", "dsmc.mean_reference",
             "dsmc.kernel_bound", "fp", "fp.mean_reference", "time.output_every", "tail_window",
             "sweep.window_power_law", "sweep.window_slim"}
+
+
+# For one bundled config of each of the six kinds, the seed and kinetic scale
+# fields that its kind does not read, at values that would change a run that
+# read them.
+UNREAD_SCALES = {
+    "test1_control_b": {"kinetic.tau": 1e-5},
+    "test1_fp_control_b": {"seed": 12345, "kinetic.epsilon": 0.5},
+    "test2_nu_sweep": {"seed": 12345, "kinetic.epsilon": 0.5, "kinetic.tau": 1e-7},
+    "closure_l1_gamma": {"seed": 12345, "kinetic.epsilon": 0.5, "kinetic.tau": 1e-7},
+    "test3_consistency": {"seed": 99, "kinetic.epsilon": 0.9},
+    "test4_control_b": {"seed": 99, "kinetic.epsilon": 0.9},
+}
 
 
 class TestClosedSchema:
     """A run reads every key of its config before step 0.  A key copied or
     moved to a new name, or dropped, at every level of every tiny bundled
     config exits 2 naming it, unless the dropped key is optional, and leaves
-    no output directory.  All 4 x 377 edits run, in under a second, so none
+    no output directory.  All 4 x 346 edits run, in under a second, so none
     is sampled."""
 
     @staticmethod
@@ -682,6 +712,37 @@ class TestClosedSchema:
         cfg["dsmc"]["mean_referense"] = cfg["dsmc"].pop("mean_reference")
         code, err, made = run_quietly(cfg, tmp_path)
         assert code == 2 and "field 'dsmc.mean_referense'" in err and not made
+
+    @pytest.mark.parametrize(
+        "name, path, value",
+        [(name, path, value) for name, fields in UNREAD_SCALES.items()
+         for path, value in fields.items()],
+    )
+    def test_seed_or_scale_the_kind_does_not_read_exits_two_before_step_0(
+        self, monkeypatch, tmp_path, name, path, value
+    ):
+        phases, enter = [], cli.PhaseClock.enter
+
+        def enter_phase(clock, phase):
+            phases.append(phase)
+            return enter(clock, phase)
+
+        monkeypatch.setattr(cli.PhaseClock, "enter", enter_phase)
+        cfg = tiny_config(name)
+        *parents, last = path.split(".")
+        assert last not in functools.reduce(operator.getitem, parents, cfg)  # bundled without it
+        set_field(path, value)(cfg)
+        code, err, made = run_quietly(cfg, tmp_path)
+        assert code == 2 and f"field '{path}'" in err and not made, err
+        assert "steps_s" not in phases
+
+    @pytest.mark.parametrize("name", [n for n in UNREAD_SCALES if "seed" in UNREAD_SCALES[n]])
+    def test_seed_option_on_a_deterministic_kind_exits_two(self, tmp_path, capsys, name):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(tiny_config(name)))
+        assert main(["run", str(path), "--seed", "3", "--out", str(tmp_path / "out")]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_reads_do_not_leak_into_the_next_run(self):
         # a stray key fails only its own run, and a key that a particle run
@@ -752,6 +813,7 @@ class TestRun:
         assert 0.95 * manifest["wall_clock_s"] <= total <= manifest["wall_clock_s"] * (1 + 1e-9)
         stepped = cfg["kind"] not in ("macro_compare", "tail_sweep")
         assert manifest["diagnostics"] == ({"steps": round(t_final / cfg["time"]["dt"])} if stepped else {})
+        assert manifest["seed"] is None  # a deterministic run takes no seed
 
     def test_dsmc_manifest_timings(self, tmp_path):
         out = execute(small_dsmc_config(tmp_path), tmp_path / "out")
@@ -864,8 +926,7 @@ class TestRun:
         cfg = {
             "schema_version": 1,
             "kind": "fp_equilibrium",
-            "seed": 0,
-            "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": -1.0, "epsilon": 0.01, "tau": 1.0},
+            "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": -1.0, "tau": 1.0},
             "grid": {"x_max": 100.0, "n_cells": 500},
             "fp": fp,
             "time": {"dt": 0.05, "t_final": 30.0},
@@ -898,8 +959,7 @@ class TestScenarioRunners:
         cfg = {
             "schema_version": 1,
             "kind": "tail_sweep",
-            "seed": 0,
-            "kinetic": {"alpha": 0.4, "sigma2": 0.2, "delta": -1.0, "epsilon": 0.01, "tau": 1.0},
+            "kinetic": {"alpha": 0.4, "sigma2": 0.2, "delta": -1.0},
             "grid": {"x_max": 200.0, "n_cells": 4000},
             "fp": {"mean_reference": 10.0},
             "sweep": {"x_target": 3.0, "nu_values": [1.0, 10.0]},

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kinctrl.cli import RUNNERS, bundled_config_path, list_bundled_scenarios, load_config
+from kinctrl.cli import RUNNERS, SCALES, bundled_config_path, list_bundled_scenarios, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,14 +34,27 @@ def leaves(node, path=()):
             yield ".".join(path + (key,))
 
 
-def test_field_table_names_every_bundled_leaf():
-    # one row per kind; a leaf of a bundled config must be named in its kind's row
+def field_rows():
+    """The fields that the README's field table names, per kind."""
     rows = {}
     for line in README.read_text().splitlines():
         if (m := re.match(r"\| `(\w+)` \|(.*)\|$", line)) is not None:
             rows[m.group(1)] = set(re.findall(r"`([\w.]+)`", m.group(2)))
+    return rows
+
+
+def test_field_table_names_every_bundled_leaf():
+    # one row per kind; a leaf of a bundled config must be named in its kind's row
+    rows = field_rows()
     assert set(rows) == set(RUNNERS)
     for name in list_bundled_scenarios():
         cfg = load_config(bundled_config_path(name))
         missing = set(leaves(cfg)) - rows[cfg["kind"]]
         assert not missing, (name, missing)
+
+
+def test_field_table_names_the_seed_and_scales_a_kind_reads():
+    for kind, row in field_rows().items():
+        reads = {f"kinetic.{name}" for name in SCALES.get(kind, ())}
+        reads |= {"seed"} if kind == "dsmc_equilibrium" else set()
+        assert row & {"seed", "kinetic.epsilon", "kinetic.tau"} == reads, kind

@@ -88,3 +88,5 @@ def test_traced_fp_and_equilibria_paths(tmp_path, monkeypatch):
         "equilibria.controlled_steady_state.calls",
     ):
         assert layers[name] > 0, name
+    # execute writes every table through io.write_csv: two fp densities and sweep.csv
+    assert layers["io.write_csv.calls"] == 3
