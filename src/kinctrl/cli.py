@@ -49,16 +49,14 @@ from .io import (
     write_manifest,
 )
 from .kinetic import OBSERVABLES, check_mass, gamma_profile_state, run_scenario
-from .macro import MacroModel, MacroState, MacroVariant, controlled_sir, rk4_integrate
+from .macro import ClassicalSIR, MacroModel, MacroState, controlled_sir, rk4_integrate
 from .params import (
-    ClosureKind,
     ControlSpec,
     EpidemicParams,
     KineticParams,
     Strategy,
     check_operator_domain,
     closure_kind,
-    collision_kernel,
     moment_ratio,
     step_count,
 )
@@ -127,18 +125,6 @@ def _get(cfg: dict, path: str, expected, required=True, default=None):
     if not isinstance(node, expected) or (isinstance(node, bool) and expected is not bool):
         raise ConfigError(f"field '{path}': expected {expected.__name__}, got {node!r}")
     return node
-
-
-def _choice(cfg: dict, path: str, enum_cls, what: str):
-    """Enum member named by the string at path."""
-    name = _get(cfg, path, str)
-    try:
-        return enum_cls(name)
-    except ValueError:
-        raise ConfigError(
-            f"field '{path}': unknown {what} {name!r}; "
-            f"choose from {[e.value for e in enum_cls]}"
-        ) from None
 
 
 def _positive(cfg: dict, path: str, required=True, default=None):
@@ -219,7 +205,11 @@ def _control_spec(cfg: dict, p: KineticParams) -> ControlSpec:
     """The control block's rule, uncontrolled if absent or null, checked against p.delta."""
     c = ControlSpec.uncontrolled()
     if _get(cfg, "control", dict, required=False) is not None:
-        strategy = _choice(cfg, "control.strategy", Strategy, "strategy")
+        name = _get(cfg, "control.strategy", str)
+        if name not in (names := [s.value for s in Strategy]):
+            raise ConfigError(f"field 'control.strategy': unknown strategy {name!r}; "
+                              f"choose from {names}")
+        strategy = Strategy(name)
         if strategy is not Strategy.UNCONTROLLED:
             c = _build("control", ControlSpec, strategy, nu=_get(cfg, "control.nu", float),
                        x_target=_get(cfg, "control.x_target", float))
@@ -312,7 +302,7 @@ def run_dsmc_equilibrium(
     m_ref = _positive(cfg, "dsmc.mean_reference", required=False)
     low, high = _interval(cfg, grid.x_max)
 
-    bound = _positive(cfg, "dsmc.kernel_bound", required=False) or collision_kernel(0.5 * grid.dx, p)
+    bound = _positive(cfg, "dsmc.kernel_bound")
     _build("time.dt", check_step_size, dt, p.epsilon, bound)
 
     ens = ParticleEnsemble.from_uniform(n, low, high, seed)
@@ -417,11 +407,11 @@ def run_tail_sweep(
     return {"tails": tails}, {}, {"sweep.csv": sweep}
 
 
-def _macro_model(cfg: dict, p: KineticParams) -> MacroModel:
-    variant = _choice(cfg, "macro.variant", MacroVariant, "variant")
-    closure = _choice(cfg, "macro.closure", ClosureKind, "closure")
-    beta = _get(cfg, "macro.beta", float, required=False)
-    return _build("macro", MacroModel, variant, closure, p, _epidemic_params(cfg), beta=beta)
+def _closed_model(p: KineticParams, e: EpidemicParams) -> MacroModel:
+    """The moment system closed with the local equilibrium at p.delta: L1 or
+    L2 by the number of betas."""
+    closure = _build("kinetic.delta", closure_kind, p.delta)
+    return _build("kinetic/epidemic", MacroModel, closure, p, e)
 
 
 def _macro_initial(cfg: dict) -> MacroState:
@@ -442,7 +432,11 @@ def _output_every(cfg: dict) -> int:
 def run_macro_compare(
     cfg: dict, p: KineticParams, seed: None, clock: PhaseClock
 ) -> tuple[dict, dict, dict]:
-    model = _macro_model(cfg, p)
+    beta = _get(cfg, "macro.beta", float, required=False)
+    if beta is None:
+        model = _closed_model(p, _epidemic_params(cfg))
+    else:  # classical SIR reads no other epidemic field
+        model = _build("macro.beta", ClassicalSIR, beta, _positive(cfg, "epidemic.gamma_i"))
     s0 = _macro_initial(cfg)
     dt, t_final = _time(cfg)
     every = _output_every(cfg)
@@ -460,7 +454,7 @@ def _kinetic_pieces(cfg: dict, p: KineticParams):
     grid = _grid(cfg)
     s0 = _macro_initial(cfg)
     ic = _build("kinetic", gamma_profile_state, grid, p.lam, s0.m_s, s0[:3])
-    return e, c, grid, ic
+    return e, c, grid, ic, s0.m_s
 
 
 def run_kinetic_macro_consistency(
@@ -468,16 +462,13 @@ def run_kinetic_macro_consistency(
 ) -> tuple[dict, dict, dict]:
     """Kinetic run against its macro reference: the closed L1/L2 system, or
     under a control classical SIR at the derived beta, started at m*."""
-    e, c, grid, ic = _kinetic_pieces(cfg, p)
+    e, c, grid, ic, mean = _kinetic_pieces(cfg, p)
     dt, t_final = _time(cfg)
     every = _output_every(cfg)
     if c.active:
-        model, m_star = _build("epidemic", controlled_sir, p, e, c, grid,
-                               _get(cfg, "initial.mean", float))
+        model, m_star = _build("epidemic", controlled_sir, p, e, c, grid, mean)
     else:
-        closure = _build("kinetic.delta", closure_kind, p.delta)
-        variant = MacroVariant.L2 if e.order >= 2 else MacroVariant.L1
-        model = _build("kinetic/epidemic", MacroModel, variant, closure, p, e)
+        model = _closed_model(p, e)
 
     _start_steps(cfg, clock)
     result = run_scenario(ic, p, c, e, t_final, dt, output_every=every)
@@ -509,7 +500,7 @@ def run_kinetic_macro_consistency(
 def run_controlled_epidemic(
     cfg: dict, p: KineticParams, seed: None, clock: PhaseClock
 ) -> tuple[dict, dict, dict]:
-    e, c, grid, ic = _kinetic_pieces(cfg, p)
+    e, c, grid, ic, _ = _kinetic_pieces(cfg, p)
     dt, t_final = _time(cfg)
     every = _output_every(cfg)
     window = _window(cfg, "tail_window", required=False)

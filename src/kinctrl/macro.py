@@ -1,12 +1,13 @@
-"""Closed macroscopic systems: classical SIR, moment-closed models, controlled SIR.
+"""Closed macroscopic systems: moment-closed models, classical SIR, controlled SIR.
 
 The moment-closed systems replace second and third contact moments by moments
 of the local equilibrium profile, which reduces to multiplying powers of the
-mean by the ratios c2 = m2/m^2 and c3 = m3/m^3 of the closure family.  Under a
-control, at stiff scale separation every compartment mean sits at the
-self-consistent mean m* of the controlled steady state, so the incidence is
-rho_S rho_I times one constant: the controlled system is classical SIR at
-beta = b1 M1^2 + b2 M2^2, with M1, M2 the steady state's moments at m*.
+mean by the ratios c2 = m2/m^2 and c3 = m3/m^3 of the closure family; the
+number of betas sets the order, L1 or L2.  Under a control, at stiff scale
+separation every compartment mean sits at the self-consistent mean m* of the
+controlled steady state, so the incidence is rho_S rho_I times one constant:
+the controlled system is classical SIR at beta = b1 M1^2 + b2 M2^2, with M1,
+M2 the steady state's moments at m*.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .equilibria import EquilibriumDensity, controlled_steady_state
 from .errors import InvariantViolationError, NumericsError
@@ -38,12 +38,6 @@ RHO_R_FLOOR = 1e-12
 MASS_SUM_TOL = 1e-10
 
 
-class MacroVariant(Enum):
-    CLASSICAL_SIR = "classical_sir"
-    L1 = "l1"
-    L2 = "l2"
-
-
 class MacroState(NamedTuple):
     """Compartment masses and mean contact numbers (S, I, R)."""
 
@@ -59,41 +53,52 @@ class MacroState(NamedTuple):
 
 
 @dataclass(frozen=True)
-class MacroModel:
-    """A closed macroscopic system ready to integrate.
+class ClassicalSIR:
+    """Classical SIR at the homogeneous transmission rate beta (kept distinct
+    from beta_1, which carries different units) and recovery rate gamma > 0.
 
-    variant CLASSICAL_SIR uses the homogeneous transmission rate `beta`
-    (kept distinct from beta_1, which carries different units) and takes
-    the DIRAC closure only, since it closes no moments.  L1 and L2
-    read beta_1 / beta_2 from `epidemic` and close with `closure`; they
-    reject a `beta`, and an `epidemic` with more betas or a beta0 term, all of
-    which they would drop.
+    It closes no moments: the means it carries never move.
     """
 
-    variant: MacroVariant
+    beta: float
+    gamma: float
+
+    def __post_init__(self):
+        if self.beta < 0:
+            raise ValueError(f"classical SIR needs a transmission rate beta >= 0, got {self.beta}")
+
+    @cached_property
+    def derivative(self) -> Callable[..., tuple[float, ...]]:
+        """The system's time derivative, with MacroModel.derivative's contract."""
+        beta, gamma = self.beta, self.gamma
+
+        def classical_sir(rho_s, rho_i, rho_r, m_s, m_i, m_r):
+            infection = beta * rho_s * rho_i
+            recovery = gamma * rho_i
+            return (-infection, infection - recovery, recovery, 0.0, 0.0, 0.0)
+
+        return classical_sir
+
+
+@dataclass(frozen=True)
+class MacroModel:
+    """The moment system closed with the `closure` profile, ready to integrate.
+
+    One beta in `epidemic` makes it the L1 system, two the L2 system; it
+    rejects more betas or a beta0 term, which it would drop.
+    """
+
     closure: ClosureKind
     kinetic: KineticParams
     epidemic: EpidemicParams
-    beta: Optional[float] = None
 
     def __post_init__(self):
-        if self.variant is MacroVariant.CLASSICAL_SIR:
-            if self.beta is None or self.beta < 0:
-                raise ValueError("classical SIR needs a transmission rate beta >= 0")
-            if self.closure is not ClosureKind.DIRAC:
-                raise ValueError("classical SIR closes no moments and takes the dirac closure, "
-                                 f"got closure = {self.closure.value}")
-            return
-        if self.beta is not None:
-            raise ValueError(f"the {self.variant.name} model reads epidemic.betas, not beta, "
-                             f"got beta = {self.beta}")
-        order = 1 if self.variant is MacroVariant.L1 else 2
-        _check_incidence(self.epidemic, range(order, order + 1), f"the {self.variant.name} model")
+        _check_incidence(self.epidemic, "the moment-closed system")
         self.rate_constants  # raises when the profile lacks a moment this order needs
 
     @cached_property
     def rate_constants(self) -> tuple[float, ...]:
-        """(b1, b2 c2^2, b1 (c2 - 1), b2 c2 (c3 - c2), c2, c3/c2, gamma) of an L1/L2 model.
+        """(b1, b2 c2^2, b1 (c2 - 1), b2 c2 (c3 - c2), c2, c3/c2, gamma).
 
         c2 = m2/m^2 and c3 = m3/m^3 are the closure profile's ratios; at L1,
         b2 = 0 and c3 = 1 (unused).  Each constant is the left-hand factor of
@@ -103,7 +108,7 @@ class MacroModel:
         b1 = self.epidemic.betas[0]
         c2 = closure_moment(self.closure, 2, 1.0, self.kinetic.lam)
         b2, c3 = 0.0, 1.0
-        if self.variant is MacroVariant.L2:
+        if self.epidemic.order == 2:
             b2 = self.epidemic.betas[1]
             c3 = closure_moment(self.closure, 3, 1.0, self.kinetic.lam)
         try:
@@ -117,24 +122,13 @@ class MacroModel:
     def derivative(self) -> Callable[..., tuple[float, ...]]:
         """The system's time derivative, f(rho_s, rho_i, rho_r, m_s, m_i, m_r) -> 6 floats.
 
-        Bound once per model: the variant is chosen and the rate constants
-        read here, so an RK4 stage is one call on plain floats.  The
-        susceptible mass never increases and the removed mass never
-        decreases; the three mass derivatives cancel exactly.  Every product
-        keeps the factor order of the model's equations on purpose:
-        regrouping one (say b1 * (rho_s * m_s)) changes its rounding and
-        every trajectory.
+        Bound once per model: the rate constants are read here, so an RK4
+        stage is one call on plain floats.  The susceptible mass never
+        increases and the removed mass never decreases; the three mass
+        derivatives cancel exactly.  Every product keeps the factor order of
+        the model's equations on purpose: regrouping one (say
+        b1 * (rho_s * m_s)) changes its rounding and every trajectory.
         """
-        if self.variant is MacroVariant.CLASSICAL_SIR:
-            beta, gamma = self.beta, self.epidemic.gamma_i
-
-            def classical_sir(rho_s, rho_i, rho_r, m_s, m_i, m_r):
-                infection = beta * rho_s * rho_i
-                recovery = gamma * rho_i
-                return (-infection, infection - recovery, recovery, 0.0, 0.0, 0.0)
-
-            return classical_sir
-
         b1, b2_c2sq, b1_c2m1, b2_c2_c3mc2, c2, c3_c2, gamma = self.rate_constants
 
         def moment_closed(rho_s, rho_i, rho_r, m_s, m_i, m_r):
@@ -152,16 +146,15 @@ class MacroModel:
         return moment_closed
 
 
-def _check_incidence(epidemic: EpidemicParams, orders: range, system: str) -> None:
-    """Reject an incidence the system would not keep whole: beta0, or betas not in orders."""
-    if epidemic.order not in orders:
-        raise ValueError(f"{system} takes {' or '.join(map(str, orders))} epidemic.betas, "
-                         f"got {epidemic.order}")
+def _check_incidence(epidemic: EpidemicParams, system: str) -> None:
+    """Reject an incidence the system would not keep whole: beta0, or other than 1 or 2 betas."""
+    if epidemic.order not in (1, 2):
+        raise ValueError(f"{system} takes 1 or 2 epidemic.betas, got {epidemic.order}")
     if epidemic.beta0 > 0:
         raise ValueError(f"{system} has no beta0 term, got epidemic.beta0 = {epidemic.beta0}")
 
 
-def rhs(model: MacroModel, s: MacroState) -> MacroState:
+def rhs(model: MacroModel | ClassicalSIR, s: MacroState) -> MacroState:
     """Time derivative of the closed system at state s: model.derivative as a MacroState."""
     return MacroState(*model.derivative(*s))
 
@@ -197,7 +190,7 @@ def _self_consistent_state(
 
 def controlled_sir(
     p: KineticParams, e: EpidemicParams, c: ControlSpec, grid: Grid, m0: float
-) -> tuple[MacroModel, float]:
+) -> tuple[ClassicalSIR, float]:
     """The controlled macro system, as classical SIR, and its self-consistent mean m*.
 
     m* is found from the initial guess m0; beta = b1 M1^2 + b2 M2^2 from the
@@ -205,7 +198,7 @@ def controlled_sir(
     first order).  Trajectories start from means m*, which this system
     holds fixed.  Rejects an incidence with beta0 or more than two betas.
     """
-    _check_incidence(e, range(1, 3), "the controlled macro system")
+    _check_incidence(e, "the controlled macro system")
     m_star, f = _self_consistent_state(p, c, grid, m0)
     b2 = e.betas[1] if e.order > 1 else 0.0
     try:
@@ -213,11 +206,12 @@ def controlled_sir(
     except OverflowError as exc:
         raise NumericsError(f"the contact moments of the steady state at m* = {m_star!r} "
                             "overflow beta") from exc
-    return MacroModel(MacroVariant.CLASSICAL_SIR, ClosureKind.DIRAC, p, e, beta=beta), m_star
+    return ClassicalSIR(beta, e.gamma_i), m_star
 
 
 def rk4_integrate(
-    model: MacroModel, s0: MacroState, dt: float, t_final: float, output_every: int = 1
+    model: MacroModel | ClassicalSIR, s0: MacroState, dt: float, t_final: float,
+    output_every: int = 1,
 ) -> tuple[list[float], list[MacroState]]:
     """Classical fourth-order Runge-Kutta integration of model.derivative with a fixed step.
 

@@ -38,9 +38,9 @@ from kinctrl.cli import execute
 from kinctrl.fp import SpStepper
 from kinctrl.kinetic import gamma_profile_state, run_scenario
 from kinctrl.macro import (
+    ClassicalSIR,
     MacroModel,
     MacroState,
-    MacroVariant,
     controlled_sir,
     rk4_integrate,
 )
@@ -219,7 +219,7 @@ def _consistency_gaps(tau):
     p = kp(-1.0, tau=tau)
     ic = gamma_profile_state(T3_GRID, 5.0, 10.0, T3_RHO0)
     res = run_scenario(ic, p, ControlSpec.uncontrolled(), T3_EPI, t_final=20.0, dt=0.01)
-    model = MacroModel(MacroVariant.L2, ClosureKind.INVERSE_GAMMA, p, T3_EPI)
+    model = MacroModel(ClosureKind.INVERSE_GAMMA, p, T3_EPI)
     s0 = MacroState(*T3_RHO0, 10.0, 10.0, 10.0)
     _, states = rk4_integrate(model, s0, 0.01, 20.0)
     mass_gap = max(
@@ -355,9 +355,7 @@ def test_criterion_6_conservation_and_monotonicity():
             assert abs(m_end - m0) / m0 <= 1e-3
 
         # macro conservation and monotonicity
-        model = MacroModel(
-            MacroVariant.L2, ClosureKind.INVERSE_GAMMA, kp(-1.0), T3_EPI
-        )
+        model = MacroModel(ClosureKind.INVERSE_GAMMA, kp(-1.0), T3_EPI)
         s0 = MacroState(0.98, 0.01, 0.01, 10.0, 10.0, 10.0)
         _, states = rk4_integrate(model, s0, 0.01, 40.0)
         assert max(abs(s.mass_sum() - 1.0) for s in states) <= 1e-10
@@ -387,19 +385,17 @@ def test_criterion_7_closure_limits():
         epi = EpidemicParams((1e-3,), GAMMA_I)
         m0 = 10.0
         s0 = MacroState(1 - 2e-5, 1e-5, 1e-5, m0, m0, m0)
-        dirac = MacroModel(MacroVariant.L1, ClosureKind.DIRAC, kp(-1.0), epi)
-        classical = MacroModel(
-            MacroVariant.CLASSICAL_SIR, ClosureKind.DIRAC, kp(-1.0), epi, beta=1e-3 * m0 * m0
-        )
+        dirac = MacroModel(ClosureKind.DIRAC, kp(-1.0), epi)
+        classical = ClassicalSIR(1e-3 * m0 * m0, epi.gamma_i)
         _, t_d = rk4_integrate(dirac, s0, 0.02, 400.0)
         _, t_c = rk4_integrate(classical, s0, 0.02, 400.0)
         assert max(abs(a.rho_i - b.rho_i) for a, b in zip(t_d, t_c)) < 1e-10
 
         # first-order system, lam = 5
-        _, tg = rk4_integrate(MacroModel(MacroVariant.L1, ClosureKind.GAMMA, kp(1.0), epi),
+        _, tg = rk4_integrate(MacroModel(ClosureKind.GAMMA, kp(1.0), epi),
                               s0, 0.02, 600.0)
         _, ti = rk4_integrate(
-            MacroModel(MacroVariant.L1, ClosureKind.INVERSE_GAMMA, kp(-1.0), epi), s0, 0.02, 600.0
+            MacroModel(ClosureKind.INVERSE_GAMMA, kp(-1.0), epi), s0, 0.02, 600.0
         )
         assert max(s.m_i for s in ti) > max(s.m_i for s in tg)
 
@@ -407,11 +403,11 @@ def test_criterion_7_closure_limits():
         epi2 = EpidemicParams((0.0, 1e-5), GAMMA_I)
         s0b = MacroState(1 - 2e-3, 1e-3, 1e-3, m0, m0, m0)
         _, tg2 = rk4_integrate(
-            MacroModel(MacroVariant.L2, ClosureKind.GAMMA, kp(1.0, sigma2=0.1), epi2),
+            MacroModel(ClosureKind.GAMMA, kp(1.0, sigma2=0.1), epi2),
             s0b, 0.02, 400.0,
         )
         _, ti2 = rk4_integrate(
-            MacroModel(MacroVariant.L2, ClosureKind.INVERSE_GAMMA, kp(-1.0, sigma2=0.1), epi2),
+            MacroModel(ClosureKind.INVERSE_GAMMA, kp(-1.0, sigma2=0.1), epi2),
             s0b, 0.02, 400.0,
         )
         assert max(s.m_i for s in ti2) > max(s.m_i for s in tg2)

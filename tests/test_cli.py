@@ -27,6 +27,8 @@ from kinctrl.cli import (
 )
 from kinctrl.errors import ConfigError, NumericsError
 from kinctrl.io import read_csv
+from kinctrl.macro import MacroModel
+from kinctrl.params import EpidemicParams, KineticParams, closure_kind
 
 
 def small_dsmc_config(tmp_path, seed=7, sigma2=0.2, name="small.json"):
@@ -51,7 +53,6 @@ def small_macro_config(tmp_path, name="macro.json", dt=0.01, beta1=1e-3):
         "kind": "macro_compare",
         "kinetic": {"alpha": 1.0, "sigma2": 0.2, "delta": -1.0},
         "epidemic": {"betas": [beta1], "gamma_i": 0.07142857142857142},
-        "macro": {"variant": "l1", "closure": "inverse_gamma"},
         "time": {"dt": dt, "t_final": 5.0, "output_every": 10},
         "initial": {"rho": [0.99998, 1e-5, 1e-5], "mean": 10.0},
     }
@@ -239,6 +240,7 @@ class TestExitCodes:
         "path, value, named",
         [
             ("control.x_target", float("nan"), "control.x_target"),
+            ("control.strategy", "additive", "control.strategy"),
             ("control.nu", float("inf"), "control.nu"),
             ("epidemic.betas.1", float("nan"), "epidemic.betas[1]"),
             ("epidemic.gamma_i", float("inf"), "epidemic.gamma_i"),
@@ -363,34 +365,76 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"epidemic.{field}" in capsys.readouterr().err
 
-    def test_macro_compare_rejects_betas_beyond_the_variant(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "field, value",
+        [("betas", [1e-3, 1e-6, 1e-8]), ("beta0", 5.0)],
+        ids=["three_betas", "beta0"],
+    )
+    def test_macro_compare_rejects_terms_the_closed_system_drops(
+        self, tmp_path, capsys, field, value
+    ):
         cfg = json.loads(small_macro_config(tmp_path).read_text())
-        cfg["epidemic"]["betas"] = [1e-3, 1e-6]
-        path = tmp_path / "l1.json"
+        cfg["epidemic"][field] = value
+        path = tmp_path / "closed.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "epidemic.betas" in capsys.readouterr().err
+        assert f"epidemic.{field}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("variant", ["l1", "l2"])
-    def test_macro_compare_rejects_a_beta_the_variant_ignores(self, tmp_path, capsys, variant):
-        # L1 and L2 take their rates from epidemic.betas; macro.beta would change nothing
+    def test_macro_compare_closure_needs_delta_plus_or_minus_one(self, tmp_path, capsys):
+        # the closure is the local equilibrium, which has a closed form at delta = +/-1 only
         cfg = json.loads(small_macro_config(tmp_path).read_text())
-        cfg["macro"].update(variant=variant, beta=123.0)
-        cfg["epidemic"]["betas"] = [1e-3, 1e-6][: 1 if variant == "l1" else 2]
-        path = tmp_path / f"{variant}.json"
+        cfg["kinetic"]["delta"] = 0.3
+        path = tmp_path / "delta.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "field 'macro'" in capsys.readouterr().err
+        assert "field 'kinetic.delta'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("closure", ["gamma", "inverse_gamma"])
-    def test_macro_compare_rejects_a_closure_classical_sir_ignores(self, tmp_path, capsys, closure):
-        # classical SIR closes no moments; any closure but dirac would change nothing
+    @pytest.mark.parametrize(
+        "macro",
+        [{"variant": "l1"}, {"closure": "gamma"}, {"variant": "l1", "closure": "inverse_gamma"},
+         {"variant": "classical_sir", "closure": "dirac", "beta": 0.1}],
+    )
+    def test_macro_variant_or_closure_exits_two_naming_it(self, tmp_path, capsys, macro):
+        # the number of betas sets L1 or L2, kinetic.delta the closure, and
+        # macro.beta classical SIR: no run reads either field
         cfg = json.loads(small_macro_config(tmp_path).read_text())
-        cfg["macro"] = {"variant": "classical_sir", "closure": closure, "beta": 0.1}
+        cfg["macro"] = macro
+        if "beta" in macro:
+            del cfg["epidemic"]["betas"]
+        path = tmp_path / "macro.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"field 'macro.{next(iter(macro))}': a macro_compare run does not read it" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value", [("betas", [1e-3]), ("beta0", 5.0)])
+    def test_classical_sir_rejects_an_epidemic_field_it_ignores(
+        self, tmp_path, monkeypatch, capsys, field, value
+    ):
+        # classical SIR reads macro.beta and epidemic.gamma_i only
+        def never(*args, **kwargs):
+            raise AssertionError("classical SIR ran with a field unread")
+
+        monkeypatch.setattr("kinctrl.cli.rk4_integrate", never)
+        cfg = json.loads(small_macro_config(tmp_path).read_text())
+        cfg["macro"] = {"beta": 0.1}
+        cfg["epidemic"] = {"gamma_i": 0.07142857142857142, field: value}
         path = tmp_path / "sir.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert "field 'macro'" in capsys.readouterr().err
+        assert f"field 'epidemic.{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_classical_sir_needs_a_non_negative_beta(self, tmp_path, capsys):
+        cfg = json.loads(small_macro_config(tmp_path).read_text())
+        cfg["macro"] = {"beta": -0.1}
+        del cfg["epidemic"]["betas"]
+        path = tmp_path / "sir.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "field 'macro.beta'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("t_final", [0.0, 1e-300])
     def test_particle_run_of_no_steps_exits_two(self, tmp_path, capsys, t_final):
@@ -630,9 +674,9 @@ def names(err, path):
 
 
 # Keys that a run of some kind may lack; a run of another kind may require them.
-OPTIONAL = {"kinetic.epsilon", "kinetic.tau", "control", "dsmc.mean_reference",
-            "dsmc.kernel_bound", "fp", "fp.mean_reference", "time.output_every", "tail_window",
-            "sweep.window_power_law", "sweep.window_slim"}
+OPTIONAL = {"kinetic.epsilon", "kinetic.tau", "control", "dsmc.mean_reference", "fp",
+            "fp.mean_reference", "time.output_every", "tail_window", "sweep.window_power_law",
+            "sweep.window_slim"}
 
 
 # For one bundled config of each of the six kinds, the seed and kinetic scale
@@ -911,6 +955,30 @@ class TestRun:
         assert list(traj) == ["t", "rho_S", "rho_I", "rho_R", "m_S", "m_I", "m_R"]
         assert traj["t"][-1] == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("name", ["closure_l1_gamma", "closure_l1_invgamma"])
+    def test_closure_manifest_moment_ratio_is_the_models_c2(self, tmp_path, name):
+        # the closure follows kinetic.delta, so derived.moment_ratio is the c2 it closes with
+        cfg = load_config(bundled_config_path(f"{name}.json"))
+        cfg["time"]["t_final"] = 0.1
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        derived = json.loads((execute(path, tmp_path / "out") / "manifest.json").read_text())[
+            "derived"]
+        p = KineticParams(**cfg["kinetic"])
+        model = MacroModel(closure_kind(p.delta), p, EpidemicParams(**cfg["epidemic"]))
+        assert derived["moment_ratio"] == model.rate_constants[4]
+
+    def test_classical_sir_run_holds_the_means(self, tmp_path):
+        # macro.beta makes the run classical SIR, which closes no moments
+        cfg = json.loads(small_macro_config(tmp_path).read_text())
+        cfg["macro"] = {"beta": 0.1}
+        del cfg["epidemic"]["betas"]
+        path = tmp_path / "sir.json"
+        path.write_text(json.dumps(cfg))
+        traj = read_csv(execute(path, tmp_path / "out") / "trajectory.csv")
+        assert set(traj["m_S"]) == set(traj["m_I"]) == {10.0}
+        assert traj["rho_I"][-1] > traj["rho_I"][0]
+
     def test_macro_trajectory_ends_at_t_final(self, tmp_path):
         # 500 steps recorded every 7: steps 0, 7, ..., 497 and then 500
         cfg = load_config(bundled_config_path("closure_l1_gamma.json"))
@@ -1021,20 +1089,20 @@ class TestScenarioRunners:
         gaps = manifest["metrics"]["sup_gaps"]
         assert gaps["m_R_rel"] >= 0.0
 
-    def test_dsmc_default_kernel_bound(self, tmp_path):
-        # without dsmc.kernel_bound the bound is the kernel x^-1 (delta = +1)
-        # at half a histogram bin, a cell of the run's grid
-        path = small_dsmc_config(tmp_path)
-        cfg = json.loads(path.read_text())
-        cfg["kinetic"]["delta"] = 1.0
+    def test_missing_kernel_bound_exits_two_before_any_step(self, tmp_path, monkeypatch, capsys):
+        # a default bound taken from the histogram's cells would let the
+        # output binning change the particle dynamics
+        def never(*args, **kwargs):
+            raise AssertionError("the particles ran without dsmc.kernel_bound")
+
+        monkeypatch.setattr("kinctrl.cli.run_to_equilibrium", never)
+        cfg = load_config(bundled_config_path("test1_uncontrolled_deltap1.json"))
         del cfg["dsmc"]["kernel_bound"]
-        cfg["time"].update(dt=0.005, t_final=0.05)
+        path = tmp_path / "no_bound.json"
         path.write_text(json.dumps(cfg))
-        metrics = json.loads((execute(path, tmp_path / "out") / "manifest.json").read_text())[
-            "metrics"
-        ]
-        x_max, n_cells = cfg["grid"]["x_max"], cfg["grid"]["n_cells"]
-        assert metrics["kernel_bound"] == (0.5 * x_max / n_cells) ** -1
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "field 'dsmc.kernel_bound'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_controlled_epidemic(self, tmp_path):
         out = execute(controlled_epidemic_config(tmp_path), tmp_path / "out")

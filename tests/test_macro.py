@@ -16,9 +16,9 @@ from kinctrl import (
 from kinctrl.errors import InvariantViolationError
 from kinctrl.macro import (
     RHO_R_FLOOR,
+    ClassicalSIR,
     MacroModel,
     MacroState,
-    MacroVariant,
     controlled_sir,
     rhs,
     rk4_integrate,
@@ -38,13 +38,11 @@ def state(rho_i=1e-5, rho_r=1e-5, mean=10.0):
 
 class TestRhs:
     def test_classical_no_infected_no_flow(self):
-        model = MacroModel(MacroVariant.CLASSICAL_SIR, ClosureKind.DIRAC,
-                           kin(-1.0), EpidemicParams((0.0,), GAMMA_I), beta=0.5)
-        d = rhs(model, MacroState(0.6, 0.0, 0.4, 10.0, 10.0, 10.0))
+        d = rhs(ClassicalSIR(0.5, GAMMA_I), MacroState(0.6, 0.0, 0.4, 10.0, 10.0, 10.0))
         assert d.rho_s == 0.0 and d.rho_r == 0.0
 
     def test_mass_derivatives_cancel(self):
-        model = MacroModel(MacroVariant.L2, ClosureKind.INVERSE_GAMMA,
+        model = MacroModel(ClosureKind.INVERSE_GAMMA,
                            kin(-1.0), EpidemicParams((2e-2, 2e-6), GAMMA_I))
         d = rhs(model, state(rho_i=0.3, rho_r=0.1))
         scale = max(abs(d.rho_s), abs(d.rho_i), abs(d.rho_r))
@@ -52,52 +50,60 @@ class TestRhs:
         assert d.rho_s <= 0.0 and d.rho_r >= 0.0
 
     def test_large_lam_freezes_susceptible_mean(self):
-        model = MacroModel(MacroVariant.L1, ClosureKind.GAMMA,
+        model = MacroModel(ClosureKind.GAMMA,
                            kin(1.0, lam=1e9), EpidemicParams((1e-3,), GAMMA_I))
         d = rhs(model, state(rho_i=0.1))
         assert abs(d.m_s) < 1e-9
 
     def test_removed_mean_floor(self):
-        model = MacroModel(MacroVariant.L1, ClosureKind.GAMMA,
+        model = MacroModel(ClosureKind.GAMMA,
                            kin(1.0), EpidemicParams((1e-3,), GAMMA_I))
         d = rhs(model, MacroState(0.9, 0.1, 0.0, 10.0, 12.0, 10.0))
         assert d.m_r == 0.0
 
     @pytest.mark.parametrize(
-        "variant, closure, delta, betas, beta",
+        "model",
         [
-            (MacroVariant.CLASSICAL_SIR, ClosureKind.DIRAC, -1.0, (0.0,), 0.3),
-            (MacroVariant.L1, ClosureKind.GAMMA, 1.0, (1e-3,), None),
-            (MacroVariant.L2, ClosureKind.INVERSE_GAMMA, -1.0, (2e-2, 2e-6), None),
+            ClassicalSIR(0.3, GAMMA_I),
+            MacroModel(ClosureKind.GAMMA, kin(1.0), EpidemicParams((1e-3,), GAMMA_I)),
+            MacroModel(ClosureKind.INVERSE_GAMMA, kin(-1.0), EpidemicParams((2e-2, 2e-6), GAMMA_I)),
         ],
+        ids=["classical_sir", "l1", "l2"],
     )
-    def test_rhs_is_the_derivative_bound_once(self, variant, closure, delta, betas, beta):
-        model = MacroModel(variant, closure, kin(delta), EpidemicParams(betas, GAMMA_I), beta=beta)
+    def test_rhs_is_the_derivative_bound_once(self, model):
         s = MacroState(0.7, 0.2, 0.1, 9.0, 11.0, 10.0)
         f = model.derivative
         assert rhs(model, s) == MacroState(*f(*s))
         assert model.derivative is f
 
+    def test_rhs_and_rk4_integrate_take_classical_sir(self):
+        # perfbench/spans.py wraps both for either model type
+        model = ClassicalSIR(0.3, GAMMA_I)
+        s0 = state(rho_i=0.1)
+        assert rhs(model, s0) == oracle_rhs(model, s0)
+        _, states = rk4_integrate(model, s0, 0.05, 5.0)
+        assert states == oracle_rk4(oracle_rhs, model, s0, 0.05, 100)
+
     def test_l2_inverse_gamma_needs_lam_above_two(self):
         with pytest.raises(ValueError):
-            MacroModel(MacroVariant.L2, ClosureKind.INVERSE_GAMMA,
+            MacroModel(ClosureKind.INVERSE_GAMMA,
                        kin(-1.0, lam=2.0), EpidemicParams((0.0, 1e-5), GAMMA_I))
 
 
 class TestIncidenceOrder:
     # a closed system that would drop part of the kinetic incidence refuses it
     @pytest.mark.parametrize(
-        "variant, epi",
+        "epi",
         [
-            (MacroVariant.L1, EpidemicParams((1e-3, 1e-6), GAMMA_I)),
-            (MacroVariant.L2, EpidemicParams((2e-2, 2e-6, 1e-8), GAMMA_I)),
-            (MacroVariant.L1, EpidemicParams((1e-3,), GAMMA_I, beta0=5.0)),
-            (MacroVariant.L2, EpidemicParams((2e-2, 2e-6), GAMMA_I, beta0=5.0)),
+            EpidemicParams((), GAMMA_I),
+            EpidemicParams((2e-2, 2e-6, 1e-8), GAMMA_I),
+            EpidemicParams((1e-3,), GAMMA_I, beta0=5.0),
+            EpidemicParams((2e-2, 2e-6), GAMMA_I, beta0=5.0),
         ],
     )
-    def test_closed_model_rejects_dropped_terms(self, variant, epi):
+    def test_closed_model_rejects_dropped_terms(self, epi):
         with pytest.raises(ValueError, match="epidemic.beta"):
-            MacroModel(variant, ClosureKind.INVERSE_GAMMA, kin(-1.0), epi)
+            MacroModel(ClosureKind.INVERSE_GAMMA, kin(-1.0), epi)
 
     @pytest.mark.parametrize(
         "epi",
@@ -108,21 +114,22 @@ class TestIncidenceOrder:
             controlled_sir(kin(-1.0, tau=1e-5), epi, ControlSpec.additive(1.0, 3.0),
                            Grid(200.0, 10000), 10.0)
 
-    def test_classical_sir_ignores_the_betas(self):
-        epi = EpidemicParams((2e-2, 2e-6, 1e-8), GAMMA_I, beta0=5.0)
-        model = MacroModel(MacroVariant.CLASSICAL_SIR, ClosureKind.DIRAC, kin(-1.0), epi, beta=0.5)
+    def test_classical_sir_needs_a_non_negative_beta(self):
+        model = ClassicalSIR(0.5, GAMMA_I)
         assert rhs(model, state(rho_i=0.1)).rho_s == -0.5 * (1.0 - 0.1 - 1e-5) * 0.1
+        with pytest.raises(ValueError, match="beta >= 0"):
+            ClassicalSIR(-0.5, GAMMA_I)
 
 
 def oracle_rhs(model, s):
     """The closed system's derivative, every product written out in full."""
-    gamma = model.epidemic.gamma_i
-    if model.variant is MacroVariant.CLASSICAL_SIR:
+    if isinstance(model, ClassicalSIR):
         infection = model.beta * s.rho_s * s.rho_i
         return MacroState(
-            -infection, infection - gamma * s.rho_i, gamma * s.rho_i, 0.0, 0.0, 0.0
+            -infection, infection - model.gamma * s.rho_i, model.gamma * s.rho_i, 0.0, 0.0, 0.0
         )
-    l2 = model.variant is MacroVariant.L2
+    gamma = model.epidemic.gamma_i
+    l2 = model.epidemic.order == 2
     c2 = closure_moment(model.closure, 2, 1.0, model.kinetic.lam)
     c3 = closure_moment(model.closure, 3, 1.0, model.kinetic.lam) if l2 else 1.0
     b1 = model.epidemic.betas[0]
@@ -185,12 +192,12 @@ def oracle_rk4(f, model, s0, dt, n_steps):
     return states
 
 
-def closed_model(variant, closure, kinetic, epidemic, beta):
-    """The model of variant: classical SIR takes beta and closes no moments
-    (DIRAC); L1 and L2 take the closure and read epidemic.betas."""
-    if variant is MacroVariant.CLASSICAL_SIR:
-        return MacroModel(variant, ClosureKind.DIRAC, kinetic, epidemic, beta=beta)
-    return MacroModel(variant, closure, kinetic, epidemic)
+def closed_model(order, closure, kinetic, betas, gamma_i, beta):
+    """Classical SIR at beta for order 0, which closes no moments; else the
+    L1 or L2 system of the first order betas, closed with closure."""
+    if order == 0:
+        return ClassicalSIR(beta, gamma_i)
+    return MacroModel(closure, kinetic, EpidemicParams(betas[:order], gamma_i))
 
 
 class TestOracle:
@@ -198,7 +205,7 @@ class TestOracle:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
-        variant=st.sampled_from(MacroVariant),
+        order=st.sampled_from([0, 1, 2]),
         closure=st.sampled_from([ClosureKind.GAMMA, ClosureKind.INVERSE_GAMMA]),
         lam=st.floats(3.0, 10.0),
         b1=st.floats(1e-4, 2e-2),
@@ -208,14 +215,13 @@ class TestOracle:
         means=st.tuples(st.floats(1.0, 10.0), st.floats(1.0, 10.0), st.floats(1.0, 10.0)),
         dt=st.sampled_from([0.01, 0.05, 0.1]),
     )
-    @example(MacroVariant.L2, ClosureKind.INVERSE_GAMMA, 5.0, 2e-2, 2e-6, GAMMA_I,
+    @example(2, ClosureKind.INVERSE_GAMMA, 5.0, 2e-2, 2e-6, GAMMA_I,
              (0.9, 0.1, 0.1 * RHO_R_FLOOR), (10.0, 8.0, 3.0), 0.05)
     def test_closed_models_match_the_oracle(
-        self, variant, closure, lam, b1, b2, gamma_i, rho, means, dt
+        self, order, closure, lam, b1, b2, gamma_i, rho, means, dt
     ):
         delta = -1.0 if closure is ClosureKind.INVERSE_GAMMA else 1.0
-        betas = (b1,) if variant is MacroVariant.L1 else (b1, b2)
-        model = closed_model(variant, closure, kin(delta, lam=lam), EpidemicParams(betas, gamma_i),
+        model = closed_model(order, closure, kin(delta, lam=lam), (b1, b2), gamma_i,
                              b1 * means[0] ** 2)
         s0 = MacroState(*rho, *means)
         times, states = rk4_integrate(model, s0, dt, 200 * dt)
@@ -242,7 +248,7 @@ class TestOracle:
 
 class TestIntegration:
     def test_pure_recovery_decay(self):
-        model = MacroModel(MacroVariant.L1, ClosureKind.GAMMA,
+        model = MacroModel(ClosureKind.GAMMA,
                            kin(1.0), EpidemicParams((0.0,), GAMMA_I))
         times, states = rk4_integrate(model, state(rho_i=1e-3, rho_r=1e-3), 0.01, 10.0)
         exact = 1e-3 * np.exp(-GAMMA_I * np.asarray(times))
@@ -250,13 +256,13 @@ class TestIntegration:
         assert err < 1e-8
 
     def test_rejects_partial_final_step(self):
-        model = MacroModel(MacroVariant.L1, ClosureKind.GAMMA,
+        model = MacroModel(ClosureKind.GAMMA,
                            kin(1.0), EpidemicParams((0.0,), GAMMA_I))
         with pytest.raises(ValueError, match="whole number"):
             rk4_integrate(model, state(), 0.3, 1.0)
 
     def test_invariants_along_trajectory(self):
-        model = MacroModel(MacroVariant.L2, ClosureKind.INVERSE_GAMMA,
+        model = MacroModel(ClosureKind.INVERSE_GAMMA,
                            kin(-1.0), EpidemicParams((2e-2, 2e-6), GAMMA_I))
         _, states = rk4_integrate(model, state(rho_i=1e-2, rho_r=1e-2), 0.01, 60.0)
         assert max(abs(s.mass_sum() - 1.0) for s in states) < 1e-10
@@ -266,7 +272,7 @@ class TestIntegration:
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
-        variant=st.sampled_from(MacroVariant),
+        order=st.sampled_from([0, 1, 2]),
         closure=st.sampled_from([ClosureKind.GAMMA, ClosureKind.INVERSE_GAMMA]),
         lam=st.floats(3.0, 10.0),
         b1=st.floats(0.0, 2e-2),
@@ -277,12 +283,10 @@ class TestIntegration:
         dt=st.sampled_from([0.01, 0.05, 0.1]),
     )
     def test_invariants_over_random_parameters(
-        self, variant, closure, lam, b1, b2, gamma_i, rho, mean, dt
+        self, order, closure, lam, b1, b2, gamma_i, rho, mean, dt
     ):
         delta = -1.0 if closure is ClosureKind.INVERSE_GAMMA else 1.0
-        betas = (b1,) if variant is MacroVariant.L1 else (b1, b2)
-        model = closed_model(variant, closure, kin(delta, lam=lam), EpidemicParams(betas, gamma_i),
-                             b1 * mean**2)
+        model = closed_model(order, closure, kin(delta, lam=lam), (b1, b2), gamma_i, b1 * mean**2)
         total = sum(rho)
         s0 = MacroState(*(r / total for r in rho), mean, mean, mean)
         _, states = rk4_integrate(model, s0, dt, 200 * dt)
@@ -291,7 +295,7 @@ class TestIntegration:
         assert all(b.rho_r >= a.rho_r for a, b in zip(states, states[1:]))
 
     def test_l2_second_moment_only_peak_bound(self):
-        model = MacroModel(MacroVariant.L2, ClosureKind.INVERSE_GAMMA,
+        model = MacroModel(ClosureKind.INVERSE_GAMMA,
                            kin(-1.0), EpidemicParams((0.0, 2e-6), GAMMA_I))
         _, states = rk4_integrate(model, state(rho_i=1e-3, rho_r=1e-3), 0.01, 600.0)
         # with beta_1 = 0 the infected mean stays below c3/c2 m_S(0)
@@ -300,7 +304,7 @@ class TestIntegration:
         assert max(s.m_i for s in states) <= bound + 1e-9
 
     def test_overflow_is_an_invariant_violation_with_the_last_state(self):
-        model = MacroModel(MacroVariant.L1, ClosureKind.GAMMA,
+        model = MacroModel(ClosureKind.GAMMA,
                            kin(1.0), EpidemicParams((1e300,), GAMMA_I))
         s0 = state()
         for every in (1, 100):
@@ -311,9 +315,8 @@ class TestIntegration:
     def test_dirac_closure_collapses_to_classical_sir(self):
         epi = EpidemicParams((1e-3,), GAMMA_I)
         m0 = 10.0
-        dirac = MacroModel(MacroVariant.L1, ClosureKind.DIRAC, kin(-1.0), epi)
-        classical = MacroModel(MacroVariant.CLASSICAL_SIR, ClosureKind.DIRAC,
-                               kin(-1.0), epi, beta=1e-3 * m0 * m0)
+        dirac = MacroModel(ClosureKind.DIRAC, kin(-1.0), epi)
+        classical = ClassicalSIR(1e-3 * m0 * m0, GAMMA_I)
         _, t_d = rk4_integrate(dirac, state(), 0.01, 300.0)
         _, t_c = rk4_integrate(classical, state(), 0.01, 300.0)
         gap = max(abs(a.rho_i - b.rho_i) for a, b in zip(t_d, t_c))
@@ -323,15 +326,14 @@ class TestIntegration:
         # slim- vs power-law-tail closure: the heavier tail reaches a higher
         # infected mean along the whole trajectory
         epi = EpidemicParams((1e-3,), GAMMA_I)
-        _, tg = rk4_integrate(MacroModel(MacroVariant.L1, ClosureKind.GAMMA, kin(1.0), epi),
+        _, tg = rk4_integrate(MacroModel(ClosureKind.GAMMA, kin(1.0), epi),
                               state(), 0.01, 600.0)
-        _, ti = rk4_integrate(MacroModel(MacroVariant.L1, ClosureKind.INVERSE_GAMMA, kin(-1.0), epi),
+        _, ti = rk4_integrate(MacroModel(ClosureKind.INVERSE_GAMMA, kin(-1.0), epi),
                               state(), 0.01, 600.0)
         assert max(s.m_i for s in ti) > max(s.m_i for s in tg)
 
     def test_abort_on_invariant_violation(self):
-        model = MacroModel(MacroVariant.CLASSICAL_SIR, ClosureKind.DIRAC,
-                           kin(-1.0), EpidemicParams((0.0,), GAMMA_I), beta=0.2)
+        model = ClassicalSIR(0.2, GAMMA_I)
 
         def broken(*s):
             return (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # injects mass
@@ -342,7 +344,7 @@ class TestIntegration:
         assert err.value.last_state == state()
 
     def test_overflow_inside_a_later_stage_keeps_the_last_valid_state(self):
-        model = MacroModel(MacroVariant.L1, ClosureKind.GAMMA,
+        model = MacroModel(ClosureKind.GAMMA,
                            kin(1.0), EpidemicParams((1e-3,), GAMMA_I))
         _, states = rk4_integrate(model, state(), 0.01, 0.01)
         derivative = model.derivative
@@ -368,7 +370,7 @@ class TestOutputEvery:
     N_STEPS = 1234  # divisible by neither 7 nor 100
 
     def model(self):
-        return MacroModel(MacroVariant.L1, ClosureKind.GAMMA,
+        return MacroModel(ClosureKind.GAMMA,
                           kin(1.0), EpidemicParams((1e-3,), GAMMA_I))
 
     @pytest.mark.parametrize("every", [1, 7, 100, N_STEPS, N_STEPS + 3])
@@ -432,7 +434,7 @@ class TestObservedOrder:
     def test_rk4_is_fourth_order_on_smooth_data(self):
         # rho_R(0) > 0 keeps dm_R/dt smooth at t = 0; from rho_R(0) = 0 the
         # RHO_R_FLOOR switch lowers the observed order of m_R to about 3.2
-        model = MacroModel(MacroVariant.L1, ClosureKind.INVERSE_GAMMA,
+        model = MacroModel(ClosureKind.INVERSE_GAMMA,
                            kin(-1.0), EpidemicParams((0.005,), GAMMA_I))
         s0 = MacroState(0.9, 0.09, 0.01, 10.0, 10.0, 10.0)
         finals = np.array([rk4_integrate(model, s0, dt, 4.0)[1][-1]
@@ -459,7 +461,7 @@ class TestControlledMacro:
                                        Grid(3000.0, 60000), 10.0)
         s = MacroState(1.0 - 0.05 - 0.02, 0.05, 0.02, m_star, m_star, m_star)
         d_ctrl = rhs(model, s)
-        d_unc = rhs(MacroModel(MacroVariant.L2, ClosureKind.INVERSE_GAMMA, kinetic, epi), s)
+        d_unc = rhs(MacroModel(ClosureKind.INVERSE_GAMMA, kinetic, epi), s)
         assert d_ctrl.rho_s == pytest.approx(d_unc.rho_s, rel=1e-6)
         assert d_ctrl.rho_i == pytest.approx(d_unc.rho_i, rel=1e-6)
 
@@ -490,7 +492,7 @@ class TestControlledMacro:
         epi = EpidemicParams((2e-2, 2e-6), GAMMA_I)
         s0u = state(rho_i=1e-2, rho_r=1e-2)
         _, unc = rk4_integrate(
-            MacroModel(MacroVariant.L2, ClosureKind.INVERSE_GAMMA, kinetic, epi), s0u, 0.01, 20.0
+            MacroModel(ClosureKind.INVERSE_GAMMA, kinetic, epi), s0u, 0.01, 20.0
         )
         model, m_star = controlled_sir(kinetic, epi, ControlSpec.interaction(1.0, 3.0),
                                        self.grid(), 10.0)
