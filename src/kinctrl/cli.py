@@ -409,9 +409,13 @@ def run_tail_sweep(
 
 def _closed_model(p: KineticParams, e: EpidemicParams) -> MacroModel:
     """The moment system closed with the local equilibrium at p.delta: L1 or
-    L2 by the number of betas."""
+    L2 by the number of betas.  MacroModel checks the number of betas, then
+    beta0, then that the closure has the moments the order needs, which
+    lam = alpha / sigma2 decides."""
     closure = _build("kinetic.delta", closure_kind, p.delta)
-    return _build("kinetic/epidemic", MacroModel, closure, p, e)
+    field = ("epidemic.betas" if e.order not in (1, 2) else
+             "epidemic.beta0" if e.beta0 > 0 else "kinetic.sigma2")
+    return _build(field, MacroModel, closure, p, e)
 
 
 def _macro_initial(cfg: dict) -> MacroState:
@@ -470,6 +474,8 @@ def run_kinetic_macro_consistency(
     else:
         model = _closed_model(p, e)
 
+    # built once every field is read, so the LAPACK import falls in setup_s; the steps hit the cache
+    _build("kinetic.delta", build_operator, p, c, grid)
     _start_steps(cfg, clock)
     result = run_scenario(ic, p, c, e, t_final, dt, output_every=every)
     row0 = result.observables[0, :6].tolist()
@@ -505,6 +511,7 @@ def run_controlled_epidemic(
     every = _output_every(cfg)
     window = _window(cfg, "tail_window", required=False)
 
+    _build("kinetic.delta", build_operator, p, c, grid)  # as in run_kinetic_macro_consistency
     _start_steps(cfg, clock)
     result = run_scenario(ic, p, c, e, t_final, dt, output_every=every)
     clock.enter("output_s")

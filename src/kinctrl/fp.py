@@ -21,6 +21,10 @@ s(m), as a polynomial of degree <= 2, so w(m) is the same polynomial in s(m)
 over a basis that build_operator integrates once per (params, control,
 grid).  sp_step_batch then steps several densities, each at its own mean
 and each solved only as far as its non-zero support and its step reach.
+
+The tridiagonal solves are LAPACK's gtsv, gttrf and gttrs from
+scipy.linalg, imported by the first build_operator (_lapack): a run that
+builds no operator, and `import kinctrl`, do not load scipy.linalg.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from numbers import Integral
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import NumericsError
 from .params import STRATEGY_RULES, ControlSpec, KineticParams, check_finite, check_operator_domain
@@ -42,6 +45,14 @@ from .params import STRATEGY_RULES, ControlSpec, KineticParams, check_finite, ch
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 _TINY = np.finfo(float).tiny
+
+
+@functools.cache
+def _lapack():
+    """scipy.linalg.lapack, imported on the first call."""
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 @dataclass(frozen=True)
@@ -187,6 +198,7 @@ def build_operator(p: KineticParams, c: ControlSpec, grid: Grid) -> InterfaceWei
     domain error.
     """
     check_operator_domain(p, c)
+    _lapack()  # every operator is built to be solved
     rule = STRATEGY_RULES[c.strategy]
     diff_exp = 2.0 - (1.0 + p.delta) / 2.0
 
@@ -254,7 +266,7 @@ def _bands(
 
 def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> None:
     """Solve the tridiagonal system in place: LAPACK gtsv overwrites the bands and rhs."""
-    *_, info = dgtsv(lower, diag, upper, rhs.reshape(-1, 1), 1, 1, 1, 1)
+    *_, info = _lapack().dgtsv(lower, diag, upper, rhs.reshape(-1, 1), 1, 1, 1, 1)
     if info != 0:
         raise NumericsError(f"tridiagonal solve failed: LAPACK gtsv info = {info}")
 
@@ -281,14 +293,15 @@ class SpStepper:
         c = _step_factor(op.grid, dt, tau)
         self.grid = op.grid
         w = interface_log_ratios(op, [m])[0]
-        *factors, info = dgttrf(*_bands(w, op.d_interfaces, c, _workspace(op.grid.n_cells)))
+        bands = _bands(w, op.d_interfaces, c, _workspace(op.grid.n_cells))
+        *factors, info = _lapack().dgttrf(*bands)
         if info != 0:
             raise NumericsError(f"tridiagonal factorization failed: LAPACK gttrf info = {info}")
         self._factors = factors
 
     def step(self, values: np.ndarray) -> np.ndarray:
         rhs = np.asarray(values, dtype=float).reshape(-1, 1)
-        out, info = dgttrs(*self._factors, rhs)
+        out, info = _lapack().dgttrs(*self._factors, rhs)
         if info != 0:
             raise NumericsError(f"tridiagonal solve failed: LAPACK gttrs info = {info}")
         out = out.reshape(-1)

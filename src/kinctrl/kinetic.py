@@ -6,6 +6,11 @@ solve, scaled by 1/tau), then the three densities exchange mass pointwise in
 x through the incidence and recovery terms (one classical Runge-Kutta step
 with the infected moments refreshed at every stage).  The state keeps the
 three densities as the rows S, I, R of one array.
+
+gamma_profile_state imports scipy.special's gammaln when called, so only
+the kinetic runs load scipy.special.  math.lgamma will not do: it differs
+from gammaln in the last bit at lam = 5 and would change every bundled
+kinetic output.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InvariantViolationError
 from .fp import Grid, build_operator, sp_step_batch, support_end
@@ -84,6 +88,8 @@ def gamma_profile_state(
     """
     if not lam > 0 or not mean0 > 0:
         raise ValueError(f"lam and mean0 must be > 0, got lam = {lam}, mean0 = {mean0}")
+    from scipy.special import gammaln
+
     x = grid.centers()
     log_profile = (
         lam * math.log(lam)

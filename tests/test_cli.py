@@ -380,6 +380,26 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert f"epidemic.{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["macro_compare", "kinetic_macro_consistency"])
+    @pytest.mark.parametrize(
+        "edits, field",
+        [({"epidemic.betas": [1e-3, 1e-6, 1e-8]}, "epidemic.betas"),
+         ({"epidemic.beta0": 5.0}, "epidemic.beta0"),
+         # lam = 1 / 0.6 = 5/3: the inverse-gamma profile at delta = -1 has
+         # no third moment, which the L2 system needs
+         ({"epidemic.betas": [1e-3, 1e-6], "kinetic.sigma2": 0.6}, "kinetic.sigma2")],
+        ids=["three_betas", "beta0", "invgamma_lam_5_3"],
+    )
+    def test_closed_system_rejection_names_its_config_field(self, tmp_path, kind, edits, field):
+        if kind == "macro_compare":
+            cfg = load_config(bundled_config_path("closure_l1_invgamma.json"))
+        else:
+            cfg = consistency_config()
+        for path, value in edits.items():
+            set_field(path, value)(cfg)
+        code, err, made = run_quietly(cfg, tmp_path)
+        assert code == 2 and f"field '{field}'" in err and not made, err
+
     def test_macro_compare_closure_needs_delta_plus_or_minus_one(self, tmp_path, capsys):
         # the closure is the local equilibrium, which has a closed form at delta = +/-1 only
         cfg = json.loads(small_macro_config(tmp_path).read_text())
@@ -1198,6 +1218,14 @@ class TestCompare:
                      "--threshold", "1.0"]) == 0
 
 
+def checkout_env():
+    """os.environ with src first on PYTHONPATH: a subprocess does not see
+    pytest's pythonpath, so a checkout that is not installed needs it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestBundledScenarios:
     def test_listing_contains_reference_scenarios(self):
         names = list_bundled_scenarios()
@@ -1211,16 +1239,75 @@ class TestBundledScenarios:
             load_config(bundled_config_path(name))
 
     def test_cli_entry_point(self):
-        # the subprocess does not see pytest's pythonpath, so a checkout
-        # that is not installed needs src on PYTHONPATH
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "kinctrl.cli", "list-scenarios"],
             capture_output=True,
             text=True,
-            env=env,
+            env=checkout_env(),
         )
         assert proc.returncode == 0
         assert "test1_uncontrolled_deltam1.json" in proc.stdout
+
+
+# Run in a fresh interpreter: pytest's own process has imported scipy long
+# before.  Records the solver modules of scipy loaded after each import,
+# when each run's steps start, and after each run.
+IMPORT_PROBE = """
+import json, sys
+from pathlib import Path
+
+def loaded():
+    return [name for name in ("scipy.linalg", "scipy.special") if name in sys.modules]
+
+found = {}
+import kinctrl
+found["import kinctrl"] = loaded()
+from kinctrl import cli
+found["import kinctrl.cli"] = loaded()
+start_steps = cli._start_steps
+
+def recording_start_steps(cfg, clock):
+    found[cfg["kind"] + " steps"] = loaded()
+    start_steps(cfg, clock)
+
+cli._start_steps = recording_start_steps
+for path in map(Path, sys.argv[2:]):
+    cli.execute(path, Path(sys.argv[1]) / path.stem)
+    found[path.stem + " run"] = loaded()
+print(json.dumps(found))
+"""
+
+
+def probe_imports(tmp_path, names):
+    """IMPORT_PROBE's record for tiny configs of the bundled names, run in turn in one process."""
+    paths = []
+    for name in names:
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(tiny_config(name)))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "out"), *paths],
+                          capture_output=True, text=True, env=checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestScipyImports:
+    """Only the runs that solve import scipy's solvers: LAPACK's tridiagonal
+    solves (scipy.linalg) for an operator, gammaln (scipy.special) for the
+    kinetic runs' gamma profile."""
+
+    def test_particle_macro_and_sweep_runs_load_neither(self, tmp_path):
+        found = probe_imports(tmp_path, ["test1_control_b", "closure_l1_gamma", "test2_nu_sweep"])
+        assert len(found) == 8  # two imports, three step starts, three runs
+        assert found == {stage: [] for stage in found}
+
+    @pytest.mark.parametrize(
+        "name, uses",
+        [("test1_fp_control_b", ["scipy.linalg"]),
+         ("test4_control_b", ["scipy.linalg", "scipy.special"]),
+         ("test3_consistency", ["scipy.linalg", "scipy.special"])],
+    )
+    def test_solving_runs_load_what_they_use_before_their_steps(self, tmp_path, name, uses):
+        found = probe_imports(tmp_path, [name])
+        kind = tiny_config(name)["kind"]
+        assert found["import kinctrl.cli"] == []
+        assert set(uses) <= set(found[f"{kind} steps"])
