@@ -434,13 +434,13 @@ def _output_every(cfg: dict) -> int:
 
 
 def run_macro_compare(
-    cfg: dict, p: KineticParams, seed: None, clock: PhaseClock
+    cfg: dict, p: KineticParams | None, seed: None, clock: PhaseClock
 ) -> tuple[dict, dict, dict]:
-    beta = _get(cfg, "macro.beta", float, required=False)
-    if beta is None:
+    if p is not None:
         model = _closed_model(p, _epidemic_params(cfg))
-    else:  # classical SIR reads no other epidemic field
-        model = _build("macro.beta", ClassicalSIR, beta, _positive(cfg, "epidemic.gamma_i"))
+    else:  # classical SIR reads no kinetic and no other epidemic field
+        model = _build("macro.beta", ClassicalSIR, _get(cfg, "macro.beta", float),
+                       _positive(cfg, "epidemic.gamma_i"))
     s0 = _macro_initial(cfg)
     dt, t_final = _time(cfg)
     every = _output_every(cfg)
@@ -459,6 +459,14 @@ def _kinetic_pieces(cfg: dict, p: KineticParams):
     s0 = _macro_initial(cfg)
     ic = _build("kinetic", gamma_profile_state, grid, p.lam, s0.m_s, s0[:3])
     return e, c, grid, ic, s0.m_s
+
+
+def _kinetic_diagnostics(result, t_final: float, dt: float) -> dict:
+    """Steps and the numerical health of a kinetic run, from its final state."""
+    final = result.final_state
+    return {"steps": step_count(t_final, dt),
+            "min_cell_before_clip": final.min_cell_before_clip,
+            "max_contact_mass_drift": final.max_contact_mass_drift}
 
 
 def run_kinetic_macro_consistency(
@@ -498,9 +506,11 @@ def run_kinetic_macro_consistency(
         "sup_gaps": dict(zip(names, gaps.max(axis=0).tolist())),
         "clipped_mass": result.final_state.clipped_mass,
     }
+    if c.active:
+        metrics["m_star"] = m_star
     tables = {TRAJECTORY_FILE: _trajectory(result.times, result.observables),
               "trajectory_macro.csv": _trajectory(result.times, ref)}
-    return metrics, {"steps": step_count(t_final, dt)}, tables
+    return metrics, _kinetic_diagnostics(result, t_final, dt), tables
 
 
 def run_controlled_epidemic(
@@ -526,13 +536,14 @@ def run_controlled_epidemic(
     tables = {TRAJECTORY_FILE: _trajectory(result.times, result.observables),
               density_filename(t_final): {"x": grid.centers(),
                                           **dict(zip(("f_S", "f_I", "f_R"), final.values))}}
-    return metrics, {"steps": step_count(t_final, dt)}, tables
+    return metrics, _kinetic_diagnostics(result, t_final, dt), tables
 
 
-# Each runner takes the config, its parsed kinetic block, the seed (None for a
-# deterministic kind) and the phase clock, reads every field it uses before
-# _start_steps, and returns the manifest's metrics and diagnostics and the
-# tables that execute writes, file name -> {column: values}; it writes no file.
+# Each runner takes the config, its parsed kinetic block (None for classical
+# SIR), the seed (None for a deterministic kind) and the phase clock, reads
+# every field it uses before _start_steps, and returns the manifest's metrics
+# and diagnostics and the tables that execute writes, file name -> {column:
+# values}; it writes no file.
 RUNNERS = {
     "dsmc_equilibrium": run_dsmc_equilibrium,
     "fp_equilibrium": run_fp_equilibrium,
@@ -547,6 +558,24 @@ RUNNERS = {
 # kind runs at the KineticParams default of a scale it does not read.
 SCALES = {"dsmc_equilibrium": ("epsilon",), "fp_equilibrium": ("tau",),
           "kinetic_macro_consistency": ("tau",), "controlled_epidemic": ("tau",)}
+
+
+def _kinetic_params(cfg: dict) -> KineticParams | None:
+    """The kinetic block with the scales the kind reads; None, reading none of
+    it, for classical SIR (a macro_compare config that gives macro.beta)."""
+    kind = cfg["kind"]
+    if kind == "macro_compare" and _get(cfg, "macro.beta", float, required=False) is not None:
+        return None
+    scales = {name: _get(cfg, f"kinetic.{name}", float, required=False,
+                         default=getattr(KineticParams, name)) for name in SCALES.get(kind, ())}
+    return _build(
+        "kinetic",
+        KineticParams,
+        alpha=_get(cfg, "kinetic.alpha", float),
+        sigma2=_get(cfg, "kinetic.sigma2", float),
+        delta=_get(cfg, "kinetic.delta", float),
+        **scales,
+    )
 
 
 def _first_non_finite(value, name: str) -> str | None:
@@ -576,16 +605,7 @@ def execute(config_path: Path, out_dir: Path | None = None, seed: int | None = N
     out = resolve_out_dir(str(out_dir) if out_dir else None, config_out, config_path.stem)
 
     clock = PhaseClock()
-    scales = {name: _get(cfg, f"kinetic.{name}", float, required=False,
-                         default=getattr(KineticParams, name)) for name in SCALES.get(kind, ())}
-    p = _build(
-        "kinetic",
-        KineticParams,
-        alpha=_get(cfg, "kinetic.alpha", float),
-        sigma2=_get(cfg, "kinetic.sigma2", float),
-        delta=_get(cfg, "kinetic.delta", float),
-        **scales,
-    )
+    p = _kinetic_params(cfg)
     metrics, diagnostics, tables = RUNNERS[kind](cfg, p, seed, clock)
     if (bad := _first_non_finite(metrics, "metrics")) is not None:
         raise NumericsError(f"{bad} is not finite; no output written")
@@ -593,26 +613,24 @@ def execute(config_path: Path, out_dir: Path | None = None, seed: int | None = N
         io.write_csv(out / name, list(columns), list(columns.values()))
     elapsed = clock.enter(None)
 
-    derived = {"lam": p.lam}
-    try:
-        derived["moment_ratio"] = moment_ratio(p.lam, p.delta)
-    except ValueError:
-        pass  # delta is not +/-1, or the inverse-gamma profile has no second moment
-    write_manifest(
-        out / MANIFEST_FILE,
-        {
-            "schema_version": SCHEMA_VERSION,
-            "code_version": __version__,
-            "config": cfg,
-            "config_path": str(config_path),
-            "derived": derived,
-            "seed": seed,
-            "wall_clock_s": elapsed,
-            "timings": clock.seconds,
-            "metrics": metrics,
-            "diagnostics": diagnostics,
-        },
-    )
+    manifest = {
+        "schema_version": SCHEMA_VERSION,
+        "code_version": __version__,
+        "config": cfg,
+        "config_path": str(config_path),
+        "seed": seed,
+        "wall_clock_s": elapsed,
+        "timings": clock.seconds,
+        "metrics": metrics,
+        "diagnostics": diagnostics,
+    }
+    if p is not None:  # classical SIR reads no kinetic block, so it derives nothing
+        manifest["derived"] = {"lam": p.lam}
+        try:
+            manifest["derived"]["moment_ratio"] = moment_ratio(p.lam, p.delta)
+        except ValueError:
+            pass  # delta is not +/-1, or the inverse-gamma profile has no second moment
+    write_manifest(out / MANIFEST_FILE, manifest)
     return out
 
 

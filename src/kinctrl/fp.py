@@ -220,9 +220,13 @@ def build_operator(p: KineticParams, c: ControlSpec, grid: Grid) -> InterfaceWei
     return InterfaceWeights(grid, basis, d_if, functools.partial(rule.scalar, p=p))
 
 
-def interface_log_ratios(op: InterfaceWeights, means) -> np.ndarray:
-    """Log-ratios w_{i+1/2} = -ln(f_{i+1}/f_i) of the zero-flux solution, one row per mean."""
-    return np.array([op.powers(m) for m in means]) @ op.basis
+def interface_log_ratios(op: InterfaceWeights, means, out=None) -> np.ndarray:
+    """Log-ratios w_{i+1/2} = -ln(f_{i+1}/f_i) of the zero-flux solution, one row per mean.
+
+    out, a (len(means), n_cells - 1) array owned by the caller, receives them;
+    without it they go into a new array.
+    """
+    return np.matmul(np.array([op.powers(m) for m in means]), op.basis, out=out)
 
 
 def support_end(row: np.ndarray) -> int:
@@ -241,6 +245,12 @@ def support_end(row: np.ndarray) -> int:
 def _workspace(n_cells: int) -> np.ndarray:
     """Rows lower, upper and diag for one row's bands, reused from step to step."""
     return np.empty((3, n_cells))
+
+
+@functools.lru_cache(maxsize=1)
+def _weights(n_rows: int, n_cells: int) -> np.ndarray:
+    """The interface weights of an sp_step_batch of n_rows rows, reused from step to step."""
+    return np.empty((n_rows, n_cells - 1))
 
 
 def _bands(
@@ -346,21 +356,26 @@ def _solve_row(v: np.ndarray, w: np.ndarray, d_if: np.ndarray, c: float, out: np
 
 
 def sp_step_batch(
-    op: InterfaceWeights, values: np.ndarray, means, dt: float, tau: float
+    op: InterfaceWeights, values: np.ndarray, means, dt: float, tau: float, out=None
 ) -> np.ndarray:
     """One implicit step of each row of values, row j at reference mean means[j].
 
     The rows are uncoupled (each has its own zero-flux boundary) and are
     solved one after the other, each on its support plus the cells its step
-    reaches (_solve_row); values is not modified.
+    reaches (_solve_row); values is not modified.  The result goes into out,
+    an array shaped like values that the caller owns and that may not alias
+    it, or into a new array.  The weights and bands live in buffers that fp
+    keeps from step to step.
     """
     c = _step_factor(op.grid, dt, tau)
-    w = interface_log_ratios(op, means)
+    w = interface_log_ratios(op, means, out=_weights(len(means), op.grid.n_cells))
     values = np.asarray(values, dtype=float)
-    out = np.empty(values.shape)
+    if out is None:
+        out = np.empty(values.shape)
     for v, w_row, new in zip(values, w, out):
         _solve_row(v, w_row, op.d_interfaces, c, new)
-    if not np.all(np.isfinite(out)):
+    # min and max are finite only if every value is, and they allocate nothing
+    if not (np.isfinite(out.min(initial=0.0)) and np.isfinite(out.max(initial=0.0))):
         raise NumericsError("implicit contact step produced non-finite values")
     return out
 

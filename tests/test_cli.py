@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from kinctrl import ParticleEnsemble, cli
+from kinctrl import ControlSpec, Grid, ParticleEnsemble, cli
 from kinctrl.cli import (
     RUNNERS,
     bundled_config_path,
@@ -27,7 +27,7 @@ from kinctrl.cli import (
 )
 from kinctrl.errors import ConfigError, NumericsError
 from kinctrl.io import read_csv
-from kinctrl.macro import MacroModel
+from kinctrl.macro import MacroModel, controlled_sir
 from kinctrl.params import EpidemicParams, KineticParams, closure_kind
 
 
@@ -420,8 +420,8 @@ class TestExitCodes:
         # macro.beta classical SIR: no run reads either field
         cfg = json.loads(small_macro_config(tmp_path).read_text())
         cfg["macro"] = macro
-        if "beta" in macro:
-            del cfg["epidemic"]["betas"]
+        if "beta" in macro:  # classical SIR reads neither the betas nor the kinetic block
+            del cfg["epidemic"]["betas"], cfg["kinetic"]
         path = tmp_path / "macro.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -441,6 +441,7 @@ class TestExitCodes:
         cfg = json.loads(small_macro_config(tmp_path).read_text())
         cfg["macro"] = {"beta": 0.1}
         cfg["epidemic"] = {"gamma_i": 0.07142857142857142, field: value}
+        del cfg["kinetic"]
         path = tmp_path / "sir.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -876,7 +877,11 @@ class TestRun:
         total = sum(timings.values())
         assert 0.95 * manifest["wall_clock_s"] <= total <= manifest["wall_clock_s"] * (1 + 1e-9)
         stepped = cfg["kind"] not in ("macro_compare", "tail_sweep")
-        assert manifest["diagnostics"] == ({"steps": round(t_final / cfg["time"]["dt"])} if stepped else {})
+        diagnostics = manifest["diagnostics"]
+        assert diagnostics.pop("steps", None) == (round(t_final / cfg["time"]["dt"]) if stepped else None)
+        kinetic = cfg["kind"] in ("controlled_epidemic", "kinetic_macro_consistency")
+        health = {"min_cell_before_clip", "max_contact_mass_drift"}
+        assert set(diagnostics) == (health if kinetic else set())
         assert manifest["seed"] is None  # a deterministic run takes no seed
 
     def test_dsmc_manifest_timings(self, tmp_path):
@@ -989,15 +994,35 @@ class TestRun:
         assert derived["moment_ratio"] == model.rate_constants[4]
 
     def test_classical_sir_run_holds_the_means(self, tmp_path):
-        # macro.beta makes the run classical SIR, which closes no moments
+        # macro.beta makes the run classical SIR, which closes no moments and
+        # reads no kinetic block, so its manifest derives no constants
+        cfg = json.loads(small_macro_config(tmp_path).read_text())
+        cfg["macro"] = {"beta": 0.1}
+        del cfg["epidemic"]["betas"], cfg["kinetic"]
+        path = tmp_path / "sir.json"
+        path.write_text(json.dumps(cfg))
+        out = execute(path, tmp_path / "out")
+        traj = read_csv(out / "trajectory.csv")
+        assert set(traj["m_S"]) == set(traj["m_I"]) == {10.0}
+        assert traj["rho_I"][-1] > traj["rho_I"][0]
+        assert "derived" not in json.loads((out / "manifest.json").read_text())
+
+    @pytest.mark.parametrize("field", ["alpha", "sigma2", "delta"])
+    def test_classical_sir_rejects_a_kinetic_field(self, tmp_path, monkeypatch, capsys, field):
+        def never(*args, **kwargs):
+            raise AssertionError("classical SIR ran with a field unread")
+
+        monkeypatch.setattr("kinctrl.cli.rk4_integrate", never)
         cfg = json.loads(small_macro_config(tmp_path).read_text())
         cfg["macro"] = {"beta": 0.1}
         del cfg["epidemic"]["betas"]
+        cfg["kinetic"] = {field: cfg["kinetic"][field]}
         path = tmp_path / "sir.json"
         path.write_text(json.dumps(cfg))
-        traj = read_csv(execute(path, tmp_path / "out") / "trajectory.csv")
-        assert set(traj["m_S"]) == set(traj["m_I"]) == {10.0}
-        assert traj["rho_I"][-1] > traj["rho_I"][0]
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"field 'kinetic.{field}': a macro_compare run does not read it" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_macro_trajectory_ends_at_t_final(self, tmp_path):
         # 500 steps recorded every 7: steps 0, 7, ..., 497 and then 500
@@ -1068,8 +1093,9 @@ class TestScenarioRunners:
         out = execute(path, tmp_path / "out")
         assert (out / "trajectory.csv").exists()
         assert (out / "trajectory_macro.csv").exists()
-        gaps = json.loads((out / "manifest.json").read_text())["metrics"]["sup_gaps"]
-        assert gaps["rho_I"] < 1e-2
+        metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+        assert metrics["sup_gaps"]["rho_I"] < 1e-2
+        assert "m_star" not in metrics  # the closed moment system has no m*
 
     @pytest.mark.parametrize("t_final", [0.0, 0.5])
     def test_controlled_consistency_against_classical_sir(self, tmp_path, t_final):
@@ -1086,7 +1112,14 @@ class TestScenarioRunners:
         kinetic = read_csv(out / "trajectory.csv")
         assert (macro["rho_S"][0], macro["rho_I"][0]) == (kinetic["rho_S"][0], kinetic["rho_I"][0])
         assert len(set(macro["m_S"])) == 1 and macro["m_S"][0] < 3.0
-        gaps = json.loads((out / "manifest.json").read_text())["metrics"]["sup_gaps"]
+        metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+        gaps = metrics["sup_gaps"]
+        # the manifest names the m* that the reference holds
+        assert metrics["m_star"] == macro["m_S"][0]
+        _, m_star = controlled_sir(
+            KineticParams(**cfg["kinetic"]), EpidemicParams(**cfg["epidemic"]),
+            ControlSpec.interaction(1.0, 3.0), Grid(**cfg["grid"]), cfg["initial"]["mean"])
+        assert metrics["m_star"] == m_star
         if t_final == 0.0:
             assert gaps["m_S_rel"] == gaps["m_I_rel"] == 0.0
         else:

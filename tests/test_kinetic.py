@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
+import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinctrl import (
@@ -16,12 +18,16 @@ from kinctrl import (
     steady_state_solve,
     uniform_density,
 )
+from kinctrl.errors import InvariantViolationError
+from kinctrl.fp import sp_step_batch, support_end
 from kinctrl.kinetic import (
     MASS_FLOOR,
+    NEGATIVITY_WARN,
     OBSERVABLES,
     KineticSIRState,
     _contact_substep,
     center_powers,
+    check_mass,
     contact_powers,
     epidemic_substep,
     exchange_rate,
@@ -336,3 +342,133 @@ class TestObservedOrder:
         diffs = np.array([np.abs(a - b).sum() * grid.dx for a, b in zip(finals, finals[1:])])
         orders = np.log2(diffs[:-1] / diffs[1:])  # each dt is half the one before
         assert np.all((0.8 <= orders) & (orders <= 1.3)), orders
+
+
+def allocating_run(state, p, c, e, dt, n_steps):
+    """The observables rows and final state of n_steps allocating split steps
+    (tests/oracles.py), checking the mass as run_scenario does."""
+    mass0 = state.total_mass()
+    rows = [state.observables()]
+    for k in range(1, n_steps + 1):
+        state = oracles.split_step(state, p, c, e, dt)
+        check_mass(state.total_mass(), mass0, k * dt)
+        rows.append(state.observables())
+    return np.array(rows), state
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestKeptBuffers:
+    """run_scenario steps in two buffers it owns and in workspaces kept from
+    step to step; every bit of its output is that of the allocating steps."""
+
+    @staticmethod
+    def runs(n_cells, end, strategy, tau, rho, betas, dt, n_steps):
+        """(run_scenario result, oracle rows, oracle final state) on Grid(100, n_cells),
+        from gamma profiles cut to 0 from cell end on; None when the oracle's mass
+        drifts, after checking that run_scenario raises too."""
+        grid = Grid(100.0, n_cells)
+        p, c = kin(tau=tau), ControlSpec(strategy, nu=1.0, x_target=3.0)
+        e = EpidemicParams(betas, GAMMA_I)
+        state = gamma_profile_state(grid, 5.0, 10.0, rho)
+        state.values[:, end:] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                rows, final = allocating_run(state, p, c, e, dt, n_steps)
+            except InvariantViolationError:
+                with pytest.raises(InvariantViolationError):
+                    run_scenario(state, p, c, e, n_steps * dt, dt)
+                return None
+            before = state.values.copy()
+            result = run_scenario(state, p, c, e, n_steps * dt, dt)
+        assert same_bits(state.values, before)  # the initial state is only read
+        return result, rows, final
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n_cells=st.integers(20, 1000),
+        end=st.integers(1, 1000),
+        strategy=st.sampled_from(Strategy),
+        tau=st.sampled_from([1.0, 1e-2, 1e-5]),
+        rho=st.tuples(*[st.one_of(st.floats(1e-4, 1.0), st.sampled_from([0.0, 1e-305]))] * 3),
+        betas=st.sampled_from([(0.02,), (0.5,), (0.05, 1e-3)]),
+        dt=st.sampled_from([0.01, 0.1]),
+        n_steps=st.integers(1, 4),
+    )
+    # a run that clips, a trimmed control-B support and an empty compartment
+    @example(100, 100, Strategy.UNCONTROLLED, 1.0, (0.5, 0.5, 0.0), (0.5,), 0.01, 3)
+    @example(1000, 300, Strategy.INTERACTION_B, 1e-5, (0.98, 0.01, 0.01), (0.02,), 0.01, 3)
+    @example(300, 300, Strategy.ADDITIVE_A, 1e-2, (0.9, 1e-305, 0.1), (0.02,), 0.01, 2)
+    def test_run_scenario_equals_the_allocating_steps_bit_for_bit(
+        self, n_cells, end, strategy, tau, rho, betas, dt, n_steps
+    ):
+        runs = self.runs(n_cells, end, strategy, tau, rho, betas, dt, n_steps)
+        if runs is None:
+            return
+        result, rows, final = runs
+        assert same_bits(result.observables, rows)
+        assert same_bits(result.final_state.values, final.values)
+        assert result.final_state.clipped_mass == final.clipped_mass
+
+    def test_the_examples_cover_a_clip_a_trimmed_support_and_an_empty_compartment(self):
+        result, _, _ = self.runs(100, 100, Strategy.UNCONTROLLED, 1.0, (0.5, 0.5, 0.0), (0.5,),
+                                 0.01, 3)
+        assert result.final_state.clipped_mass > 0.0
+        assert result.final_state.min_cell_before_clip < 0.0
+        result, _, _ = self.runs(1000, 300, Strategy.INTERACTION_B, 1e-5, (0.98, 0.01, 0.01),
+                                 (0.02,), 0.01, 3)
+        assert max(support_end(v) for v in result.final_state.values) < 1000 - 64
+        result, _, _ = self.runs(300, 300, Strategy.ADDITIVE_A, 1e-2, (0.9, 1e-305, 0.1),
+                                 (0.02,), 0.01, 2)
+        assert 0.0 < result.final_state.masses()[1] <= MASS_FLOOR
+
+    def test_a_warm_run_allocates_only_its_two_state_buffers(self):
+        # after one run has filled the workspaces, a 25 000-cell run holds
+        # its two (3, n_cells) buffers and less than one more such array;
+        # a run that allocated its stages, sums and solves per step would
+        # peak at several more
+        grid = Grid(500.0, 25_000)
+        state = gamma_profile_state(grid, 5.0, 10.0, (0.98, 0.01, 0.01))
+        p, c, e = kin(tau=1e-5), ControlSpec.additive(1.0, 3.0), EpidemicParams((0.02, 2e-6), GAMMA_I)
+        run_scenario(state, p, c, e, 0.01, 0.01)
+        tracemalloc.start()
+        try:
+            run_scenario(state, p, c, e, 0.05, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * state.values.nbytes, peak / state.values.nbytes
+
+
+class TestHealthDiagnostics:
+    def test_contact_drift_is_the_largest_relative_gap_the_rescale_corrects(self, mixed_state):
+        p, c, grid = kin(tau=1e-5), ControlSpec.interaction(1.0, 3.0), mixed_state.grid
+        assert mixed_state.max_contact_mass_drift == 0.0
+        out = _contact_substep(mixed_state, p, c, 0.01)
+        masses = mixed_state.masses()
+        x = grid.centers()
+        means = [float(x @ v) * grid.dx / m for v, m in zip(mixed_state.values, masses)]
+        raw = sp_step_batch(build_operator(p, c, grid), mixed_state.values, means, 0.01, p.tau)
+        gaps = np.abs(raw.sum(axis=1) * grid.dx - masses) / masses
+        assert out.max_contact_mass_drift == gaps.max() > 0.0
+        # the state keeps the largest gap of the steps that led to it
+        calm = _contact_substep(out, kin(tau=1e12), c, 0.01)
+        assert calm.max_contact_mass_drift == out.max_contact_mass_drift
+
+    def test_min_cell_is_the_smallest_cell_before_the_clip(self, grid):
+        state = gamma_profile_state(grid, 5.0, 10.0, (0.5, 0.5, 0.0))
+        assert state.min_cell_before_clip is None  # no epidemic substep yet
+        quiet = epidemic_substep(state, EpidemicParams((0.01,), GAMMA_I), 0.01)
+        assert quiet.clipped_mass == 0.0
+        assert quiet.min_cell_before_clip == quiet.values.min() >= 0.0
+        e = EpidemicParams((1.0,), GAMMA_I)
+        with pytest.warns(RuntimeWarning, match="clipping"):
+            out = epidemic_substep(state, e, 1.0)
+        lowest = out.min_cell_before_clip
+        assert lowest < NEGATIVITY_WARN and out.values.min() == 0.0
+        assert out.clipped_mass >= -lowest * grid.dx  # that cell's mass was clipped too
+        # the state keeps the smallest cell of the steps that led to it
+        assert epidemic_substep(out, EpidemicParams((0.0,), GAMMA_I), 0.01).min_cell_before_clip == lowest

@@ -2,12 +2,13 @@
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
 import pytest
 
-from kinctrl.cli import RUNNERS, SCALES, bundled_config_path, list_bundled_scenarios, load_config
+from kinctrl.cli import RUNNERS, SCALES, bundled_config_path, list_bundled_scenarios, load_config, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -58,3 +59,23 @@ def test_field_table_names_the_seed_and_scales_a_kind_reads():
         reads = {f"kinetic.{name}" for name in SCALES.get(kind, ())}
         reads |= {"seed"} if kind == "dsmc_equilibrium" else set()
         assert row & {"seed", "kinetic.epsilon", "kinetic.tau"} == reads, kind
+
+
+def test_field_table_marks_the_fields_classical_sir_does_not_read(tmp_path, capsys):
+    # a macro_compare config that gives macro.beta runs classical SIR, and a
+    # field its row marks "not with `macro.beta`" makes such a config exit 2
+    row = next(line for line in README.read_text().splitlines() if line.startswith("| `macro_compare` |"))
+    marked = {name for name, note in re.findall(r"`([\w.]+)`(?: \(([^)]*)\))?", row)
+              if "not with `macro.beta`" in note}
+    assert marked == {"kinetic.alpha", "kinetic.sigma2", "kinetic.delta", "epidemic.betas", "epidemic.beta0"}
+    for name in sorted(marked):
+        cfg = load_config(bundled_config_path("closure_l1_gamma.json"))
+        kinetic = cfg.pop("kinetic")
+        cfg["macro"] = {"beta": 0.1}
+        cfg["epidemic"] = {"gamma_i": cfg["epidemic"]["gamma_i"]}
+        block, key = name.split(".")
+        cfg.setdefault(block, {})[key] = {**kinetic, "betas": [1e-3], "beta0": 0.0}[key]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / name)]) == 2, name
+        assert f"field '{name}'" in capsys.readouterr().err
